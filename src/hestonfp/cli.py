@@ -211,6 +211,10 @@ def _build_spec(command: str, config: dict[str, str], flags: dict) -> RunSpec:
             return raw
         return _parse_grid(flag, str(raw))
 
+    def number(name, cast, default):
+        raw = get(name)
+        return default if raw is None else cast(raw)
+
     spec = RunSpec(
         command=command,
         params=params,
@@ -221,8 +225,8 @@ def _build_spec(command: str, config: dict[str, str], flags: dict) -> RunSpec:
         output_format=str(get("format") or "csv"),
         output_path=get("output"),
         seed=int(get("seed") or 0),
-        paths=int(get("paths") or 10**6),
-        dt=float(get("dt") or 1e-3),
+        paths=number("paths", int, 10**6),
+        dt=number("dt", float, 1e-3),
         theta_tau=grid("theta_tau", "--theta-tau"),
         beta_grid=grid("beta_scan", "--beta"),
         stationary=_as_bool(get("stationary")),

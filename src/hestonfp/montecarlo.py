@@ -14,6 +14,7 @@ estimate is bit-identical no matter how many worker threads run the blocks.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -62,6 +63,8 @@ class McConfig:
         if self.scheme != "euler_full_truncation":
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         grid = tuple(float(t) for t in self.record_grid)
+        if not all(math.isfinite(t) for t in grid):
+            raise ConfigError("record_grid entries must be finite")
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise ConfigError("record_grid must be sorted ascending")
         object.__setattr__(self, "record_grid", grid)
@@ -69,8 +72,8 @@ class McConfig:
         if horizon is None:
             raise ConfigError("either horizon or a nonempty record_grid is required")
         horizon = float(horizon)
-        if horizon <= 0.0:
-            raise ConfigError("horizon must be > 0")
+        if not 0.0 < horizon < math.inf:
+            raise ConfigError("horizon must be finite and > 0")
         if grid and grid[-1] > horizon * (1.0 + 1e-12):
             raise ConfigError("record_grid extends past the horizon")
         object.__setattr__(self, "horizon", horizon)

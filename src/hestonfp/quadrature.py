@@ -16,10 +16,21 @@ with large ``beta``) are resummed by iterated averaging of the partial sums.
 When the truncation frequency sits below the first sine zero the whole range
 is one adaptive pass.  The truncation frequency itself is found by a doubling
 scan of ``log F`` -- analytic envelope guesses only seed the scan.
+
+Python call overhead, not arithmetic, dominates at 16 nodes per leaf, so the
+work is batched without changing any decision.  Panels are computed a block
+at a time and refined level by level: every bisection level of every open
+interval in the block is one call of ``F``, each interval accepted or split
+by its own tolerance exactly as in a depth-first bisection.  The stopping
+rules then run panel by panel over the block's results, and panels past the
+stop are discarded.  The cutoff scan evaluates its whole doubling ladder in
+one call of ``log F`` and replays the scan on the result.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -41,6 +52,14 @@ __all__ = [
 ]
 
 _OMEGA_CAP = 1e8
+# Leaves plus open intervals one adaptive refinement may reach; bounds the
+# nodes of a single level to 2 * _MAX_LEAVES * points_per_panel.
+_MAX_LEAVES = 2**16
+# Panels per block of the panel loop; the last size repeats.  Every block
+# ends on a panel where series acceleration is tried (k = 24, 56, 120, ...):
+# no accelerated stop can come earlier, and most slowly decaying integrands
+# stop at the first such panel.
+_BLOCKS = (25, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -82,13 +101,9 @@ class SPResult:
         return SPResult(value, err_estimate, method, panels_used, out)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = leggauss(n)
-    return _GL_CACHE[n]
+    return leggauss(n)
 
 
 def _log_factor_exact(omega, tau, v, theta, beta):
@@ -142,51 +157,83 @@ def _find_cutoff(log_f, seed: float, log_thresh: float, cap: float = _OMEGA_CAP)
     already below threshold, then up until two consecutive probes are below.
     Probing the actual integrand makes the rule robust in regimes where
     closed-form envelopes are wildly off (large ``v`` with small ``tau``).
+    The whole ladder ``seed * 2**j`` the scan can visit, from ``1e-6`` to
+    ``cap``, is evaluated in one call; scaling by powers of two is exact, so
+    the rungs are the very frequencies a probe-by-probe scan would reach.
     """
-    w = max(min(seed, cap), 1e-6)
-    while w > 1e-6 and log_f(np.array([w]))[0] < log_thresh:
+    w0 = max(min(seed, cap), 1e-6)
+    n_down = n_up = 0
+    w = w0
+    while w > 1e-6:
         w *= 0.5
-    count = 0
+        n_down += 1
+    w = w0
     while w < cap:
         w *= 2.0
-        if log_f(np.array([w]))[0] < log_thresh:
+        n_up += 1
+    ladder = np.ldexp(w0, np.arange(-n_down, n_up + 1))
+    below = (log_f(ladder) < log_thresh).tolist()
+    i = n_down
+    while ladder[i] > 1e-6 and below[i]:
+        i -= 1
+    count = 0
+    while ladder[i] < cap:
+        i += 1
+        if below[i]:
             count += 1
             if count >= 2:
-                return min(w, cap)
+                return min(float(ladder[i]), cap)
         else:
             count = 0
     return cap
 
 
-def _adaptive_gl(g, a: float, b: float, tol: float, order: int,
-                 max_leaves: int = 10**6) -> tuple[float, float, int]:
-    """Adaptive bisection with fixed-order Gauss-Legendre leaves."""
+def _adaptive_gl(g, a, b, tol: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adaptive bisection with fixed-order Gauss-Legendre leaves.
+
+    Refines every root interval ``[a[i], b[i]]`` at once, breadth-first:
+    each refinement level of all open intervals is a single call of ``g``.
+    An interval becomes a leaf when its two halves agree with it to within
+    its tolerance (``tol`` halved per level) or it is too narrow to split,
+    so the leaves are those of a depth-first bisection of each root.
+
+    Returns per-root arrays ``(integral, error, leaves)``.
+    """
     x, wts = _gl_nodes(order)
 
-    def one(lo: float, hi: float) -> float:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return half * float(np.dot(wts, g(mid + half * x)))
+    def gl(lo, hi):
+        half = 0.5 * (hi - lo)
+        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * x
+        return half * (g(nodes.ravel()).reshape(-1, order) @ wts)
 
-    stack = [(a, b, one(a, b), tol)]
-    total = err_total = 0.0
-    leaves = 0
-    while stack:
-        a0, b0, coarse, t0 = stack.pop()
-        m = 0.5 * (a0 + b0)
-        left, right = one(a0, m), one(m, b0)
+    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = lo.size
+    root = np.arange(n)
+    t = np.full(n, tol)
+    coarse = gl(lo, hi)
+    total, err_total = np.zeros(n), np.zeros(n)
+    leaves = np.zeros(n, dtype=int)
+    while root.size:
+        if leaves.sum() + root.size > _MAX_LEAVES:
+            raise NonConvergence("adaptive refinement exceeded the leaf budget",
+                                 partial=float(total.sum()),
+                                 err_estimate=float(err_total.sum()),
+                                 panels_used=int(leaves.sum()))
+        m = 0.5 * (lo + hi)
+        halves = gl(np.concatenate((lo, m)), np.concatenate((m, hi)))
+        left, right = halves[:root.size], halves[root.size:]
         fine = left + right
-        err = abs(fine - coarse)
-        if err <= t0 or (b0 - a0) < 1e-14 * max(abs(a0), 1.0):
-            total += fine
-            err_total += err
-            leaves += 1
-            if leaves > max_leaves:
-                raise NonConvergence("adaptive refinement exceeded the leaf budget",
-                                     partial=total, err_estimate=err_total,
-                                     panels_used=leaves)
-        else:
-            stack.append((a0, m, left, 0.5 * t0))
-            stack.append((m, b0, right, 0.5 * t0))
+        err = np.abs(fine - coarse)
+        done = (err <= t) | ((hi - lo) < 1e-14 * np.maximum(np.abs(lo), 1.0))
+        total += np.bincount(root[done], fine[done], n)
+        err_total += np.bincount(root[done], err[done], n)
+        leaves += np.bincount(root[done], minlength=n)
+        open_ = ~done
+        lo, m, hi = lo[open_], m[open_], hi[open_]
+        lo, hi = np.concatenate((lo, m)), np.concatenate((m, hi))
+        coarse = np.concatenate((left[open_], right[open_]))
+        root = np.tile(root[open_], 2)
+        t = np.tile(0.5 * t[open_], 2)
     return total, err_total, leaves
 
 
@@ -230,11 +277,15 @@ def sine_transform(F, z: float, config: QuadConfig | None = None, *,
 
     Raises
     ------
+    ConfigError
+        If ``z`` is not finite.
     NonConvergence
         If the panel sum has not met tolerance within ``config.max_panels``
         panels; the exception carries the partial value and its bound.
     """
     cfg = config or QuadConfig()
+    if not math.isfinite(z):
+        raise ConfigError(f"z must be finite, got {z!r}")
     if z == 0.0:
         return 0.0, 0.0, 0
     front = 2.0 / math.pi
@@ -248,9 +299,10 @@ def sine_transform(F, z: float, config: QuadConfig | None = None, *,
 
     panel_w = math.pi / z
     if panel_w >= omega_max:
-        val, err, leaves = _adaptive_gl(g, 0.0, omega_max, 0.05 * cfg.abs_tol,
+        val, err, leaves = _adaptive_gl(g, [0.0], [omega_max], 0.05 * cfg.abs_tol,
                                         cfg.points_per_panel)
-        return front * val, front * (err + 0.01 * cfg.abs_tol), leaves
+        return (front * float(val[0]), front * (float(err[0]) + 0.01 * cfg.abs_tol),
+                int(leaves[0]))
 
     total = err_total = 0.0
     panels_total = 0
@@ -258,30 +310,35 @@ def sine_transform(F, z: float, config: QuadConfig | None = None, *,
     contributions: list[float] = []
     below = 0
     k = 0
-    while True:
-        a, b = k * panel_w, (k + 1) * panel_w
-        c, e, lv = _adaptive_gl(g, a, b, cfg.abs_tol / 64.0, cfg.points_per_panel)
-        total += c
-        err_total += e
-        panels_total += lv
-        contributions.append(c)
-        partials.append(total)
-        thresh = cfg.abs_tol + cfg.rel_tol * abs(total)
-        if abs(c) < thresh:
-            below += 1
-            if below >= 2:
+    for block in itertools.chain(_BLOCKS, itertools.repeat(_BLOCKS[-1])):
+        # Panels are refined a block at a time; the stopping rules below are
+        # then applied panel by panel, so panels past the stop are discarded.
+        ks = np.arange(k, min(k + block, cfg.max_panels + 1))
+        cs, es, lvs = _adaptive_gl(g, ks * panel_w, (ks + 1) * panel_w,
+                                   cfg.abs_tol / 64.0, cfg.points_per_panel)
+        for c, e, lv in zip(cs.tolist(), es.tolist(), lvs.tolist()):
+            a = k * panel_w
+            total += c
+            err_total += e
+            panels_total += lv
+            contributions.append(c)
+            partials.append(total)
+            thresh = cfg.abs_tol + cfg.rel_tol * abs(total)
+            if abs(c) < thresh:
+                below += 1
+                if below >= 2:
+                    return front * total, front * (err_total + abs(c)), panels_total
+            else:
+                below = 0
+            if k >= 24 and k % 8 == 0:
+                tail = np.asarray(contributions[-17:])
+                if np.all(tail[1:] * tail[:-1] < 0.0):
+                    est, aerr = _euler_accel(partials[-17:])
+                    if aerr < 0.5 * thresh:
+                        return front * est, front * (err_total + 2.0 * aerr), panels_total
+            if a > omega_max and abs(c) < thresh:
                 return front * total, front * (err_total + abs(c)), panels_total
-        else:
-            below = 0
-        if k >= 24 and k % 8 == 0:
-            tail = np.asarray(contributions[-17:])
-            if np.all(tail[1:] * tail[:-1] < 0.0):
-                est, aerr = _euler_accel(partials[-17:])
-                if aerr < 0.5 * thresh:
-                    return front * est, front * (err_total + 2.0 * aerr), panels_total
-        if a > omega_max and abs(c) < thresh:
-            return front * total, front * (err_total + abs(c)), panels_total
-        k += 1
+            k += 1
         if k > cfg.max_panels:
             raise NonConvergence(
                 f"sine transform failed to converge within {cfg.max_panels} panels",
@@ -328,8 +385,8 @@ def survival_averaged(z: float, tau: float, d: Dimensionless,
                       config: QuadConfig | None = None) -> SPResult:
     """Survival probability with the starting variance averaged over its
     stationary Gamma law, by exact inversion of the averaged integrand."""
-    if z < 0.0 or tau < 0.0:
-        raise ConfigError("z and tau must be >= 0")
+    if not (0.0 <= z < math.inf and 0.0 <= tau < math.inf):
+        raise ConfigError(f"z and tau must be finite and >= 0, got z={z!r}, tau={tau!r}")
     if z == 0.0:
         return SPResult.make(0.0, 0.0, "averaged", 0)
     if tau == 0.0:

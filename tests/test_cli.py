@@ -216,6 +216,17 @@ class TestExitCodes:
         assert rc == 2
         assert "--z" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,named", [("--paths", "0", "n_paths"),
+                                                  ("--dt", "0", "dt")])
+    def test_zero_simulation_setting_is_rejected(self, flag, value, named, capsys):
+        # the other settings are tiny, so a silent fallback to the default
+        # of the rejected flag still finishes quickly
+        args = {"--paths": "64", "--dt": "0.01", flag: value}
+        rc = cli.main(["simulate", "--z", "0.01", "--tau", "0.02",
+                       *(x for kv in args.items() for x in kv)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
     def test_usage_error_from_argparse(self, capsys):
         assert cli.main([]) == 2
         assert cli.main(["no-such-command"]) == 2

@@ -28,6 +28,11 @@ class TestConfig:
         {"scheme": "milstein"},
         {"record_grid": (0.5, 0.2)},
         {"record_grid": (0.2, 0.5), "horizon": 0.3},
+        {"horizon": math.nan},
+        {"horizon": math.inf},
+        {"record_grid": (0.1, math.nan)},
+        {"record_grid": (0.1, math.inf)},
+        {"record_grid": (math.nan,), "horizon": 1.0},
     ])
     def test_rejected(self, kw):
         with pytest.raises(h.ConfigError):

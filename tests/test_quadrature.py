@@ -53,11 +53,24 @@ class TestSineTransform:
     def test_zero_distance_short_circuit(self):
         assert h.sine_transform(lambda w: np.exp(-w), 0.0) == (0.0, 0.0, 0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_distance(self, z):
+        with pytest.raises(h.ConfigError):
+            h.sine_transform(lambda w: np.exp(-w), z)
+
     @given(a=st.floats(min_value=0.05, max_value=20.0),
            z=st.floats(min_value=1e-3, max_value=20.0))
     def test_exponential_factor_property(self, a, z):
         val, _, _ = h.sine_transform(lambda w: np.exp(-a * w), z)
         assert abs(val - (2.0 / math.pi) * math.atan(z / a)) <= 1e-7
+
+    @pytest.mark.parametrize("omega_max", [None, 1.0])
+    def test_nan_integrand_exhausts_leaf_budget(self, omega_max):
+        # never-accepted leaves are bisected breadth-first until the shared
+        # leaf budget runs out, in both the panel loop and the single pass
+        with pytest.raises(h.NonConvergence):
+            h.sine_transform(lambda w: np.full_like(w, np.nan), 1.0,
+                             omega_max=omega_max)
 
     def test_nonconvergence_carries_partial(self):
         d = h.ModelParams(0.045, 8.62e-5, 0.0045).dimensionless()
@@ -68,6 +81,34 @@ class TestSineTransform:
         assert 0.0 < e.partial < 1.1
         assert e.err_estimate > 0.0
         assert e.panels_used >= 3
+
+
+class TestAdaptiveDecisions:
+    """Leaf counts, values and error bounds recorded from the depth-first,
+    one-panel-at-a-time implementation: batching the refinement may reorder
+    sums but must not move a single stopping or refinement decision.
+    ``v=None`` starts at the long-run variance."""
+
+    @pytest.mark.parametrize("kind,z,v,tau,beta,leaves,value,err", [
+        # whole range in one adaptive pass (first sine zero past the cutoff)
+        ("exact", 0.1, 1.0, 1.0, 0.1, 3, 0.10015558425580438, 6.366250733038467e-12),
+        # panel sum stopped by two small contributions after 4 panels
+        ("exact", 0.01, None, 0.5, 0.1, 5, 0.31184742617392336, 1.2402731111251348e-12),
+        # first fig4 point (beta = 10, z = 1e-3): 16 panels of a slow tail
+        ("exact", 1e-3, None, 0.5, 10.0, 25, 0.8219218213488749, 2.2418732417561807e-08),
+        # beta = 10 tail stopped by series acceleration after 25 panels
+        ("exact", 2e-3, None, 0.5, 10.0, 33, 0.9092107481578457, 1.3069520419900042e-12),
+        ("averaged", 0.01, None, 1.0, 1.0, 27, 0.8720805751941723, 4.45678121191465e-08),
+    ])
+    def test_pinned(self, fig1_d, kind, z, v, tau, beta, leaves, value, err):
+        d = h.Dimensionless(fig1_d.theta, beta)
+        if kind == "exact":
+            sp = h.survival_exact(h.State(z, d.theta if v is None else v, tau), d)
+        else:
+            sp = h.survival_averaged(z, tau, d)
+        assert sp.panels_used == leaves
+        assert abs(sp.value - value) <= 1e-14
+        assert abs(sp.err_estimate - err) <= 1e-14
 
 
 class TestSurvivalExact:
@@ -131,6 +172,12 @@ class TestSurvivalAveraged:
     def test_short_circuits(self, fig1_d):
         assert h.survival_averaged(0.0, 1.0, fig1_d).value == 0.0
         assert h.survival_averaged(0.01, 0.0, fig1_d).value == 1.0
+
+    @pytest.mark.parametrize("z,tau", [(math.nan, 1.0), (math.inf, 1.0),
+                                       (0.01, math.nan), (0.01, math.inf)])
+    def test_rejects_non_finite_arguments(self, fig1_d, z, tau):
+        with pytest.raises(h.ConfigError):
+            h.survival_averaged(z, tau, fig1_d)
 
     def test_rejects_negative_arguments(self, fig1_d):
         with pytest.raises(h.ConfigError):
