@@ -39,7 +39,9 @@ from .quadrature import (
     hitting,
     sine_transform,
     survival_averaged,
+    survival_averaged_batch,
     survival_exact,
+    survival_exact_batch,
     survival_wiener,
 )
 from .asymptotics import (

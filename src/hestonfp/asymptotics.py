@@ -18,7 +18,7 @@ from scipy.special import erf, erfc
 
 from .core import Dimensionless, variance_scale
 from .errors import DivisionDomain, InsufficientData, NoRoot
-from .quadrature import QuadConfig, survival_averaged
+from .quadrature import QuadConfig, survival_averaged_batch
 
 __all__ = [
     "Regime",
@@ -185,23 +185,32 @@ def tail_powerlaw_hitting(L_abs, tau, theta, beta):
     return theta * tau / (beta * np.abs(L_abs))
 
 
-def risk_ratio(z: float, tau: float, d: Dimensionless,
-               config: QuadConfig | None = None) -> float:
+def risk_ratio(z, tau, d: Dimensionless, config: QuadConfig | None = None):
     """Hitting probability relative to the constant-volatility baseline.
 
     Numerator: stationary-averaged hitting from the exact quadrature.
     Denominator: ``1 - erf(z / sqrt(2*theta*tau))`` (the baseline whose
     variance rate equals the long-run level).  A vanishing denominator is
     signalled with :class:`DivisionDomain`, never masked.
+
+    ``z`` and ``tau`` broadcast; arrays give an array from one batched
+    quadrature.  The error raised is that of the first failing point in
+    flattened order, as a loop over the points would raise it.
     """
-    if not (z > 0.0 and tau > 0.0):
-        raise DivisionDomain("risk_ratio requires z > 0 and tau > 0")
-    denom = float(erfc(z / math.sqrt(2.0 * d.theta * tau)))
-    if denom <= 0.0:
-        raise DivisionDomain(
-            f"baseline hitting probability underflowed at z={z!r}, tau={tau!r}")
-    num = 1.0 - survival_averaged(z, tau, d, config).value
-    return num / denom
+    zs, taus = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(tau, dtype=float))
+    zf, tf = zs.ravel(), taus.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = erfc(zf / np.sqrt(2.0 * d.theta * tf))
+    bad = np.flatnonzero(~((zf > 0.0) & (tf > 0.0) & (denom > 0.0)))
+    n = int(bad[0]) if bad.size else zf.size
+    num = 1.0 - np.array([r.value for r in survival_averaged_batch(zf[:n], tf[:n], d, config)])
+    if bad.size:
+        if not (zf[n] > 0.0 and tf[n] > 0.0):
+            raise DivisionDomain("risk_ratio requires z > 0 and tau > 0")
+        raise DivisionDomain("baseline hitting probability underflowed at "
+                             f"z={float(zf[n])!r}, tau={float(tf[n])!r}")
+    ratio = (num / denom).reshape(zs.shape)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def ratio_asymptote(z: float, theta_tau: float, beta: float | None = None) -> float:

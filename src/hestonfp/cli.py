@@ -21,6 +21,7 @@ or usage error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -31,10 +32,11 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .core import Dimensionless, ModelParams, State, variance_scale
+from .core import Dimensionless, ModelParams, variance_scale
 from .errors import (ConfigError, DivisionDomain, HestonFPError, NoRoot,
                      NonConvergence, ParameterError)
-from .quadrature import QuadConfig, survival_averaged, survival_exact, survival_wiener
+from .quadrature import (QuadConfig, survival_averaged_batch, survival_exact_batch,
+                         survival_wiener)
 from . import asymptotics as asy
 from .montecarlo import McConfig, estimate_survival, estimate_survival_averaged
 
@@ -317,10 +319,10 @@ def _cmd_exact(spec: RunSpec):
     zs = _default(spec.z, (0.01,))
     vs = _default(spec.v, (d.theta,))
     taus = _default(spec.tau, (0.5,))
-    rows = []
-    for z, v, tau in product(zs, vs, taus):
-        r = survival_exact(State(z=z, v=v, tau=tau), d, cfg)
-        rows.append((z, v, tau, r.value, r.err_estimate, r.panels_used))
+    points = list(product(zs, vs, taus))
+    z, v, tau = np.array(points).T
+    rows = [(*p, r.value, r.err_estimate, r.panels_used)
+            for p, r in zip(points, survival_exact_batch(z, v, tau, d, cfg))]
     return ["z", "v", "tau", "S", "err_estimate", "panels"], rows
 
 
@@ -329,10 +331,10 @@ def _cmd_averaged(spec: RunSpec):
     cfg = spec.quad_config()
     zs = _default(spec.z, (0.01,))
     taus = _default(spec.tau, (0.5,))
-    rows = []
-    for z, tau in product(zs, taus):
-        r = survival_averaged(z, tau, d, cfg)
-        rows.append((z, tau, r.value, r.err_estimate, r.panels_used))
+    points = list(product(zs, taus))
+    z, tau = np.array(points).T
+    rows = [(*p, r.value, r.err_estimate, r.panels_used)
+            for p, r in zip(points, survival_averaged_batch(z, tau, d, cfg))]
     return ["z", "tau", "S", "err_estimate", "panels"], rows
 
 
@@ -408,10 +410,9 @@ def _cmd_ratio(spec: RunSpec):
     cfg = spec.quad_config()
     zs = _default(spec.z, tuple(np.logspace(-3, math.log10(0.6), 48)))
     taus = _default(spec.tau, (3.0,))
-    rows = []
-    for tau in taus:
-        for z in zs:
-            rows.append((z, tau, asy.risk_ratio(z, tau, d, cfg)))
+    points = [(z, tau) for tau in taus for z in zs]
+    z, tau = np.array(points).T
+    rows = [(*p, r) for p, r in zip(points, asy.risk_ratio(z, tau, d, cfg))]
     return ["z", "tau", "ratio"], rows
 
 
@@ -421,10 +422,17 @@ def _cmd_sweep(spec: RunSpec):
     zs = _default(spec.z, tuple(np.logspace(-3, -1, 64)))
     vs = _default(spec.v, (d.theta,))
     taus = _default(spec.tau, (0.5,))
+    points = list(product(zs, vs, taus))
+    z_all, v_all, tau_all = np.array(points).T
+    try:
+        exact = survival_exact_batch(z_all, v_all, tau_all, d, cfg)
+    except NonConvergence as exc:
+        # a loop over the rows meets an averaged failure at an earlier row first
+        survival_averaged_batch(z_all[:exc.point], tau_all[:exc.point], d, cfg)
+        raise
+    averaged = survival_averaged_batch(z_all, tau_all, d, cfg)
     rows = []
-    for z, v, tau in product(zs, vs, taus):
-        ex = survival_exact(State(z=z, v=v, tau=tau), d, cfg)
-        av = survival_averaged(z, tau, d, cfg)
+    for (z, v, tau), ex, av in zip(points, exact, averaged):
         rows.append((
             z, v, tau, ex.value, av.value,
             _approx_value("erf_joint", z, v, tau, d),
@@ -444,10 +452,9 @@ def _figure_fig1(spec: RunSpec):
     mc_cfg = McConfig(dt=spec.dt, n_paths=spec.paths, seed=spec.seed, horizon=0.5)
     from .montecarlo import survival_profile
     prof = survival_profile(d, zs, mc_cfg, v0=d.theta)
-    rows = []
-    for z, s_mc, ci in zip(prof.z_grid, prof.survival, prof.ci_halfwidth):
-        ex = survival_exact(State(z=z, v=d.theta, tau=0.5), d, cfg)
-        rows.append((z, ex.value, ex.err_estimate, s_mc, ci))
+    exact = survival_exact_batch(prof.z_grid, d.theta, 0.5, d, cfg)
+    rows = [(z, ex.value, ex.err_estimate, s_mc, ci)
+            for z, ex, s_mc, ci in zip(prof.z_grid, exact, prof.survival, prof.ci_halfwidth)]
     return ["z", "S_exact", "err_estimate", "S_mc", "ci"], rows
 
 
@@ -456,8 +463,8 @@ def _figure_fig2(spec: RunSpec):
     cfg = spec.quad_config()
     taus = np.logspace(math.log10(0.1), 2, 64)
     z, v = 0.01, 1000.0 * d.theta
-    rows = [(t, survival_exact(State(z=z, v=v, tau=t), d, cfg).value,
-             float(asy.survival_erf(z, v, t, d.theta))) for t in taus]
+    rows = [(t, r.value, float(asy.survival_erf(z, v, t, d.theta)))
+            for t, r in zip(taus, survival_exact_batch(z, v, taus, d, cfg))]
     return ["tau", "exact", "erf"], rows
 
 
@@ -466,8 +473,8 @@ def _figure_fig3(spec: RunSpec):
     cfg = spec.quad_config()
     vs = np.logspace(math.log10(1e3 * d.theta), math.log10(1e5 * d.theta), 64)
     z, tau = 0.01, 0.1
-    rows = [(v, survival_exact(State(z=z, v=v, tau=tau), d, cfg).value,
-             float(asy.survival_erf(z, v, tau, d.theta))) for v in vs]
+    rows = [(v, r.value, float(asy.survival_erf(z, v, tau, d.theta)))
+            for v, r in zip(vs, survival_exact_batch(z, vs, tau, d, cfg))]
     return ["v", "exact", "erf"], rows
 
 
@@ -476,9 +483,10 @@ def _figure_fig4(spec: RunSpec):
     cfg = spec.quad_config()
     zs = np.logspace(-3, -1, 64)
     v, tau = d.theta, 0.5
-    rows = [(z, survival_exact(State(z=z, v=v, tau=tau), d, cfg).value,
+    rows = [(z, r.value,
              float(asy.survival_arctan(z, v, tau, d.theta, d.beta)),
-             float(asy.survival_erf(z, v, tau, d.theta))) for z in zs]
+             float(asy.survival_erf(z, v, tau, d.theta)))
+            for z, r in zip(zs, survival_exact_batch(zs, v, tau, d, cfg))]
     return ["z", "exact", "arctan", "erf"], rows
 
 
@@ -487,10 +495,10 @@ def _figure_fig5(spec: RunSpec):
     cfg = spec.quad_config()
     zs = np.logspace(-3, -1, 64)
     v, tau = d.theta, 0.5
-    rows = [(z, survival_exact(State(z=z, v=v, tau=tau), d, cfg).value,
+    rows = [(z, r.value,
              float(asy.survival_pheno(z, v, tau, d.theta, d.beta)),
              float(asy.survival_pheno(z, v, tau, d.theta, d.beta, use_beta_factor=True)))
-            for z in zs]
+            for z, r in zip(zs, survival_exact_batch(zs, v, tau, d, cfg))]
     return ["z", "exact", "pheno", "pheno_beta"], rows
 
 
@@ -499,10 +507,9 @@ def _figure_fig6(spec: RunSpec):
     cfg = spec.quad_config()
     betas = np.logspace(-2, 2, 64)
     z, tau = 0.01, 1.0
-    rows = []
-    for beta in betas:
-        r = survival_averaged(z, tau, Dimensionless(theta=theta, beta=beta), cfg)
-        rows.append((beta, 1.0 - r.value))
+    ds = [Dimensionless(theta=theta, beta=beta) for beta in betas]
+    rows = [(beta, 1.0 - r.value)
+            for beta, r in zip(betas, survival_averaged_batch(z, tau, ds, cfg))]
     return ["beta", "W_averaged"], rows
 
 
@@ -511,8 +518,8 @@ def _figure_fig7(spec: RunSpec):
     cfg = spec.quad_config()
     zs = np.logspace(-3, -1, 64)
     tau = 0.5
-    rows = [(z, survival_averaged(z, tau, d, cfg).value,
-             float(asy.survival_avg_arctan(z, tau, d.theta, d.beta))) for z in zs]
+    rows = [(z, r.value, float(asy.survival_avg_arctan(z, tau, d.theta, d.beta)))
+            for z, r in zip(zs, survival_averaged_batch(zs, tau, d, cfg))]
     return ["z", "averaged", "arctan_averaged"], rows
 
 
@@ -521,11 +528,8 @@ def _figure_fig8(spec: RunSpec):
     cfg = spec.quad_config()
     tau = 3.0
     zs = np.logspace(-3, 0, 64)
-    rows = []
-    for z in zs:
-        w_avg = 1.0 - survival_averaged(z, tau, d, cfg).value
-        w_wiener = 1.0 - survival_wiener(z, d.theta, tau)
-        rows.append((z, w_avg, w_wiener))
+    rows = [(z, 1.0 - r.value, 1.0 - survival_wiener(z, d.theta, tau))
+            for z, r in zip(zs, survival_averaged_batch(zs, tau, d, cfg))]
     return ["z", "W_averaged", "W_wiener"], rows
 
 
@@ -545,8 +549,8 @@ def _figure_fig10(spec: RunSpec):
     tau = 3.0
     theta_tau = d.theta * tau
     zs = np.logspace(-3, math.log10(0.6), 48)
-    rows = [(z, asy.risk_ratio(z, tau, d, cfg),
-             asy.ratio_asymptote(z, theta_tau, beta=d.beta)) for z in zs]
+    rows = [(z, ratio, asy.ratio_asymptote(z, theta_tau, beta=d.beta))
+            for z, ratio in zip(zs, asy.risk_ratio(zs, tau, d, cfg))]
     return ["z", "ratio", "asymptote"], rows
 
 
@@ -613,6 +617,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--stationary", action="store_true", default=None)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hestonfp", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -19,15 +19,18 @@ class NonConvergence(HestonFPError, RuntimeError):
     """An iterative numerical procedure failed to reach tolerance.
 
     Carries the best partial result and its error bound so callers can
-    inspect (and report) what was achieved before giving up.
+    inspect (and report) what was achieved before giving up.  Raised by a
+    batch call, ``point`` is the index of the failing point.
     """
 
     def __init__(self, message: str, partial: float | None = None,
-                 err_estimate: float | None = None, panels_used: int = 0):
+                 err_estimate: float | None = None, panels_used: int = 0,
+                 point: int | None = None):
         super().__init__(message)
         self.partial = partial
         self.err_estimate = err_estimate
         self.panels_used = panels_used
+        self.point = point
 
 
 class DivisionDomain(HestonFPError, ArithmeticError):

@@ -56,8 +56,8 @@ class McConfig:
     record_grid: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ConfigError("dt must be > 0")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError("dt must be finite and > 0")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
         if self.scheme != "euler_full_truncation":
@@ -176,6 +176,8 @@ def _simulate_block(block: int, n_block: int, z0: float, v0: float | None,
 
 def _run_blocks(worker, n_paths: int, n_out: int, workers: int) -> np.ndarray:
     """Run per-block tallies (possibly concurrently) and merge in block order."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers!r}")
     blocks = _blocks(n_paths)
     per_block = np.zeros((len(blocks), n_out), dtype=np.int64)
     if workers <= 1:
@@ -201,10 +203,10 @@ def estimate_survival(d: Dimensionless, z0: float, v0: float, cfg: McConfig,
     ``z0`` must be strictly positive (starting on the barrier is absorption
     at time zero, not a simulation).
     """
-    if not z0 > 0.0:
-        raise ConfigError("z0 must be > 0")
-    if v0 < 0.0:
-        raise ConfigError("v0 must be >= 0")
+    if not 0.0 < z0 < math.inf:
+        raise ConfigError(f"z0 must be finite and > 0, got {z0!r}")
+    if not 0.0 <= v0 < math.inf:
+        raise ConfigError(f"v0 must be finite and >= 0, got {v0!r}")
 
     def worker(b: int, nb: int) -> np.ndarray:
         return _simulate_block(b, nb, z0, v0, d, cfg)
@@ -219,8 +221,8 @@ def estimate_survival_averaged(d: Dimensionless, z0: float, cfg: McConfig,
                                workers: int = 1) -> McEstimate:
     """Survival curve with the starting variance drawn from its stationary
     Gamma law, path by path."""
-    if not z0 > 0.0:
-        raise ConfigError("z0 must be > 0")
+    if not 0.0 < z0 < math.inf:
+        raise ConfigError(f"z0 must be finite and > 0, got {z0!r}")
 
     def worker(b: int, nb: int) -> np.ndarray:
         return _simulate_block(b, nb, z0, None, d, cfg)
@@ -294,10 +296,10 @@ def survival_profile(d: Dimensionless, z_grid, cfg: McConfig,
     is what makes million-path survival-vs-distance sweeps affordable.
     """
     z_grid = np.sort(np.asarray(z_grid, dtype=float))
-    if z_grid.size == 0 or z_grid[0] <= 0.0:
-        raise ConfigError("z_grid must be nonempty with all entries > 0")
-    if v0 is not None and v0 < 0.0:
-        raise ConfigError("v0 must be >= 0")
+    if z_grid.size == 0 or not np.all((z_grid > 0.0) & (z_grid < math.inf)):
+        raise ConfigError("z_grid must be nonempty with all entries finite and > 0")
+    if v0 is not None and not 0.0 <= v0 < math.inf:
+        raise ConfigError(f"v0 must be finite and >= 0, got {v0!r}")
 
     def worker(b: int, nb: int) -> np.ndarray:
         return _profile_block(b, nb, v0, d, cfg, z_grid)

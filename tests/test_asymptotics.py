@@ -203,6 +203,21 @@ class TestRiskRatio:
             # erfc underflows: z/sqrt(2 theta tau) ~ 132
             h.risk_ratio(10.0, 3.0, d)
 
+    def test_array_matches_scalar_calls(self):
+        d = h.Dimensionless(TH, 10.0)
+        z = np.geomspace(1e-3, 0.6, 12)
+        tau = np.array([[0.5], [3.0]])
+        got = h.risk_ratio(z, tau, d)
+        assert got.shape == (2, 12)
+        for (i, j), r in np.ndenumerate(got):
+            assert r == h.risk_ratio(float(z[j]), float(tau[i, 0]), d)
+
+    @pytest.mark.parametrize("z,match", [([0.005, 0.0, 10.0], "requires"),
+                                         ([0.005, 10.0, 0.0], "underflowed")])
+    def test_array_signals_first_bad_point(self, z, match):
+        with pytest.raises(h.DivisionDomain, match=match):
+            h.risk_ratio(np.array(z), 3.0, h.Dimensionless(TH, 10.0))
+
 
 class TestCrossingLevel:
     @pytest.mark.xfail(strict=True, reason="documented l_c ~ 0.336 within "

@@ -5,7 +5,10 @@ import math
 import pytest
 
 import hestonfp.cli as cli
-from hestonfp import Dimensionless, ModelParams
+from hestonfp import (Dimensionless, ModelParams, NonConvergence, QuadConfig, State,
+                      survival_averaged, survival_exact)
+
+DEFAULT_D = cli.DEFAULT_PARAMS.dimensionless()
 
 
 def _write(tmp_path, name, text):
@@ -168,6 +171,25 @@ class TestCommands:
                           "arctan_averaged"]
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("zs", [(1e-3, 0.01, 0.02), (1e-3, 0.015, 0.01)])
+    def test_sweep_fails_as_a_row_loop_would(self, zs, monkeypatch):
+        # with 3 panels the exact column fails from z = 0.015 and the
+        # averaged one from z = 0.005: the first grid meets the averaged
+        # failure of row 1 first, the second the exact one
+        cfg = QuadConfig(max_panels=3)
+        monkeypatch.setattr(cli.RunSpec, "quad_config", lambda self: cfg)
+        d = DEFAULT_D
+        with pytest.raises(NonConvergence) as batch:
+            cli.run(cli.RunSpec(command="sweep", params=d, z=zs))
+        with pytest.raises(NonConvergence) as loop:
+            for z in zs:
+                survival_exact(State(z, d.theta, 0.5), d, cfg)
+                survival_averaged(z, 0.5, d, cfg)
+        got, want = batch.value, loop.value
+        assert got.point == 1
+        assert (str(got), got.partial, got.err_estimate, got.panels_used) == \
+            (str(want), want.partial, want.err_estimate, want.panels_used)
+
     def test_figure_fig1_pairs_exact_and_mc(self, tmp_path):
         out = str(tmp_path / "fig1.csv")
         rc = cli.main(["figure", "fig1", "--paths", "2000", "--seed", "1",
@@ -217,7 +239,8 @@ class TestExitCodes:
         assert "--z" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,named", [("--paths", "0", "n_paths"),
-                                                  ("--dt", "0", "dt")])
+                                                  ("--dt", "0", "dt"),
+                                                  ("--dt", "inf", "dt")])
     def test_zero_simulation_setting_is_rejected(self, flag, value, named, capsys):
         # the other settings are tiny, so a silent fallback to the default
         # of the rejected flag still finishes quickly
@@ -226,6 +249,22 @@ class TestExitCodes:
                        *(x for kv in args.items() for x in kv)])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    def test_parser_reused_after_usage_error(self, capsys):
+        # the parser is built once per process; a rejected flag must leave
+        # it as a fresh one would be
+        good = [["exact", "--z", "0.01"], ["approx", "--method", "erf", "--z", "0.02"],
+                ["averaged", "--z", "0.02", "--format", "json"]]
+        fresh = []
+        for argv in good:
+            cli._parser.cache_clear()
+            assert cli.main(argv) == 0
+            fresh.append(capsys.readouterr().out)
+        for argv, want in zip(good * 2, fresh * 2):
+            assert cli.main(["exact", "--no-such-flag", "1"]) == 2
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == want
+        assert cli._parser() is cli._parser()
 
     def test_usage_error_from_argparse(self, capsys):
         assert cli.main([]) == 2

@@ -24,6 +24,7 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"dt": 0.0},
         {"dt": -1e-3},
+        {"dt": math.inf},
         {"n_paths": 0},
         {"scheme": "milstein"},
         {"record_grid": (0.5, 0.2)},
@@ -37,6 +38,32 @@ class TestConfig:
     def test_rejected(self, kw):
         with pytest.raises(h.ConfigError):
             h.McConfig(**kw)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda d, cfg: h.estimate_survival(d, 0.01, math.nan, cfg), id="v0-nan"),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, 0.01, math.inf, cfg), id="v0-inf"),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, math.nan, TH, cfg), id="z0-nan"),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, math.inf, TH, cfg), id="z0-inf"),
+        pytest.param(lambda d, cfg: h.estimate_survival_averaged(d, math.inf, cfg),
+                     id="averaged-z0-inf"),
+        pytest.param(lambda d, cfg: h.survival_profile(d, (0.01, 0.02), cfg, v0=math.nan),
+                     id="profile-v0-nan"),
+        pytest.param(lambda d, cfg: h.survival_profile(d, (0.01, math.nan, 0.02), cfg),
+                     id="profile-z-nan"),
+        pytest.param(lambda d, cfg: h.survival_profile(d, (0.01, math.inf), cfg),
+                     id="profile-z-inf"),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, 0.01, TH, cfg, workers=0),
+                     id="workers-0"),
+        pytest.param(lambda d, cfg: h.estimate_survival_averaged(d, 0.01, cfg, workers=0),
+                     id="averaged-workers-0"),
+        pytest.param(lambda d, cfg: h.survival_profile(d, (0.01,), cfg, workers=0),
+                     id="profile-workers-0"),
+    ])
+    def test_rejected_inputs(self, dfig, call):
+        # each of these used to return a survival value (1.0 or 0.0) or run
+        # with one worker
+        with pytest.raises(h.ConfigError):
+            call(dfig, h.McConfig(n_paths=8, horizon=0.01))
 
     def test_horizon_defaults_to_last_record(self):
         cfg = h.McConfig(record_grid=(0.1, 0.4))

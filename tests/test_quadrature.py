@@ -1,13 +1,30 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import hestonfp as h
+import hestonfp.asymptotics as asy
+import hestonfp.cli as cli
+from hestonfp import quadrature as quad
 from conftest import gamma_average_oracle
 
 TIGHT = h.QuadConfig(abs_tol=1e-12, rel_tol=1e-10)
+
+# The cases of TestAdaptiveDecisions.test_pinned, also run as one batch.
+PINNED = [
+    # whole range in one adaptive pass (first sine zero past the cutoff)
+    ("exact", 0.1, 1.0, 1.0, 0.1, 3, 0.10015558425580438, 6.366250733038467e-12),
+    # panel sum stopped by two small contributions after 4 panels
+    ("exact", 0.01, None, 0.5, 0.1, 5, 0.31184742617392336, 1.2402731111251348e-12),
+    # first fig4 point (beta = 10, z = 1e-3): 16 panels of a slow tail
+    ("exact", 1e-3, None, 0.5, 10.0, 25, 0.8219218213488749, 2.2418732417561807e-08),
+    # beta = 10 tail stopped by series acceleration after 25 panels
+    ("exact", 2e-3, None, 0.5, 10.0, 33, 0.9092107481578457, 1.3069520419900042e-12),
+    ("averaged", 0.01, None, 1.0, 1.0, 27, 0.8720805751941723, 4.45678121191465e-08),
+]
 
 
 class TestConfig:
@@ -58,6 +75,21 @@ class TestSineTransform:
         with pytest.raises(h.ConfigError):
             h.sine_transform(lambda w: np.exp(-w), z)
 
+    @pytest.mark.parametrize("z", [-1.0, -1e-300])
+    def test_rejects_negative_distance_before_evaluating(self, z):
+        # a negative z used to run the panel loop to max_panels (~12 s)
+        calls = []
+
+        def F(w):
+            calls.append(w.size)
+            return np.exp(-w)
+
+        start = time.perf_counter()
+        with pytest.raises(h.ConfigError):
+            h.sine_transform(F, z)
+        assert not calls
+        assert time.perf_counter() - start < 0.5
+
     @given(a=st.floats(min_value=0.05, max_value=20.0),
            z=st.floats(min_value=1e-3, max_value=20.0))
     def test_exponential_factor_property(self, a, z):
@@ -89,17 +121,7 @@ class TestAdaptiveDecisions:
     sums but must not move a single stopping or refinement decision.
     ``v=None`` starts at the long-run variance."""
 
-    @pytest.mark.parametrize("kind,z,v,tau,beta,leaves,value,err", [
-        # whole range in one adaptive pass (first sine zero past the cutoff)
-        ("exact", 0.1, 1.0, 1.0, 0.1, 3, 0.10015558425580438, 6.366250733038467e-12),
-        # panel sum stopped by two small contributions after 4 panels
-        ("exact", 0.01, None, 0.5, 0.1, 5, 0.31184742617392336, 1.2402731111251348e-12),
-        # first fig4 point (beta = 10, z = 1e-3): 16 panels of a slow tail
-        ("exact", 1e-3, None, 0.5, 10.0, 25, 0.8219218213488749, 2.2418732417561807e-08),
-        # beta = 10 tail stopped by series acceleration after 25 panels
-        ("exact", 2e-3, None, 0.5, 10.0, 33, 0.9092107481578457, 1.3069520419900042e-12),
-        ("averaged", 0.01, None, 1.0, 1.0, 27, 0.8720805751941723, 4.45678121191465e-08),
-    ])
+    @pytest.mark.parametrize("kind,z,v,tau,beta,leaves,value,err", PINNED)
     def test_pinned(self, fig1_d, kind, z, v, tau, beta, leaves, value, err):
         d = h.Dimensionless(fig1_d.theta, beta)
         if kind == "exact":
@@ -109,6 +131,166 @@ class TestAdaptiveDecisions:
         assert sp.panels_used == leaves
         assert abs(sp.value - value) <= 1e-14
         assert abs(sp.err_estimate - err) <= 1e-14
+
+
+def _same_as_single_calls(kind, batch, args, d):
+    """Every point of a batch call equals its one-point call."""
+    if isinstance(d, h.Dimensionless):
+        d = [d]
+    *grid, thetas = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args),
+                                         np.arange(len(d)))
+    points = zip(*(a.ravel().tolist() for a in grid), thetas.ravel().tolist())
+    for sp, (*p, j) in zip(batch, points, strict=True):
+        if kind == "exact":
+            one = h.survival_exact(h.State(*p), d[j])
+        else:
+            one = h.survival_averaged(*p, d[j])
+        assert sp.panels_used == one.panels_used
+        assert abs(sp.value - one.value) <= 1e-14
+        assert abs(sp.err_estimate - one.err_estimate) <= 1e-14
+        assert sp.method == one.method and sp.out_of_range == one.out_of_range
+
+
+def _exp_family(nan_points=()):
+    """``F(w, i) = exp(-a_i w)`` with ``a_i = 0.1 (i + 1)``, NaN at ``nan_points``."""
+    def F(w, i):
+        f = np.exp(-0.1 * (i + 1) * w)
+        return np.where(np.isin(i, nan_points), np.nan, f)
+
+    def log_f(w, i):
+        return np.log(np.maximum(np.abs(F(w, i)), 1e-300))
+    return F, log_f
+
+
+def _first_raised(calls):
+    for call in calls:
+        try:
+            call()
+        except h.NonConvergence as exc:
+            return exc
+    raise AssertionError("no point failed")
+
+
+class TestBatch:
+    """A batch changes nothing per point: equal ``panels_used``, value and
+    error bound within 1e-14 of the one-point call, and the failure of the
+    first point a loop over the points would meet."""
+
+    @pytest.mark.parametrize("argv", [["figure", f"fig{i}"] for i in (2, 3, 4, 5, 6, 7, 8, 10)]
+                             + [["sweep"]], ids=lambda a: a[-1])
+    def test_cli_batches_match_single_calls(self, argv, monkeypatch, capsys):
+        batches = []
+
+        def recording(kind, fn):
+            def call(*args):
+                batches.append((kind, fn(*args), args))
+                return batches[-1][1]
+            return call
+
+        monkeypatch.setattr(cli, "survival_exact_batch",
+                            recording("exact", quad.survival_exact_batch))
+        monkeypatch.setattr(cli, "survival_averaged_batch",
+                            recording("averaged", quad.survival_averaged_batch))
+        monkeypatch.setattr(asy, "survival_averaged_batch",
+                            recording("averaged", quad.survival_averaged_batch))
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert sum(len(b) for _, b, _ in batches) >= 48
+        for kind, batch, (*args, d, _) in batches:
+            _same_as_single_calls(kind, batch, args, d)
+
+    def test_pinned_cases_in_one_batch(self, fig1_d):
+        for kind in ("exact", "averaged"):
+            cases = [c for c in PINNED if c[0] == kind]
+            z, v, tau, beta, leaves, value, err = (np.array(x, dtype=float)
+                                                   for x in list(zip(*cases))[1:])
+            v = np.where(np.isnan(v), fig1_d.theta, v)
+            d = [h.Dimensionless(fig1_d.theta, b) for b in beta]
+            if kind == "exact":
+                batch = h.survival_exact_batch(z, v, tau, d)
+            else:
+                batch = h.survival_averaged_batch(z, tau, d)
+            assert [sp.panels_used for sp in batch] == leaves.astype(int).tolist()
+            assert np.all(np.abs([sp.value for sp in batch] - value) <= 1e-14)
+            assert np.all(np.abs([sp.err_estimate for sp in batch] - err) <= 1e-14)
+
+    def test_short_circuits_mixed_in(self, fig1_d):
+        z = [0.01, 0.0, 0.02, 0.01, 0.0, 1e-3]
+        tau = [0.5, 0.5, 0.0, 0.0, 0.0, 2.0]
+        exact = h.survival_exact_batch(z, fig1_d.theta, tau, fig1_d)
+        averaged = h.survival_averaged_batch(z, tau, fig1_d)
+        assert [sp.value for sp in exact[1:5]] == [0.0, 1.0, 1.0, 0.0]
+        assert all(sp.panels_used == 0 for sp in exact[1:5] + averaged[1:5])
+        _same_as_single_calls("exact", exact, (z, fig1_d.theta, tau), fig1_d)
+        _same_as_single_calls("averaged", averaged, (z, tau), fig1_d)
+
+    def test_empty_batch(self, fig1_d):
+        assert h.survival_exact_batch([], fig1_d.theta, 0.5, fig1_d) == []
+        assert h.survival_averaged_batch([], 0.5, fig1_d) == []
+
+    @pytest.mark.parametrize("nan_points", [(5,), (6, 2), tuple(range(8))])
+    def test_nan_point_fails_as_the_loop_would(self, nan_points):
+        z = np.geomspace(0.05, 20.0, 8)
+        F, log_f = _exp_family(nan_points)
+        with pytest.raises(h.NonConvergence) as batch:
+            quad._sine_transforms(F, log_f, z, h.QuadConfig(), seeds=[1.0] * z.size)
+        first = _first_raised(
+            (lambda i=i: h.sine_transform(lambda w: F(w, i), z[i])) for i in range(z.size))
+        e = batch.value
+        assert e.point == min(nan_points)
+        assert (str(e), e.partial, e.err_estimate, e.panels_used) == \
+            (str(first), first.partial, first.err_estimate, first.panels_used)
+
+    def test_panel_limit_fails_as_the_loop_would(self, fig1_d):
+        # z <= 0.01 stops within 3 panels; points 2 and 3 run out of panels
+        z = [1e-3, 3e-3, 0.1, 0.02, 0.01]
+        cfg = h.QuadConfig(max_panels=3)
+        with pytest.raises(h.NonConvergence) as batch:
+            h.survival_exact_batch(z, fig1_d.theta, 0.5, fig1_d, cfg)
+        first = _first_raised(
+            (lambda zi=zi: h.survival_exact(h.State(zi, fig1_d.theta, 0.5), fig1_d, cfg))
+            for zi in z)
+        e = batch.value
+        assert e.point == 2
+        assert (str(e), e.partial, e.err_estimate, e.panels_used) == \
+            (str(first), first.partial, first.err_estimate, first.panels_used)
+
+    def test_nan_batch_is_bounded(self):
+        # every point fails: the batch stops after point 0, and no call of F
+        # sees more than _MAX_NODES nodes however many points there are
+        sizes = []
+        F, log_f = _exp_family(tuple(range(256)))
+
+        def counted(w, i):
+            sizes.append(np.size(w))
+            return F(w, i)
+
+        start = time.perf_counter()
+        with pytest.raises(h.NonConvergence) as exc:
+            quad._sine_transforms(counted, log_f, np.ones(256), h.QuadConfig(),
+                                  seeds=[1.0] * 256)
+        assert time.perf_counter() - start < 5.0
+        assert exc.value.point == 0
+        assert max(sizes) <= quad._MAX_NODES
+
+    def test_rejects_bad_distance_before_evaluating(self, fig1_d):
+        F, log_f = _exp_family()
+        calls = []
+
+        def counted(w, i):
+            calls.append(w)
+            return F(w, i)
+
+        for z in ([0.1, -1.0], [0.1, math.nan], [0.1, math.inf]):
+            with pytest.raises(h.ConfigError):
+                quad._sine_transforms(counted, counted, z, h.QuadConfig(), seeds=[1.0, 1.0])
+        assert not calls
+        with pytest.raises(h.ParameterError):
+            h.survival_exact_batch([0.1, -1.0], fig1_d.theta, 0.5, fig1_d)
+        with pytest.raises(h.ParameterError):
+            h.survival_exact_batch(0.1, [fig1_d.theta, math.nan], 0.5, fig1_d)
+        with pytest.raises(h.ConfigError):
+            h.survival_averaged_batch([0.1, -1.0], 0.5, fig1_d)
 
 
 class TestSurvivalExact:
