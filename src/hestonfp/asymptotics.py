@@ -1,6 +1,13 @@
 """Closed-form survival/hitting approximations, the risk ratio, and the
 crossing-level machinery.
 
+Each closed form is one numpy expression: its inputs broadcast, a Python
+``float`` comes back when every input is a scalar and an ndarray of the
+broadcast shape otherwise, and each boundary rule (0 at ``z = 0``, 1 where
+the form's scale vanishes) is applied once with ``np.where``.  The survival
+forms reject a negative or non-finite ``z``, ``v`` or ``tau`` with
+:class:`ParameterError`, on scalars and arrays alike.
+
 Each approximation is valid in a particular corner of parameter space; the
 ``REGIMES`` table records those predicates as advisory metadata.  Nothing is
 enforced: out-of-regime evaluation is legal (and is exactly what the regime
@@ -16,9 +23,10 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
-from .core import Dimensionless, variance_scale
+from .core import (Dimensionless, _float_or_array, _nonnegative_arrays, _with_boundaries,
+                   variance_scale)
 from .errors import DivisionDomain, InsufficientData, NoRoot
-from .quadrature import QuadConfig, survival_averaged_batch
+from .quadrature import QuadConfig, survival_averaged_batch, survival_wiener
 
 __all__ = [
     "Regime",
@@ -97,17 +105,8 @@ def survival_erf(z, v, tau, theta):
     Meets both the barrier condition (0 at z=0) and the initial condition
     (1 at tau=0, v=0).
     """
-    lam = variance_scale(tau, v, theta)
-    if np.ndim(z) or np.ndim(lam):
-        lam = np.asarray(lam, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            arg = np.where(lam > 0.0, np.asarray(z) / np.sqrt(np.where(lam > 0.0, lam, 1.0)), np.inf)
-        return np.where(np.asarray(z) == 0.0, 0.0, erf(arg))
-    if z == 0.0:
-        return 0.0
-    if lam == 0.0:
-        return 1.0
-    return float(erf(z / math.sqrt(lam)))
+    z, v, tau = _nonnegative_arrays(z=z, v=v, tau=tau)
+    return _with_boundaries(z, variance_scale(tau, v, theta), lambda z, lam: erf(z / np.sqrt(lam)))
 
 
 def survival_arctan(z, v, tau, theta, beta):
@@ -115,16 +114,9 @@ def survival_arctan(z, v, tau, theta, beta):
 
     Obeys the barrier condition but not the initial condition.
     """
-    denom = theta * tau + v
-    if np.ndim(z) or np.ndim(denom):
-        z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(z == 0.0, 0.0, (2.0 / np.pi) * np.arctan(beta * z / denom))
-    if z == 0.0:
-        return 0.0
-    if denom == 0.0:
-        return 1.0
-    return (2.0 / math.pi) * math.atan(beta * z / denom)
+    z, v, tau = _nonnegative_arrays(z=z, v=v, tau=tau)
+    return _with_boundaries(z, theta * tau + v,
+                            lambda z, denom: (2.0 / np.pi) * np.arctan(beta * z / denom))
 
 
 def survival_pheno(z, v, tau, theta, beta, use_beta_factor: bool = False):
@@ -134,35 +126,20 @@ def survival_pheno(z, v, tau, theta, beta, use_beta_factor: bool = False):
     long-time limit of the large-beta expansion suggests but the baseline
     form omits; the default stays with the baseline.
     """
-    lam = variance_scale(tau, v, theta)
-    num = (2.0 * beta * z) if use_beta_factor else (2.0 * z)
-    if np.ndim(z) or np.ndim(lam):
-        z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(z == 0.0, 0.0, (2.0 / np.pi) * np.arctan(num / lam))
-    if z == 0.0:
-        return 0.0
-    if lam == 0.0:
-        return 1.0
-    return (2.0 / math.pi) * math.atan(num / lam)
+    z, v, tau = _nonnegative_arrays(z=z, v=v, tau=tau)
+    factor = 2.0 * beta if use_beta_factor else 2.0
+    return _with_boundaries(z, variance_scale(tau, v, theta),
+                            lambda z, lam: (2.0 / np.pi) * np.arctan(factor * z / lam))
 
 
 def survival_avg_erf(z, tau, theta):
     """Stationary-averaged Gaussian regime: ``erf(z / sqrt(2*theta*tau))``.
 
-    Independent of beta by construction.
+    Independent of beta by construction: the constant-volatility baseline
+    at the long-run variance level.
     """
-    tt = 2.0 * theta * np.asarray(tau, dtype=float) if np.ndim(tau) else 2.0 * theta * tau
-    if np.ndim(z) or np.ndim(tt):
-        z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            arg = np.where(tt > 0.0, z / np.sqrt(np.where(tt > 0.0, tt, 1.0)), np.inf)
-        return np.where(z == 0.0, 0.0, erf(arg))
-    if z == 0.0:
-        return 0.0
-    if tt == 0.0:
-        return 1.0
-    return float(erf(z / math.sqrt(tt)))
+    z, tau = _nonnegative_arrays(z=z, tau=tau)
+    return survival_wiener(z, theta, tau)
 
 
 def survival_avg_arctan(z, tau, theta, beta):
@@ -177,12 +154,12 @@ def tail_gaussian_hitting(L_abs, lam):
     ``sqrt(lam/pi) * exp(-L**2/lam) / |L|``  (for the averaged case pass
     ``lam = 2*theta*tau``)."""
     L_abs = np.abs(L_abs)
-    return np.sqrt(lam / np.pi) * np.exp(-L_abs * L_abs / lam) / L_abs
+    return _float_or_array(np.sqrt(lam / np.pi) * np.exp(-L_abs * L_abs / lam) / L_abs)
 
 
 def tail_powerlaw_hitting(L_abs, tau, theta, beta):
     """Slow power-law hitting tail ``theta*tau / (beta*|L|)``."""
-    return theta * tau / (beta * np.abs(L_abs))
+    return _float_or_array(theta * tau / (beta * np.abs(L_abs)))
 
 
 def risk_ratio(z, tau, d: Dimensionless, config: QuadConfig | None = None):
@@ -209,8 +186,7 @@ def risk_ratio(z, tau, d: Dimensionless, config: QuadConfig | None = None):
             raise DivisionDomain("risk_ratio requires z > 0 and tau > 0")
         raise DivisionDomain("baseline hitting probability underflowed at "
                              f"z={float(zf[n])!r}, tau={float(tf[n])!r}")
-    ratio = (num / denom).reshape(zs.shape)
-    return float(ratio) if ratio.ndim == 0 else ratio
+    return _float_or_array((num / denom).reshape(zs.shape))
 
 
 def ratio_asymptote(z: float, theta_tau: float, beta: float | None = None) -> float:
@@ -221,8 +197,8 @@ def ratio_asymptote(z: float, theta_tau: float, beta: float | None = None) -> fl
     return val / beta if beta is not None else val
 
 
-def _crossing_gap(l: float, beta: float, theta_tau: float) -> float:
-    return float(erf(l / math.sqrt(2.0 * theta_tau))) - (2.0 / math.pi) * math.atan(beta * l / theta_tau)
+def _crossing_gap(l, beta: float, theta_tau: float):
+    return erf(l / np.sqrt(2.0 * theta_tau)) - (2.0 / np.pi) * np.arctan(beta * l / theta_tau)
 
 
 def crossing_level(beta: float, theta_tau: float, tol: float = 1e-10) -> CrossingResult:
@@ -236,26 +212,21 @@ def crossing_level(beta: float, theta_tau: float, tol: float = 1e-10) -> Crossin
     if beta <= 0.0 or theta_tau <= 0.0:
         raise NoRoot("crossing_level requires beta > 0 and theta_tau > 0")
     grid = np.logspace(-4.0, 1.0, 200)
-    gaps = np.array([_crossing_gap(l, beta, theta_tau) for l in grid])
+    gaps = _crossing_gap(grid, beta, theta_tau)
     alive = np.abs(gaps) > 10.0 * tol
     if not np.any(alive):
         raise NoRoot("gap function indistinguishable from zero on the scan grid")
     start = int(np.argmax(alive))
-    sign_change = None
-    for i in range(start, len(grid) - 1):
-        if gaps[i] == 0.0:
-            continue
-        if gaps[i] * gaps[i + 1] < 0.0:
-            sign_change = i
-            break
-    if sign_change is None:
+    change = np.flatnonzero(gaps[start:-1] * gaps[start + 1:] < 0.0)
+    if not change.size:
         raise NoRoot(f"no sign change on the scan grid for beta={beta!r}, "
                      f"theta_tau={theta_tau!r}")
-    lo, hi = float(grid[sign_change]), float(grid[sign_change + 1])
+    i = start + int(change[0])
+    lo, hi = float(grid[i]), float(grid[i + 1])
     root = float(brentq(_crossing_gap, lo, hi, args=(beta, theta_tau),
                         xtol=1e-14, rtol=8.882e-16))
-    return CrossingResult(l_c=root, beta=beta, theta_tau=theta_tau,
-                          bracket=(lo, hi), residual=abs(_crossing_gap(root, beta, theta_tau)))
+    return CrossingResult(l_c=root, beta=beta, theta_tau=theta_tau, bracket=(lo, hi),
+                          residual=abs(float(_crossing_gap(root, beta, theta_tau))))
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> LineFit:

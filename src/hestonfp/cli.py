@@ -313,65 +313,60 @@ def _default(grid: tuple[float, ...], fallback: tuple[float, ...]) -> tuple[floa
     return grid if grid else fallback
 
 
+def _grid(*axes) -> list[np.ndarray]:
+    """The product grid of ``axes``, first axis slowest, one flat array per axis."""
+    return [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
+
+
+def _columns(*cols) -> list[tuple]:
+    """Rows of Python numbers from equal-length columns."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols)))
+
+
 def _cmd_exact(spec: RunSpec):
     d = spec.dimensionless
-    cfg = spec.quad_config()
-    zs = _default(spec.z, (0.01,))
-    vs = _default(spec.v, (d.theta,))
-    taus = _default(spec.tau, (0.5,))
-    points = list(product(zs, vs, taus))
-    z, v, tau = np.array(points).T
-    rows = [(*p, r.value, r.err_estimate, r.panels_used)
-            for p, r in zip(points, survival_exact_batch(z, v, tau, d, cfg))]
-    return ["z", "v", "tau", "S", "err_estimate", "panels"], rows
+    z, v, tau = _grid(_default(spec.z, (0.01,)), _default(spec.v, (d.theta,)),
+                      _default(spec.tau, (0.5,)))
+    res = survival_exact_batch(z, v, tau, d, spec.quad_config())
+    return ["z", "v", "tau", "S", "err_estimate", "panels"], _columns(
+        z, v, tau, [r.value for r in res], [r.err_estimate for r in res],
+        [r.panels_used for r in res])
 
 
 def _cmd_averaged(spec: RunSpec):
     d = spec.dimensionless
-    cfg = spec.quad_config()
-    zs = _default(spec.z, (0.01,))
-    taus = _default(spec.tau, (0.5,))
-    points = list(product(zs, taus))
-    z, tau = np.array(points).T
-    rows = [(*p, r.value, r.err_estimate, r.panels_used)
-            for p, r in zip(points, survival_averaged_batch(z, tau, d, cfg))]
-    return ["z", "tau", "S", "err_estimate", "panels"], rows
+    z, tau = _grid(_default(spec.z, (0.01,)), _default(spec.tau, (0.5,)))
+    res = survival_averaged_batch(z, tau, d, spec.quad_config())
+    return ["z", "tau", "S", "err_estimate", "panels"], _columns(
+        z, tau, [r.value for r in res], [r.err_estimate for r in res],
+        [r.panels_used for r in res])
 
 
-def _approx_value(method: str, z: float, v: float, tau: float,
-                  d: Dimensionless) -> float:
-    theta, beta = d.theta, d.beta
-    if method == "erf_joint":
-        return float(asy.survival_erf(z, v, tau, theta))
-    if method == "arctan_joint":
-        return float(asy.survival_arctan(z, v, tau, theta, beta))
-    if method == "pheno":
-        return float(asy.survival_pheno(z, v, tau, theta, beta))
-    if method == "pheno_beta":
-        return float(asy.survival_pheno(z, v, tau, theta, beta, use_beta_factor=True))
-    if method == "erf_averaged":
-        return float(asy.survival_avg_erf(z, tau, theta))
-    if method == "arctan_averaged":
-        return float(asy.survival_avg_arctan(z, tau, theta, beta))
-    if method == "wiener":
-        return survival_wiener(z, theta, tau)
-    if method == "tail_gaussian":
-        return 1.0 - float(asy.tail_gaussian_hitting(z, variance_scale(tau, v, theta)))
-    if method == "tail_powerlaw":
-        return 1.0 - float(asy.tail_powerlaw_hitting(z, tau, theta, beta))
-    raise ParameterError(f"--method: unknown method {method!r}")
+# Each canonical method's survival as one vectorised expression in
+# (z, v, tau, d).  Functions are looked up when an entry is called, so a
+# module attribute replaced later (a tracer, a test double) still sees it.
+_APPROX = {
+    "erf_joint": lambda z, v, tau, d: asy.survival_erf(z, v, tau, d.theta),
+    "arctan_joint": lambda z, v, tau, d: asy.survival_arctan(z, v, tau, d.theta, d.beta),
+    "pheno": lambda z, v, tau, d: asy.survival_pheno(z, v, tau, d.theta, d.beta),
+    "pheno_beta": lambda z, v, tau, d: asy.survival_pheno(z, v, tau, d.theta, d.beta,
+                                                          use_beta_factor=True),
+    "erf_averaged": lambda z, v, tau, d: asy.survival_avg_erf(z, tau, d.theta),
+    "arctan_averaged": lambda z, v, tau, d: asy.survival_avg_arctan(z, tau, d.theta, d.beta),
+    "wiener": lambda z, v, tau, d: survival_wiener(z, d.theta, tau),
+    "tail_gaussian": lambda z, v, tau, d:
+        1.0 - asy.tail_gaussian_hitting(z, variance_scale(tau, v, d.theta)),
+    "tail_powerlaw": lambda z, v, tau, d: 1.0 - asy.tail_powerlaw_hitting(z, tau, d.theta, d.beta),
+}
 
 
 def _cmd_approx(spec: RunSpec):
     if spec.method is None:
         raise ParameterError("--method is required for the approx command")
     d = spec.dimensionless
-    zs = _default(spec.z, (0.01,))
-    vs = _default(spec.v, (d.theta,))
-    taus = _default(spec.tau, (0.5,))
-    rows = [(z, v, tau, _approx_value(spec.method, z, v, tau, d))
-            for z, v, tau in product(zs, vs, taus)]
-    return ["z", "v", "tau", "S"], rows
+    z, v, tau = _grid(_default(spec.z, (0.01,)), _default(spec.v, (d.theta,)),
+                      _default(spec.tau, (0.5,)))
+    return ["z", "v", "tau", "S"], _columns(z, v, tau, _APPROX[spec.method](z, v, tau, d))
 
 
 def _cmd_simulate(spec: RunSpec):
@@ -408,41 +403,29 @@ def _cmd_crossing_level(spec: RunSpec):
 def _cmd_ratio(spec: RunSpec):
     d = spec.dimensionless
     cfg = spec.quad_config()
-    zs = _default(spec.z, tuple(np.logspace(-3, math.log10(0.6), 48)))
-    taus = _default(spec.tau, (3.0,))
-    points = [(z, tau) for tau in taus for z in zs]
-    z, tau = np.array(points).T
-    rows = [(*p, r) for p, r in zip(points, asy.risk_ratio(z, tau, d, cfg))]
-    return ["z", "tau", "ratio"], rows
+    tau, z = _grid(_default(spec.tau, (3.0,)),
+                   _default(spec.z, tuple(np.logspace(-3, math.log10(0.6), 48))))
+    return ["z", "tau", "ratio"], _columns(z, tau, asy.risk_ratio(z, tau, d, cfg))
+
+
+_SWEEP_FORMS = ("erf_joint", "arctan_joint", "pheno", "erf_averaged", "arctan_averaged")
 
 
 def _cmd_sweep(spec: RunSpec):
     d = spec.dimensionless
     cfg = spec.quad_config()
-    zs = _default(spec.z, tuple(np.logspace(-3, -1, 64)))
-    vs = _default(spec.v, (d.theta,))
-    taus = _default(spec.tau, (0.5,))
-    points = list(product(zs, vs, taus))
-    z_all, v_all, tau_all = np.array(points).T
+    z, v, tau = _grid(_default(spec.z, tuple(np.logspace(-3, -1, 64))),
+                      _default(spec.v, (d.theta,)), _default(spec.tau, (0.5,)))
     try:
-        exact = survival_exact_batch(z_all, v_all, tau_all, d, cfg)
+        exact = survival_exact_batch(z, v, tau, d, cfg)
     except NonConvergence as exc:
         # a loop over the rows meets an averaged failure at an earlier row first
-        survival_averaged_batch(z_all[:exc.point], tau_all[:exc.point], d, cfg)
+        survival_averaged_batch(z[:exc.point], tau[:exc.point], d, cfg)
         raise
-    averaged = survival_averaged_batch(z_all, tau_all, d, cfg)
-    rows = []
-    for (z, v, tau), ex, av in zip(points, exact, averaged):
-        rows.append((
-            z, v, tau, ex.value, av.value,
-            _approx_value("erf_joint", z, v, tau, d),
-            _approx_value("arctan_joint", z, v, tau, d),
-            _approx_value("pheno", z, v, tau, d),
-            _approx_value("erf_averaged", z, v, tau, d),
-            _approx_value("arctan_averaged", z, v, tau, d),
-        ))
-    return ["z", "v", "tau", "exact", "averaged", "erf_joint", "arctan_joint",
-            "pheno", "erf_averaged", "arctan_averaged"], rows
+    averaged = survival_averaged_batch(z, tau, d, cfg)
+    return ["z", "v", "tau", "exact", "averaged", *_SWEEP_FORMS], _columns(
+        z, v, tau, [r.value for r in exact], [r.value for r in averaged],
+        *(_APPROX[m](z, v, tau, d) for m in _SWEEP_FORMS))
 
 
 def _figure_fig1(spec: RunSpec):
@@ -463,9 +446,9 @@ def _figure_fig2(spec: RunSpec):
     cfg = spec.quad_config()
     taus = np.logspace(math.log10(0.1), 2, 64)
     z, v = 0.01, 1000.0 * d.theta
-    rows = [(t, r.value, float(asy.survival_erf(z, v, t, d.theta)))
-            for t, r in zip(taus, survival_exact_batch(z, v, taus, d, cfg))]
-    return ["tau", "exact", "erf"], rows
+    exact = survival_exact_batch(z, v, taus, d, cfg)
+    return ["tau", "exact", "erf"], _columns(
+        taus, [r.value for r in exact], asy.survival_erf(z, v, taus, d.theta))
 
 
 def _figure_fig3(spec: RunSpec):
@@ -473,9 +456,9 @@ def _figure_fig3(spec: RunSpec):
     cfg = spec.quad_config()
     vs = np.logspace(math.log10(1e3 * d.theta), math.log10(1e5 * d.theta), 64)
     z, tau = 0.01, 0.1
-    rows = [(v, r.value, float(asy.survival_erf(z, v, tau, d.theta)))
-            for v, r in zip(vs, survival_exact_batch(z, vs, tau, d, cfg))]
-    return ["v", "exact", "erf"], rows
+    exact = survival_exact_batch(z, vs, tau, d, cfg)
+    return ["v", "exact", "erf"], _columns(
+        vs, [r.value for r in exact], asy.survival_erf(z, vs, tau, d.theta))
 
 
 def _figure_fig4(spec: RunSpec):
@@ -483,11 +466,10 @@ def _figure_fig4(spec: RunSpec):
     cfg = spec.quad_config()
     zs = np.logspace(-3, -1, 64)
     v, tau = d.theta, 0.5
-    rows = [(z, r.value,
-             float(asy.survival_arctan(z, v, tau, d.theta, d.beta)),
-             float(asy.survival_erf(z, v, tau, d.theta)))
-            for z, r in zip(zs, survival_exact_batch(zs, v, tau, d, cfg))]
-    return ["z", "exact", "arctan", "erf"], rows
+    exact = survival_exact_batch(zs, v, tau, d, cfg)
+    return ["z", "exact", "arctan", "erf"], _columns(
+        zs, [r.value for r in exact], asy.survival_arctan(zs, v, tau, d.theta, d.beta),
+        asy.survival_erf(zs, v, tau, d.theta))
 
 
 def _figure_fig5(spec: RunSpec):
@@ -495,11 +477,10 @@ def _figure_fig5(spec: RunSpec):
     cfg = spec.quad_config()
     zs = np.logspace(-3, -1, 64)
     v, tau = d.theta, 0.5
-    rows = [(z, r.value,
-             float(asy.survival_pheno(z, v, tau, d.theta, d.beta)),
-             float(asy.survival_pheno(z, v, tau, d.theta, d.beta, use_beta_factor=True)))
-            for z, r in zip(zs, survival_exact_batch(zs, v, tau, d, cfg))]
-    return ["z", "exact", "pheno", "pheno_beta"], rows
+    exact = survival_exact_batch(zs, v, tau, d, cfg)
+    return ["z", "exact", "pheno", "pheno_beta"], _columns(
+        zs, [r.value for r in exact], asy.survival_pheno(zs, v, tau, d.theta, d.beta),
+        asy.survival_pheno(zs, v, tau, d.theta, d.beta, use_beta_factor=True))
 
 
 def _figure_fig6(spec: RunSpec):
@@ -518,9 +499,9 @@ def _figure_fig7(spec: RunSpec):
     cfg = spec.quad_config()
     zs = np.logspace(-3, -1, 64)
     tau = 0.5
-    rows = [(z, r.value, float(asy.survival_avg_arctan(z, tau, d.theta, d.beta)))
-            for z, r in zip(zs, survival_averaged_batch(zs, tau, d, cfg))]
-    return ["z", "averaged", "arctan_averaged"], rows
+    averaged = survival_averaged_batch(zs, tau, d, cfg)
+    return ["z", "averaged", "arctan_averaged"], _columns(
+        zs, [r.value for r in averaged], asy.survival_avg_arctan(zs, tau, d.theta, d.beta))
 
 
 def _figure_fig8(spec: RunSpec):
@@ -528,9 +509,9 @@ def _figure_fig8(spec: RunSpec):
     cfg = spec.quad_config()
     tau = 3.0
     zs = np.logspace(-3, 0, 64)
-    rows = [(z, 1.0 - r.value, 1.0 - survival_wiener(z, d.theta, tau))
-            for z, r in zip(zs, survival_averaged_batch(zs, tau, d, cfg))]
-    return ["z", "W_averaged", "W_wiener"], rows
+    averaged = survival_averaged_batch(zs, tau, d, cfg)
+    return ["z", "W_averaged", "W_wiener"], _columns(
+        zs, [1.0 - r.value for r in averaged], 1.0 - survival_wiener(zs, d.theta, tau))
 
 
 def _figure_fig9(spec: RunSpec):
@@ -637,23 +618,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _parse_config_file(args.config) if args.config else {}
-        flags = {
-            "alpha": args.alpha, "m2": args.m2, "k": args.k,
-            "theta": args.theta, "z": args.z, "v": args.v, "tau": args.tau,
-            "method": args.method, "paths": args.paths, "dt": args.dt,
-            "seed": args.seed, "output": args.output, "format": args.format,
-            "theta_tau": args.theta_tau, "stationary": args.stationary,
-        }
+        flags = dict(vars(args))
         beta_raw = args.beta if args.beta is not None else config.get("beta")
         if beta_raw is not None and ":" in str(beta_raw):
             flags["beta_scan"] = _parse_grid("--beta", str(beta_raw))
             flags["beta"] = None
             config.pop("beta", None)
-        else:
-            flags["beta"] = beta_raw
         spec = _build_spec(args.command, config, flags)
-        if args.command == "figure":
-            spec = RunSpec(**{**asdict_shallow(spec), "figure": args.figure})
         text = run(spec)
         if not spec.output_path:
             sys.stdout.write(text)
@@ -668,9 +639,6 @@ def main(argv=None) -> int:
         print(f"hestonfp: error: {exc}", file=sys.stderr)
         return 2
 
-
-def asdict_shallow(spec: RunSpec) -> dict:
-    return {f: getattr(spec, f) for f in spec.__dataclass_fields__}
 
 
 if __name__ == "__main__":

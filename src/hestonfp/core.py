@@ -62,6 +62,34 @@ def _require_nonnegative(name: str, value: float) -> float:
     return value
 
 
+def _nonnegative_arrays(**named) -> list[np.ndarray]:
+    """The named inputs as float arrays; a negative or non-finite entry
+    raises :class:`ParameterError` naming the first such input."""
+    out = []
+    for name, value in named.items():
+        a = np.asarray(value, dtype=float)
+        bad = ~((a >= 0.0) & (a < math.inf))
+        if bad.any():
+            raise ParameterError(f"{name} must be finite and >= 0, got {float(a[bad][0])!r}")
+        out.append(a)
+    return out
+
+
+def _float_or_array(out):
+    """A Python float when ``out`` is 0-d -- every input was a scalar --
+    else ``out``, an ndarray of the inputs' broadcast shape."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _with_boundaries(z, scale, form):
+    """``form(z, scale)`` under the survival boundary rules: 0 at ``z = 0``,
+    else 1 where ``scale = 0``; a float or an ndarray as
+    :func:`_float_or_array` gives it."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.where(z == 0.0, 0.0, np.where(scale == 0.0, 1.0, form(z, scale)))
+    return _float_or_array(out)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical model parameters, all carrying units of 1/time.
@@ -204,7 +232,6 @@ def riccati_B(omega, tau, beta: float):
     ``exp(-delta*tau)`` is allowed to underflow: the returned value is then
     exactly the stationary limit.
     """
-    scalar = np.ndim(omega) == 0 and np.ndim(tau) == 0
     omega = np.asarray(omega, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if np.any(omega < 0.0) or np.any(tau < 0.0):
@@ -214,8 +241,7 @@ def riccati_B(omega, tau, beta: float):
     mu_minus = bw2 / (2.0 * (delta + 1.0))
     mu_plus = mu_minus + 1.0
     e = np.exp(-delta * tau)
-    out = mu_plus * mu_minus * (1.0 - e) / (mu_plus + mu_minus * e)
-    return float(out) if scalar else out
+    return _float_or_array(mu_plus * mu_minus * (1.0 - e) / (mu_plus + mu_minus * e))
 
 
 def exponent_A(omega, tau, theta: float, beta: float):
@@ -227,7 +253,6 @@ def exponent_A(omega, tau, theta: float, beta: float):
     logarithm never sees a catastrophic subtraction, and the linear term
     carries the large-``tau`` growth exactly.
     """
-    scalar = np.ndim(omega) == 0 and np.ndim(tau) == 0
     omega = np.asarray(omega, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if np.any(omega < 0.0) or np.any(tau < 0.0):
@@ -239,8 +264,7 @@ def exponent_A(omega, tau, theta: float, beta: float):
     out = nu * (mu_minus * tau + np.log1p(mu_minus * np.expm1(-delta * tau) / delta))
     # the two terms cancel to O(tau^2) as tau -> 0 and can leave a negative
     # rounding residue; A >= 0 analytically, so pin the floor
-    out = np.maximum(out, 0.0)
-    return float(out) if scalar else out
+    return _float_or_array(np.maximum(out, 0.0))
 
 
 def stationary_density(v, theta: float, beta: float):
@@ -259,15 +283,11 @@ def variance_scale(tau, v, theta: float):
     This is the width parameter that the Gaussian (error-function) survival
     approximations are built on; monotone increasing in both ``tau`` and ``v``.
     """
-    if np.ndim(tau) or np.ndim(v):
-        tau = np.asarray(tau, dtype=float)
-        return 2.0 * theta * tau - 2.0 * np.expm1(-tau) * np.asarray(v, dtype=float)
-    return 2.0 * theta * tau - 2.0 * math.expm1(-tau) * v
+    tau = np.asarray(tau, dtype=float)
+    return _float_or_array(2.0 * theta * tau - 2.0 * np.expm1(-tau) * np.asarray(v, dtype=float))
 
 
 def second_moment(tau, v, theta: float):
     """Second moment of the centred return: ``theta*tau + (v - theta)*(1 - exp(-tau))``."""
-    if np.ndim(tau) or np.ndim(v):
-        tau = np.asarray(tau, dtype=float)
-        return theta * tau - (np.asarray(v, dtype=float) - theta) * np.expm1(-tau)
-    return theta * tau - (v - theta) * math.expm1(-tau)
+    tau = np.asarray(tau, dtype=float)
+    return _float_or_array(theta * tau - (np.asarray(v, dtype=float) - theta) * np.expm1(-tau))

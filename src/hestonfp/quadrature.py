@@ -55,8 +55,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erf
 
-from .core import Dimensionless, State
-from .errors import ConfigError, NonConvergence, ParameterError
+from .core import Dimensionless, State, _nonnegative_arrays, _with_boundaries
+from .errors import ConfigError, NonConvergence
 
 __all__ = [
     "QuadConfig",
@@ -246,8 +246,9 @@ def _adaptive_gl(g, lo, hi, owner, tol, order: int):
 
     Returns per-root arrays ``(integral, error, leaves)``, valid for the
     roots of points below ``stop``; then ``stop`` (one past the last point
-    when all finished) and the ``NonConvergence`` of point ``stop`` if it
-    failed, ``None`` if it was deferred.
+    when all finished) and, if point ``stop`` failed, the sums of its
+    accepted leaves ``(integral, error, leaves)``, ``None`` if it was
+    deferred.
     """
     x, wts = _gl_nodes(order)
     step = max(1, _MAX_NODES // order)
@@ -278,11 +279,8 @@ def _adaptive_gl(g, lo, hi, owner, tol, order: int):
             stop, failure = int(crowded[0]), None
         elif over.size:
             mine = owner == cut
-            stop, failure = cut, NonConvergence(
-                "adaptive refinement exceeded the leaf budget",
-                partial=float(total[mine].sum()),
-                err_estimate=float(err_total[mine].sum()),
-                panels_used=int(point_leaves[cut]))
+            stop, failure = cut, (float(total[mine].sum()), float(err_total[mine].sum()),
+                                  int(point_leaves[cut]))
         if crowded.size or over.size:
             keep = own < stop
             lo, hi, own, root, t, coarse = (a[keep] for a in (lo, hi, own, root, t, coarse))
@@ -339,6 +337,13 @@ class _PanelSum:
         self.contributions: list[float] = []
         self.below = 0
 
+    def failure(self, message: str, total: float, err_total: float,
+                panels: int) -> NonConvergence:
+        """The point's ``NonConvergence``, from its panel sums so far."""
+        front = 2.0 / math.pi
+        return NonConvergence(message, partial=front * total,
+                              err_estimate=front * err_total, panels_used=panels)
+
     def roots(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Root intervals of the next refinement and their tolerance."""
         cfg = self.cfg
@@ -381,11 +386,9 @@ class _PanelSum:
                 return front * total, front * (err_total + abs(c)), panels
             k += 1
         if k > cfg.max_panels:
-            raise NonConvergence(
+            raise self.failure(
                 f"sine transform failed to converge within {cfg.max_panels} panels",
-                partial=front * total,
-                err_estimate=front * (err_total + abs(c)),
-                panels_used=panels)
+                total, err_total + abs(c), panels)
         self.k, self.total, self.err_total, self.panels = k, total, err_total, panels
         self.below = below
         self.n_blocks += 1
@@ -437,10 +440,17 @@ def _sine_transforms(F, log_f, z, cfg: QuadConfig, seeds=None,
             ids.append(i)
             parts.append(part)
         sizes = [lo.size for lo, _, _ in parts]
-        vals, errs, lvs, stop, exc = _adaptive_gl(
+        vals, errs, lvs, stop, failed = _adaptive_gl(
             g, np.concatenate([lo for lo, _, _ in parts]),
             np.concatenate([hi for _, hi, _ in parts]), np.repeat(ids, sizes),
             np.repeat([tol for _, _, tol in parts], sizes), cfg.points_per_panel)
+        exc = None
+        if failed is not None:
+            # the point's finished panels count, as in the panel-limit failure
+            sums = open_[stop]
+            exc = sums.failure("adaptive refinement exceeded the leaf budget",
+                               sums.total + failed[0], sums.err_total + failed[1],
+                               sums.panels + failed[2])
         vals, errs, lvs = vals.tolist(), errs.tolist(), lvs.tolist()
         end = 0
         for i, size in zip(ids, sizes):
@@ -568,10 +578,7 @@ def survival_exact_batch(z, v, tau, d, config: QuadConfig | None = None) -> list
         Of the lowest-numbered failing point, its index in ``point``.
     """
     z, v, tau, theta, beta = _per_point(d, z, v, tau)
-    for name, a in (("z", z), ("v", v), ("tau", tau)):
-        bad = np.flatnonzero(~((a >= 0.0) & (a < math.inf)))
-        if bad.size:
-            raise ParameterError(f"{name} must be finite and >= 0, got {float(a[bad[0]])!r}")
+    _nonnegative_arrays(z=z, v=v, tau=tau)
     live = (z > 0.0) & (tau > 0.0)
     tau, v, theta, beta = tau[live], v[live], theta[live], beta[live]
 
@@ -632,15 +639,15 @@ def survival_averaged(z: float, tau: float, d: Dimensionless,
     return survival_averaged_batch(z, tau, d, config)[0]
 
 
-def survival_wiener(z: float, sigma_sq: float, t: float) -> float:
-    """Constant-volatility baseline: ``erf(z / sqrt(2 sigma^2 t))``."""
-    if z < 0.0 or sigma_sq <= 0.0 or t < 0.0:
+def survival_wiener(z, sigma_sq, t):
+    """Constant-volatility baseline: ``erf(z / sqrt(2 sigma^2 t))``.
+
+    The inputs broadcast; a float when all are scalars, else an ndarray.
+    """
+    z, sigma_sq, t = (np.asarray(a, dtype=float) for a in (z, sigma_sq, t))
+    if not (np.all(z >= 0.0) and np.all(sigma_sq > 0.0) and np.all(t >= 0.0)):
         raise ConfigError("require z >= 0, sigma_sq > 0, t >= 0")
-    if z == 0.0:
-        return 0.0
-    if t == 0.0:
-        return 1.0
-    return float(erf(z / math.sqrt(2.0 * sigma_sq * t)))
+    return _with_boundaries(z, t, lambda z, t: erf(z / np.sqrt(2.0 * sigma_sq * t)))
 
 
 def hitting(sp: SPResult) -> SPResult:

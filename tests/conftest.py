@@ -53,7 +53,5 @@ def gamma_average_oracle(z: float, tau: float, d: h.Dimensionless,
 
     x, w = roots_genlaguerre(nodes, d.nu - 1.0)
     rate = 2.0 / d.beta**2
-    vals = np.array([
-        h.survival_exact(h.State(z=z, v=xi / rate, tau=tau), d).value for xi in x
-    ])
+    vals = np.array([sp.value for sp in h.survival_exact_batch(z, x / rate, tau, d)])
     return float(np.dot(w, vals) / np.exp(gammaln(d.nu)))

@@ -217,17 +217,13 @@ def test_c10_invariant_suite():
     zs = np.geomspace(2e-3, 0.2, 10)
     taus = np.geomspace(0.05, 5.0, 10)
     vs = np.geomspace(0.1 * TH, 100.0 * TH, 10)
-    table = np.empty((10, 10, 10))
-    errs = np.empty((10, 10, 10))
-    for i, z in enumerate(zs):
-        for j, tau in enumerate(taus):
-            for k, v in enumerate(vs):
-                sp = h.survival_exact(h.State(float(z), float(v), float(tau)),
-                                      D_FIG)
-                if sp.out_of_range:
-                    failures.append(f"S out of range at {(z, v, tau)}")
-                table[i, j, k] = sp.value
-                errs[i, j, k] = sp.err_estimate
+    z, tau, v = np.meshgrid(zs, taus, vs, indexing="ij")
+    batch = h.survival_exact_batch(z, v, tau, D_FIG)
+    for point, sp in zip(zip(z.ravel(), v.ravel(), tau.ravel()), batch):
+        if sp.out_of_range:
+            failures.append(f"S out of range at {point}")
+    table = np.array([sp.value for sp in batch]).reshape(10, 10, 10)
+    errs = np.array([sp.err_estimate for sp in batch]).reshape(10, 10, 10)
     # monotone to within the reported quadrature error of the two points
     for axis, sign, name in ((0, 1.0, "nondecreasing in z"),
                              (1, -1.0, "nonincreasing in tau"),

@@ -312,3 +312,57 @@ def test_all_approximations_bounded(z, v, tau, beta):
     ]
     for val in values:
         assert 0.0 <= val <= 1.0
+
+
+# every closed form as a call on (z, v, tau) and the inputs it uses; the
+# Gaussian tail takes v as its scale
+CLOSED_FORMS = {
+    "erf": (lambda z, v, tau: h.survival_erf(z, v, tau, TH), "zvt"),
+    "arctan": (lambda z, v, tau: h.survival_arctan(z, v, tau, TH, 10.0), "zvt"),
+    "pheno": (lambda z, v, tau: h.survival_pheno(z, v, tau, TH, 10.0), "zvt"),
+    "pheno_beta": (lambda z, v, tau: h.survival_pheno(z, v, tau, TH, 10.0,
+                                                      use_beta_factor=True), "zvt"),
+    "avg_erf": (lambda z, v, tau: h.survival_avg_erf(z, tau, TH), "zt"),
+    "avg_arctan": (lambda z, v, tau: h.survival_avg_arctan(z, tau, TH, 10.0), "zt"),
+    "wiener": (lambda z, v, tau: h.survival_wiener(z, TH, tau), "zt"),
+    "tail_gaussian": (lambda z, v, tau: h.tail_gaussian_hitting(z, v), "zv"),
+    "tail_powerlaw": (lambda z, v, tau: h.tail_powerlaw_hitting(z, tau, TH, 10.0), "zt"),
+    "variance_scale": (lambda z, v, tau: h.variance_scale(tau, v, TH), "vt"),
+    "second_moment": (lambda z, v, tau: h.second_moment(tau, v, TH), "vt"),
+}
+SURVIVAL_FORMS = ("erf", "arctan", "pheno", "pheno_beta", "avg_erf", "avg_arctan")
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_return_contract(name):
+    # scalars give a Python float; arrays give the broadcast shape of the
+    # inputs used, each element equal to the scalar call
+    form, uses = CLOSED_FORMS[name]
+    assert type(form(0.01, TH, 0.5)) is float
+    inputs = {"z": np.array([0.0, 1e-3, 0.05])[:, None, None],
+              "v": np.array([0.0, TH, 10.0 * TH])[None, :, None],
+              "t": np.array([0.0, 0.5, 3.0, 40.0])}
+    with np.errstate(all="ignore"):
+        got = form(inputs["z"], inputs["v"], inputs["t"])
+        assert isinstance(got, np.ndarray)
+        assert got.shape == np.broadcast_shapes(*(inputs[k].shape for k in uses))
+        z, v, tau = np.broadcast_arrays(inputs["z"], inputs["v"], inputs["t"])
+        want = [form(*p) for p in zip(z.ravel().tolist(), v.ravel().tolist(),
+                                      tau.ravel().tolist())]
+    np.testing.assert_array_equal(np.broadcast_to(got, z.shape).ravel(), want)
+
+
+_BAD = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                 st.floats(max_value=-1e-300, allow_infinity=False))
+
+
+@given(data=st.data(), bad=_BAD, as_array=st.booleans(),
+       good=st.tuples(*[st.floats(min_value=0.0, max_value=50.0)] * 3))
+def test_survival_forms_reject_bad_input(data, bad, as_array, good):
+    name = data.draw(st.sampled_from(SURVIVAL_FORMS))
+    form, uses = CLOSED_FORMS[name]
+    position = data.draw(st.sampled_from(["zvt".index(k) for k in uses]))
+    args = list(good)
+    args[position] = np.array([good[position], bad]) if as_array else bad
+    with pytest.raises(h.ParameterError):
+        form(*args)

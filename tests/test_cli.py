@@ -6,7 +6,10 @@ import pytest
 
 import hestonfp.cli as cli
 from hestonfp import (Dimensionless, ModelParams, NonConvergence, QuadConfig, State,
-                      survival_averaged, survival_exact)
+                      survival_arctan, survival_averaged, survival_avg_arctan,
+                      survival_avg_erf, survival_erf, survival_exact, survival_pheno,
+                      survival_wiener, tail_gaussian_hitting, tail_powerlaw_hitting,
+                      variance_scale)
 
 DEFAULT_D = cli.DEFAULT_PARAMS.dimensionless()
 
@@ -122,6 +125,31 @@ class TestCommands:
                              "--output", out]) == 0
             outs.append(_read_rows(out)[1][0]["S"])
         assert outs[0] == outs[1]
+        # every method over a small grid equals its library form, cell by cell
+        th, b = DEFAULT_D.theta, DEFAULT_D.beta
+        library = {
+            "erf": lambda z, v, tau: survival_erf(z, v, tau, th),
+            "arctan": lambda z, v, tau: survival_arctan(z, v, tau, th, b),
+            "pheno": lambda z, v, tau: survival_pheno(z, v, tau, th, b),
+            "pheno_beta": lambda z, v, tau: survival_pheno(z, v, tau, th, b,
+                                                           use_beta_factor=True),
+            "erf_avg": lambda z, v, tau: survival_avg_erf(z, tau, th),
+            "arctan_avg": lambda z, v, tau: survival_avg_arctan(z, tau, th, b),
+            "wiener": lambda z, v, tau: survival_wiener(z, th, tau),
+            "tail_gaussian": lambda z, v, tau:
+                1.0 - tail_gaussian_hitting(z, variance_scale(tau, v, th)),
+            "tail_powerlaw": lambda z, v, tau: 1.0 - tail_powerlaw_hitting(z, tau, th, b),
+        }
+        assert set(cli._METHOD_ALIASES[m] for m in library) == set(cli._METHOD_ALIASES.values())
+        for method, form in library.items():
+            out = str(tmp_path / f"grid-{method}.csv")
+            assert cli.main(["approx", "--method", method, "--z", "1e-3:0.2:4",
+                             "--v", "1e-4:1e-2:3", "--tau", "0.1:30:2", "--output", out]) == 0
+            rows = _read_rows(out)[1]
+            assert len(rows) == 24
+            for row in rows:
+                z, v, tau = (float(row[c]) for c in ("z", "v", "tau"))
+                assert float(row["S"]) == form(z, v, tau), (method, row)
 
     @pytest.mark.xfail(strict=True, reason="documented l_c ~ 0.336 within "
                        "10%: the asymptotic-balance root is 0.2406 (see the "

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import integrate
 
 import hestonfp as h
 import hestonfp.asymptotics as asy
@@ -103,6 +104,31 @@ class TestSineTransform:
         with pytest.raises(h.NonConvergence):
             h.sine_transform(lambda w: np.full_like(w, np.nan), 1.0,
                              omega_max=omega_max)
+
+    def test_leaf_budget_failure_counts_finished_panels(self):
+        # F turns NaN past the first block of 25 panels: the failure reports
+        # the finished panels' sum and leaves, as the panel-limit failure does
+        edge = 25 * math.pi
+
+        def F(w):
+            return np.where(w > edge, np.nan, np.cos(w / 3.0) * np.exp(-w / 500.0))
+
+        with pytest.raises(h.NonConvergence, match="leaf budget") as exc:
+            h.sine_transform(F, 1.0, omega_max=1e3)
+        e = exc.value
+        want = (2.0 / math.pi) * integrate.quad(
+            lambda w: math.sin(w) / w * math.cos(w / 3.0) * math.exp(-w / 500.0),
+            0.0, edge, limit=500, epsabs=1e-13)[0]
+        assert abs(e.partial - want) <= 1e-9
+        assert e.panels_used >= 25
+        assert 0.0 < e.err_estimate <= 1e-9
+        with pytest.raises(h.NonConvergence) as batch:
+            quad._sine_transforms(lambda w, i: np.where(i == 0, np.exp(-w), F(w)),
+                                  lambda w, i: np.where(i == 0, -w, 0.0), [1.0, 1.0],
+                                  h.QuadConfig(), omega_max=[1e3, 1e3])
+        assert batch.value.point == 1
+        assert (str(batch.value), batch.value.partial, batch.value.err_estimate,
+                batch.value.panels_used) == (str(e), e.partial, e.err_estimate, e.panels_used)
 
     def test_nonconvergence_carries_partial(self):
         d = h.ModelParams(0.045, 8.62e-5, 0.0045).dimensionless()
@@ -394,6 +420,8 @@ class TestWienerBaseline:
             h.survival_wiener(-1.0, 1e-3, 1.0)
         with pytest.raises(h.ConfigError):
             h.survival_wiener(0.05, 0.0, 1.0)
+        with pytest.raises(h.ConfigError):
+            h.survival_wiener(np.array([0.05, math.nan]), 1e-3, 1.0)
 
 
 class TestResultType:
