@@ -4,8 +4,8 @@ Three independent routes to the same quantities:
 
 * :mod:`hestonfp.quadrature` -- exact Fourier-sine inversion,
 * :mod:`hestonfp.asymptotics` -- closed-form regime approximations,
-* :mod:`hestonfp.montecarlo` -- path simulation with bridge-corrected
-  barrier monitoring,
+* :mod:`hestonfp.montecarlo` -- conditional Monte Carlo: simulated variance
+  paths, each contributing its exact survival given the variance clock,
 
 built on the shared kernels in :mod:`hestonfp.core` and fronted by the
 ``hestonfp`` command line (:mod:`hestonfp.cli`).

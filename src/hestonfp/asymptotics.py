@@ -23,8 +23,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
-from .core import (Dimensionless, _float_or_array, _nonnegative_arrays, _with_boundaries,
-                   variance_scale)
+from .core import (Dimensionless, _float_or_array, _nonnegative_arrays, _positive_arrays,
+                   _with_boundaries, variance_scale)
 from .errors import DivisionDomain, InsufficientData, NoRoot
 from .quadrature import QuadConfig, survival_averaged_batch, survival_wiener
 
@@ -152,14 +152,17 @@ def survival_avg_arctan(z, tau, theta, beta):
 def tail_gaussian_hitting(L_abs, lam):
     """Deep-tail hitting in the Gaussian regime:
     ``sqrt(lam/pi) * exp(-L**2/lam) / |L|``  (for the averaged case pass
-    ``lam = 2*theta*tau``)."""
-    L_abs = np.abs(L_abs)
+    ``lam = 2*theta*tau``).  ``|L|`` and ``lam`` must be finite and > 0."""
+    L_abs, lam = _positive_arrays(L_abs=np.abs(L_abs), lam=lam)
     return _float_or_array(np.sqrt(lam / np.pi) * np.exp(-L_abs * L_abs / lam) / L_abs)
 
 
 def tail_powerlaw_hitting(L_abs, tau, theta, beta):
-    """Slow power-law hitting tail ``theta*tau / (beta*|L|)``."""
-    return _float_or_array(theta * tau / (beta * np.abs(L_abs)))
+    """Slow power-law hitting tail ``theta*tau / (beta*|L|)``; every input
+    (``L`` in absolute value) must be finite and > 0."""
+    L_abs, tau, theta, beta = _positive_arrays(L_abs=np.abs(L_abs), tau=tau, theta=theta,
+                                               beta=beta)
+    return _float_or_array(theta * tau / (beta * L_abs))
 
 
 def risk_ratio(z, tau, d: Dimensionless, config: QuadConfig | None = None):

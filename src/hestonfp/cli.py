@@ -296,9 +296,9 @@ def _meta(spec: RunSpec) -> dict:
     return meta
 
 
-def emit_json(spec: RunSpec, columns, rows) -> str:
+def emit_json(spec: RunSpec, columns, rows, work: dict | None = None) -> str:
     payload = {
-        "meta": _meta(spec),
+        "meta": {**_meta(spec), **(work or {})},
         "rows": [dict(zip(columns, [x if isinstance(x, (int, str)) else float(x) for x in row]))
                  for row in rows],
     }
@@ -384,7 +384,12 @@ def _cmd_simulate(spec: RunSpec):
         v0 = spec.v[0] if spec.v else d.theta
         est = estimate_survival(d, z0, v0, cfg)
     rows = [(t, s, c) for t, s, c in zip(est.grid, est.survival, est.ci_halfwidth)]
-    return ["tau", "S", "ci"], rows
+    return ["tau", "S", "ci"], rows, _mc_work(est)
+
+
+def _mc_work(est) -> dict:
+    """A Monte Carlo result's work counts, for the JSON ``meta``."""
+    return {"path_steps": est.path_steps, "rng_draws": est.rng_draws}
 
 
 def _cmd_crossing_level(spec: RunSpec):
@@ -438,7 +443,7 @@ def _figure_fig1(spec: RunSpec):
     exact = survival_exact_batch(prof.z_grid, d.theta, 0.5, d, cfg)
     rows = [(z, ex.value, ex.err_estimate, s_mc, ci)
             for z, ex, s_mc, ci in zip(prof.z_grid, exact, prof.survival, prof.ci_halfwidth)]
-    return ["z", "S_exact", "err_estimate", "S_mc", "ci"], rows
+    return ["z", "S_exact", "err_estimate", "S_mc", "ci"], rows, _mc_work(prof)
 
 
 def _figure_fig2(spec: RunSpec):
@@ -565,9 +570,11 @@ _RUNNERS = {
 def run(spec: RunSpec) -> str:
     """Execute a RunSpec and return the rendered table (also written to
     ``spec.output_path`` when one is set)."""
-    columns, rows = _RUNNERS[spec.command](spec)
+    # a runner returns (columns, rows), plus a dict of work counts for meta
+    # when Monte Carlo made the table
+    columns, rows, *work = _RUNNERS[spec.command](spec)
     if spec.output_format == "json":
-        text = emit_json(spec, columns, rows)
+        text = emit_json(spec, columns, rows, *work)
     else:
         text = emit_csv(columns, rows)
     if spec.output_path:

@@ -62,17 +62,27 @@ def _require_nonnegative(name: str, value: float) -> float:
     return value
 
 
-def _nonnegative_arrays(**named) -> list[np.ndarray]:
-    """The named inputs as float arrays; a negative or non-finite entry
-    raises :class:`ParameterError` naming the first such input."""
+def _checked_arrays(named: dict, positive: bool) -> list[np.ndarray]:
     out = []
     for name, value in named.items():
         a = np.asarray(value, dtype=float)
-        bad = ~((a >= 0.0) & (a < math.inf))
+        bad = ~(((a > 0.0) if positive else (a >= 0.0)) & (a < math.inf))
         if bad.any():
-            raise ParameterError(f"{name} must be finite and >= 0, got {float(a[bad][0])!r}")
+            raise ParameterError(f"{name} must be finite and {'>' if positive else '>='} 0, "
+                                 f"got {float(a[bad][0])!r}")
         out.append(a)
     return out
+
+
+def _nonnegative_arrays(**named) -> list[np.ndarray]:
+    """The named inputs as float arrays; a negative or non-finite entry
+    raises :class:`ParameterError` naming the first such input."""
+    return _checked_arrays(named, positive=False)
+
+
+def _positive_arrays(**named) -> list[np.ndarray]:
+    """As :func:`_nonnegative_arrays`, but zero is rejected too."""
+    return _checked_arrays(named, positive=True)
 
 
 def _float_or_array(out):

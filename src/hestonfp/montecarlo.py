@@ -1,15 +1,22 @@
-"""Path-simulation oracle for the first-passage problem.
+"""Conditional Monte Carlo oracle for the first-passage problem.
 
-Variance follows full-truncation Euler (the positive part of the variance
-enters drift and diffusion, the state itself may dip negative), the return
-moves with the same frozen step variance, and barrier hits between grid
-points are recovered by the Brownian-bridge crossing probability.  In the
-realistic parameter regime the variance process touches zero, which is why
-the truncation scheme is the right default.
+With zero correlation the return is a Brownian motion run on the clock
+``I(tau) = int_0^tau v dt``, so given one variance path the survival
+probability is exactly ``erf(z / sqrt(2 I))`` (reflection principle).  The
+simulator therefore steps only the variance, by Andersen's quadratic-
+exponential (QE) scheme ("Efficient simulation of the Heston stochastic
+volatility model", J. Comput. Finance 11(3), 2008): one standard normal per
+path-step, a moment-matched quadratic in it where the variance is far from
+zero (``psi <= 1.5``), and a point mass at zero plus an exponential tail on
+the paths near zero.  ``I`` accumulates by the trapezoid rule, and every
+estimate is the path mean of ``erf(z / sqrt(2 I))`` with the CLT interval
+``1.96 * sd / sqrt(n)``.  No barrier is monitored, so there is no
+discrete-monitoring bias to correct, and one simulation serves any number of
+starting distances.
 
 Reproducibility: one master seed, counter-based (Philox) substreams per
-path block, and integer per-block tallies merged in block order -- the
-estimate is bit-identical no matter how many worker threads run the blocks.
+path block, and per-block float sums merged in block order -- the estimate
+is bit-identical no matter how many worker threads run the blocks.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf, log_ndtr, ndtri
 
 from .core import Dimensionless
 from .errors import ConfigError
@@ -38,20 +46,21 @@ _BLOCK = 2**16
 _PURPOSE_PATHS = 0
 _PURPOSE_GAMMA = 1
 
+_K_SWITCH = 2.0 / 1.5  # 2/psi at Andersen's switch psi_c = 1.5 between the QE branches
+_Z_FAR = 0.8416212335729144  # ndtri(0.8), and q = 1 - p < 0.8 where 2/psi < _K_SWITCH
+
 
 @dataclass(frozen=True)
 class McConfig:
     """Simulation settings.
 
-    ``record_grid`` lists the times at which the surviving fraction is read
-    off; ``horizon`` defaults to the last record time.
+    ``record_grid`` lists the times at which survival is read off;
+    ``horizon`` defaults to the last record time.
     """
 
     dt: float = 1e-3
     n_paths: int = 10**6
     seed: int = 0
-    scheme: str = "euler_full_truncation"
-    bridge_correction: bool = True
     horizon: float | None = None
     record_grid: tuple[float, ...] = ()
 
@@ -60,11 +69,9 @@ class McConfig:
             raise ConfigError("dt must be finite and > 0")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
-        if self.scheme != "euler_full_truncation":
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         grid = tuple(float(t) for t in self.record_grid)
-        if not all(math.isfinite(t) for t in grid):
-            raise ConfigError("record_grid entries must be finite")
+        if not all(0.0 <= t < math.inf for t in grid):
+            raise ConfigError("record_grid entries must be finite and >= 0")
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise ConfigError("record_grid must be sorted ascending")
         object.__setattr__(self, "record_grid", grid)
@@ -91,14 +98,19 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Survival curve estimate with binomial confidence half-widths."""
+    """Survival curve estimate with CLT confidence half-widths.
+
+    ``path_steps`` and ``rng_draws`` count the variance steps taken and the
+    random variates drawn (one normal per path-step, plus one Gamma start
+    per path for stationary starts)."""
 
     grid: tuple[float, ...]
     survival: np.ndarray
     ci_halfwidth: np.ndarray
     n_paths: int
     seed: int
-    scheme: str = "euler_full_truncation"
+    path_steps: int
+    rng_draws: int
 
 
 @dataclass(frozen=True)
@@ -112,7 +124,8 @@ class ProfileEstimate:
     ci_halfwidth: np.ndarray
     n_paths: int
     seed: int
-    scheme: str = "euler_full_truncation"
+    path_steps: int
+    rng_draws: int
 
 
 def _block_rng(seed: int, purpose: int, block: int) -> np.random.Generator:
@@ -125,75 +138,108 @@ def _blocks(n_paths: int) -> list[tuple[int, int]]:
             for b in range((n_paths + _BLOCK - 1) // _BLOCK)]
 
 
-def _simulate_block(block: int, n_block: int, z0: float, v0: float | None,
-                    d: Dimensionless, cfg: McConfig) -> np.ndarray:
-    """Alive counts of one path block at each record step.
+def _erf_sums(clock: np.ndarray, z_grid: np.ndarray) -> np.ndarray:
+    """Block sums of ``s = erf(z / sqrt(2 I))`` and of ``(s - mean(s))**2``,
+    one row per ``z``; one ``z`` at a time, so memory stays O(block).  The
+    centred square keeps the variance exact where every path gives nearly
+    the same ``s``."""
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / np.sqrt(2.0 * clock)  # I = 0 gives inf, and erf(inf) = 1
+    out = np.empty((z_grid.size, 2))
+    for j, z in enumerate(z_grid):
+        s = erf(z * inv)
+        total = s.sum()
+        s -= total / s.size
+        out[j] = total, (s * s).sum()
+    return out
 
-    ``v0 = None`` means: draw the starting variance from its stationary
-    Gamma law, using the block's own substream (keeps worker-count
-    invariance intact).
+
+def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
+           v0: float | None, d: Dimensionless, cfg: McConfig):
+    """The one simulation kernel: QE variance steps of one path block.
+
+    Returns the ``(len(steps), z_grid.size, 2)`` sums of :func:`_erf_sums`
+    at each record step, and the block's path-steps and variates drawn.
+    ``v0 = None`` draws the starting variances from the stationary Gamma law
+    on the block's own substream (keeps worker-count invariance intact).
     """
-    theta, beta = d.theta, d.beta
-    dt = cfg.dt
     rng = _block_rng(cfg.seed, _PURPOSE_PATHS, block)
+    draws = 0
     if v0 is None:
-        v = rng.gamma(shape=d.nu, scale=beta * beta / 2.0, size=n_block)
+        v = rng.gamma(shape=d.nu, scale=d.beta**2 / 2.0, size=n_block)
+        draws += n_block
     else:
         v = np.full(n_block, float(v0))
-    w = np.full(n_block, float(z0))
-    record_steps = cfg.record_steps()
-    counts = np.zeros(len(record_steps), dtype=np.int64)
-    rec_i = 0
-    alive = n_block
-    for step in range(1, cfg.n_steps + 1):
-        if alive:
-            vpos = np.maximum(v, 0.0)
-            sdt = np.sqrt(vpos * dt)
-            n1 = rng.standard_normal(alive)
-            n2 = rng.standard_normal(alive)
-            w_next = w + sdt * n1
-            crossed = w_next <= 0.0
-            if cfg.bridge_correction:
-                u = rng.random(alive)
-                with np.errstate(divide="ignore", over="ignore"):
-                    p = np.exp(-2.0 * w * w_next / (vpos * dt))
-                crossed |= u < p
-            v = v - (vpos - theta) * dt + beta * sdt * n2
-            keep = ~crossed
-            w = w_next[keep]
-            v = v[keep]
-            alive = w.size
-        while rec_i < len(record_steps) and record_steps[rec_i] <= step:
-            counts[rec_i] = alive
-            rec_i += 1
-        if rec_i >= len(record_steps):
-            break
-    while rec_i < len(record_steps):
-        counts[rec_i] = alive
-        rec_i += 1
-    return counts
+    # one step's conditional mean m = e v + m0 and half variance s2 / 2 = s1 v + s0
+    e = math.exp(-cfg.dt)
+    m0 = d.theta * -math.expm1(-cfg.dt)
+    s1 = 0.5 * d.beta**2 * e * -math.expm1(-cfg.dt)
+    s0 = 0.25 * d.theta * d.beta**2 * math.expm1(-cfg.dt)**2
+    # on the atom v = 0 every path has the same q, so one threshold screens them
+    k0 = m0 * m0 / s0
+    z_atom = ndtri(2.0 * k0 / (2.0 + k0)) + 1e-9
+    clock = np.zeros(n_block)
+    sums = np.empty((len(steps), z_grid.size, 2))
+    done = 0
+    with np.errstate(invalid="ignore"):
+        for rec, stop in enumerate(steps.tolist()):
+            for _ in range(stop - done):
+                normal = rng.standard_normal(n_block)
+                m = v * e + m0
+                k = m * m / (v * s1 + s0)  # 2 / psi
+                b2 = k - 1.0 + np.sqrt(k * (k - 1.0))  # NaN where k < 1: exponential branch
+                v_next = m / (1.0 + b2) * (np.sqrt(b2) + normal) ** 2
+                far = np.flatnonzero(k < _K_SWITCH)
+                if far.size:
+                    # v' = (m / q) log(q / Phi(Z)) where U = Phi(-Z) > p = 1 - q, else 0;
+                    # only Z < ndtri(q) can pass, and q < 0.8 off the atom
+                    v_next[far] = 0.0
+                    hit = far[normal[far] < np.where(v[far] == 0.0, z_atom, _Z_FAR)]
+                    q = 2.0 * k[hit] / (2.0 + k[hit])
+                    v_next[hit] = m[hit] / q * np.maximum(np.log(q) - log_ndtr(normal[hit]), 0.0)
+                clock += (v + v_next) * (0.5 * cfg.dt)
+                v = v_next
+            draws += n_block * (stop - done)
+            done = stop
+            sums[rec] = _erf_sums(clock, z_grid)
+    return sums, n_block * done, draws
 
 
-def _run_blocks(worker, n_paths: int, n_out: int, workers: int) -> np.ndarray:
-    """Run per-block tallies (possibly concurrently) and merge in block order."""
+def _run_blocks(z_grid, steps, v0, d, cfg: McConfig, workers: int):
+    """Run every block (possibly concurrently); merge their sums in block
+    order.  Returns the mean and CI half-width, shape ``(len(steps),
+    z_grid.size)``, and the total path-steps and variates drawn."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers!r}")
-    blocks = _blocks(n_paths)
-    per_block = np.zeros((len(blocks), n_out), dtype=np.int64)
-    if workers <= 1:
-        for b, nb in blocks:
-            per_block[b] = worker(b, nb)
+
+    def run(block):
+        return _block(*block, z_grid, steps, v0, d, cfg)
+
+    blocks = _blocks(cfg.n_paths)
+    if workers == 1:
+        results = [run(b) for b in blocks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(worker, b, nb): b for b, nb in blocks}
-            for fut, b in futures.items():
-                per_block[b] = fut.result()
-    return per_block.sum(axis=0)
+            results = list(pool.map(run, blocks))
+    sums = np.array([r[0] for r in results])  # (block, record, z, 2)
+    n_block = np.array([nb for _, nb in blocks], dtype=float)[:, None, None]
+    n = cfg.n_paths
+    mean = sums[..., 0].sum(axis=0) / n
+    # pooled sum of squared deviations: within blocks plus between block means
+    m2 = (sums[..., 1] + n_block * (sums[..., 0] / n_block - mean) ** 2).sum(axis=0)
+    return (mean, 1.96 * np.sqrt(m2 / n) / math.sqrt(n),
+            sum(r[1] for r in results), sum(r[2] for r in results))
 
 
-def _wald(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    p = counts / float(n)
-    return p, 1.96 * np.sqrt(p * (1.0 - p) / n)
+def _curve(d: Dimensionless, z0: float, v0: float | None, cfg: McConfig,
+           workers: int) -> McEstimate:
+    if not 0.0 < z0 < math.inf:
+        raise ConfigError(f"z0 must be finite and > 0, got {z0!r}")
+    mean, ci, path_steps, draws = _run_blocks(np.array([float(z0)]), cfg.record_steps(),
+                                              v0, d, cfg, workers)
+    return McEstimate(grid=cfg.record_grid, survival=mean[:, 0], ci_halfwidth=ci[:, 0],
+                      n_paths=cfg.n_paths, seed=cfg.seed, path_steps=path_steps,
+                      rng_draws=draws)
 
 
 def estimate_survival(d: Dimensionless, z0: float, v0: float, cfg: McConfig,
@@ -203,34 +249,16 @@ def estimate_survival(d: Dimensionless, z0: float, v0: float, cfg: McConfig,
     ``z0`` must be strictly positive (starting on the barrier is absorption
     at time zero, not a simulation).
     """
-    if not 0.0 < z0 < math.inf:
-        raise ConfigError(f"z0 must be finite and > 0, got {z0!r}")
     if not 0.0 <= v0 < math.inf:
         raise ConfigError(f"v0 must be finite and >= 0, got {v0!r}")
-
-    def worker(b: int, nb: int) -> np.ndarray:
-        return _simulate_block(b, nb, z0, v0, d, cfg)
-
-    counts = _run_blocks(worker, cfg.n_paths, len(cfg.record_grid), workers)
-    p, ci = _wald(counts, cfg.n_paths)
-    return McEstimate(grid=cfg.record_grid, survival=p, ci_halfwidth=ci,
-                      n_paths=cfg.n_paths, seed=cfg.seed, scheme=cfg.scheme)
+    return _curve(d, z0, v0, cfg, workers)
 
 
 def estimate_survival_averaged(d: Dimensionless, z0: float, cfg: McConfig,
                                workers: int = 1) -> McEstimate:
     """Survival curve with the starting variance drawn from its stationary
     Gamma law, path by path."""
-    if not 0.0 < z0 < math.inf:
-        raise ConfigError(f"z0 must be finite and > 0, got {z0!r}")
-
-    def worker(b: int, nb: int) -> np.ndarray:
-        return _simulate_block(b, nb, z0, None, d, cfg)
-
-    counts = _run_blocks(worker, cfg.n_paths, len(cfg.record_grid), workers)
-    p, ci = _wald(counts, cfg.n_paths)
-    return McEstimate(grid=cfg.record_grid, survival=p, ci_halfwidth=ci,
-                      n_paths=cfg.n_paths, seed=cfg.seed, scheme=cfg.scheme)
+    return _curve(d, z0, None, cfg, workers)
 
 
 def sample_stationary_volatility(d: Dimensionless, n: int, seed: int) -> np.ndarray:
@@ -246,45 +274,6 @@ def sample_stationary_volatility(d: Dimensionless, n: int, seed: int) -> np.ndar
     return out
 
 
-def _profile_block(block: int, n_block: int, v0: float | None,
-                   d: Dimensionless, cfg: McConfig,
-                   z_grid: np.ndarray) -> np.ndarray:
-    """Per-block counts of paths whose running minimum stayed above ``-z``
-    for every ``z`` in the grid simultaneously.
-
-    The walk starts at 0; a path started at distance ``z`` survives exactly
-    when the walk's minimum stays above ``-z``.  With the bridge correction
-    the within-step minimum is sampled from the exact bridge-minimum law
-    (inverse CDF), which is distributionally identical to per-step Bernoulli
-    killing but serves every threshold in one pass.
-    """
-    theta, beta = d.theta, d.beta
-    dt = cfg.dt
-    rng = _block_rng(cfg.seed, _PURPOSE_PATHS, block)
-    if v0 is None:
-        v = rng.gamma(shape=d.nu, scale=beta * beta / 2.0, size=n_block)
-    else:
-        v = np.full(n_block, float(v0))
-    x = np.zeros(n_block)
-    m = np.zeros(n_block)
-    for _ in range(cfg.n_steps):
-        vpos = np.maximum(v, 0.0)
-        sdt = np.sqrt(vpos * dt)
-        n1 = rng.standard_normal(n_block)
-        n2 = rng.standard_normal(n_block)
-        x_next = x + sdt * n1
-        if cfg.bridge_correction:
-            u = 1.0 - rng.random(n_block)  # in (0, 1]
-            step = x_next - x
-            low = 0.5 * (x + x_next - np.sqrt(step * step - 2.0 * vpos * dt * np.log(u)))
-        else:
-            low = np.minimum(x, x_next)
-        np.minimum(m, low, out=m)
-        v = v - (vpos - theta) * dt + beta * sdt * n2
-        x = x_next
-    return (m[:, None] > -z_grid[None, :]).sum(axis=0).astype(np.int64)
-
-
 def survival_profile(d: Dimensionless, z_grid, cfg: McConfig,
                      v0: float | None = None, workers: int = 1) -> ProfileEstimate:
     """Survival at ``cfg.horizon`` for every starting distance in ``z_grid``
@@ -292,20 +281,15 @@ def survival_profile(d: Dimensionless, z_grid, cfg: McConfig,
 
     Pass ``v0 = None`` to draw starting variances from the stationary law.
     Estimates across the grid share paths (they are correlated), but each
-    individual estimate carries a valid binomial confidence interval -- this
-    is what makes million-path survival-vs-distance sweeps affordable.
+    individual estimate carries a valid confidence interval.
     """
     z_grid = np.sort(np.asarray(z_grid, dtype=float))
     if z_grid.size == 0 or not np.all((z_grid > 0.0) & (z_grid < math.inf)):
         raise ConfigError("z_grid must be nonempty with all entries finite and > 0")
     if v0 is not None and not 0.0 <= v0 < math.inf:
         raise ConfigError(f"v0 must be finite and >= 0, got {v0!r}")
-
-    def worker(b: int, nb: int) -> np.ndarray:
-        return _profile_block(b, nb, v0, d, cfg, z_grid)
-
-    counts = _run_blocks(worker, cfg.n_paths, z_grid.size, workers)
-    p, ci = _wald(counts, cfg.n_paths)
-    return ProfileEstimate(z_grid=z_grid, tau=cfg.horizon, survival=p,
-                           ci_halfwidth=ci, n_paths=cfg.n_paths, seed=cfg.seed,
-                           scheme=cfg.scheme)
+    mean, ci, path_steps, draws = _run_blocks(z_grid, np.array([cfg.n_steps]), v0, d, cfg,
+                                              workers)
+    return ProfileEstimate(z_grid=z_grid, tau=cfg.horizon, survival=mean[0],
+                           ci_halfwidth=ci[0], n_paths=cfg.n_paths, seed=cfg.seed,
+                           path_steps=path_steps, rng_draws=draws)

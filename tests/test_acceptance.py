@@ -29,7 +29,7 @@ def _verdict(ok: bool, label: str, detail: str) -> str:
 
 
 def test_c01_fig1_mc_quadrature_agreement():
-    """16-point z grid: MC (1e6 paths, dt=1e-3, bridge on) brackets the
+    """16-point z grid: MC (1e6 paths, dt=1e-3, conditional erf) brackets the
     exact quadrature within the 95% CI at every point, in under 5 minutes."""
     start = time.time()
     zs = np.logspace(math.log10(2e-3), math.log10(2e-1), 16)

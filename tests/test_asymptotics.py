@@ -331,6 +331,7 @@ CLOSED_FORMS = {
     "second_moment": (lambda z, v, tau: h.second_moment(tau, v, TH), "vt"),
 }
 SURVIVAL_FORMS = ("erf", "arctan", "pheno", "pheno_beta", "avg_erf", "avg_arctan")
+TAILS = ("tail_gaussian", "tail_powerlaw")  # defined for positive input only
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
@@ -339,9 +340,10 @@ def test_return_contract(name):
     # inputs used, each element equal to the scalar call
     form, uses = CLOSED_FORMS[name]
     assert type(form(0.01, TH, 0.5)) is float
-    inputs = {"z": np.array([0.0, 1e-3, 0.05])[:, None, None],
-              "v": np.array([0.0, TH, 10.0 * TH])[None, :, None],
-              "t": np.array([0.0, 0.5, 3.0, 40.0])}
+    low = 1e-4 if name in TAILS else 0.0
+    inputs = {"z": np.array([low, 1e-3, 0.05])[:, None, None],
+              "v": np.array([low, TH, 10.0 * TH])[None, :, None],
+              "t": np.array([low, 0.5, 3.0, 40.0])}
     with np.errstate(all="ignore"):
         got = form(inputs["z"], inputs["v"], inputs["t"])
         assert isinstance(got, np.ndarray)
@@ -366,3 +368,29 @@ def test_survival_forms_reject_bad_input(data, bad, as_array, good):
     args[position] = np.array([good[position], bad]) if as_array else bad
     with pytest.raises(h.ParameterError):
         form(*args)
+
+
+TAIL_CALLS = {"tail_gaussian": (h.tail_gaussian_hitting, (0.01, TH)),
+              "tail_powerlaw": (h.tail_powerlaw_hitting, (0.01, 0.5, TH, 10.0))}
+
+
+@given(data=st.data(), as_array=st.booleans())
+def test_tails_reject_bad_input(data, as_array):
+    # |L| = 0 or non-finite L; zero, negative or non-finite lam, tau, theta, beta
+    name = data.draw(st.sampled_from(TAILS))
+    form, good = TAIL_CALLS[name]
+    position = data.draw(st.sampled_from(range(len(good))))
+    bad = data.draw(st.sampled_from([0.0, math.nan, math.inf, -math.inf]) if position == 0
+                    else st.one_of(st.just(0.0), _BAD))
+    args = list(good)
+    args[position] = np.array([good[position], bad]) if as_array else bad
+    with pytest.raises(h.ParameterError):
+        form(*args)
+
+
+def test_tails_take_the_distance_unsigned():
+    with pytest.raises(h.ParameterError):
+        h.tail_powerlaw_hitting(0.01, -1.0, 1e-3, 10.0)  # returned -0.01
+    for name in TAILS:
+        form, good = TAIL_CALLS[name]
+        assert form(-good[0], *good[1:]) == form(*good)

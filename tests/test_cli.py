@@ -230,6 +230,19 @@ class TestCommands:
             assert abs(float(row["S_mc"]) - float(row["S_exact"])) <= \
                 max(3.0 / 1.96 * float(row["ci"]), 0.01)
 
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_simulate_json_reports_work(self, tmp_path, stationary):
+        base = ["simulate", "--z", "0.01", "--tau", "0.05:0.1:2", "--paths", "500",
+                "--dt", "5e-3"] + (["--stationary"] if stationary else [])
+        out = str(tmp_path / "sim.json")
+        assert cli.main(base + ["--format", "json", "--output", out]) == 0
+        meta = json.loads(open(out, encoding="utf-8").read())["meta"]
+        assert meta["path_steps"] == 500 * 20
+        assert meta["rng_draws"] == 500 * 20 + (500 if stationary else 0)
+        csv = str(tmp_path / "sim.csv")
+        assert cli.main(base + ["--output", csv]) == 0
+        assert open(csv, encoding="utf-8").read().splitlines()[0] == "tau,S,ci"
+
     def test_simulate_stationary_smoke(self, tmp_path):
         out = str(tmp_path / "sim.csv")
         rc = cli.main(["simulate", "--z", "0.01", "--tau", "0.2", "--paths",
@@ -277,6 +290,12 @@ class TestExitCodes:
                        *(x for kv in args.items() for x in kv)])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["tail_gaussian", "tail_powerlaw"])
+    def test_tail_at_the_barrier_is_rejected(self, method, capsys):
+        # printed S = -inf with exit 0 before the tails checked their input
+        assert cli.main(["approx", "--method", method, "--z", "0"]) == 2
+        assert "L_abs" in capsys.readouterr().err
 
     def test_parser_reused_after_usage_error(self, capsys):
         # the parser is built once per process; a rejected flag must leave

@@ -1,4 +1,5 @@
-"""Simulation oracle: SDE integration, absorption, and stream splitting.
+"""Simulation oracle: QE variance paths, the conditional erf estimator, and
+stream splitting.
 
 The heavy cross-oracle brackets run at the documented path counts, so this
 file dominates the suite's runtime (a couple of minutes); every seed here
@@ -9,8 +10,10 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import erf
 
 import hestonfp as h
+from hestonfp import montecarlo
 
 TH = 8.62e-5 / 0.045  # dimensionless long-run variance of the Fig.-1 set
 
@@ -26,7 +29,6 @@ class TestConfig:
         {"dt": -1e-3},
         {"dt": math.inf},
         {"n_paths": 0},
-        {"scheme": "milstein"},
         {"record_grid": (0.5, 0.2)},
         {"record_grid": (0.2, 0.5), "horizon": 0.3},
         {"horizon": math.nan},
@@ -34,6 +36,7 @@ class TestConfig:
         {"record_grid": (0.1, math.nan)},
         {"record_grid": (0.1, math.inf)},
         {"record_grid": (math.nan,), "horizon": 1.0},
+        {"record_grid": (-0.1, 0.5)},
     ])
     def test_rejected(self, kw):
         with pytest.raises(h.ConfigError):
@@ -90,22 +93,105 @@ class TestDegenerateDynamics:
         est = h.estimate_survival_averaged(dfig, 10.0, cfg)
         assert est.survival[0] == 1.0
 
-    def test_single_path_is_bernoulli(self, dfig):
+    def test_single_path_in_unit_interval(self, dfig):
         cfg = h.McConfig(dt=1e-3, n_paths=1, seed=3, record_grid=(1.0,))
         est = h.estimate_survival_averaged(dfig, 0.001, cfg)
-        assert est.survival[0] in (0.0, 1.0)
+        assert 0.0 <= est.survival[0] <= 1.0
+        assert est.ci_halfwidth[0] == 0.0
 
-    def test_curve_shape_and_ci(self, dfig):
+    def test_curve_shape_and_ci(self, dfig, monkeypatch):
         grid = (0.1, 0.2, 0.3, 0.4, 0.5)
         cfg = h.McConfig(dt=1e-3, n_paths=2 * 10**4, seed=4, record_grid=grid)
-        est = h.estimate_survival(dfig, 0.01, TH, cfg)
+        est, per_path = _with_per_path_values(
+            monkeypatch, lambda: h.estimate_survival(dfig, 0.01, TH, cfg))
         assert np.all(np.diff(est.survival) <= 0.0)
         assert np.all((est.survival >= 0.0) & (est.survival <= 1.0))
-        p = est.survival
+        values = np.stack(per_path)[:, 0, :]  # (record, path): one block, one z
+        np.testing.assert_allclose(est.survival, values.mean(axis=1), rtol=1e-12)
         np.testing.assert_allclose(
-            est.ci_halfwidth, 1.96 * np.sqrt(p * (1.0 - p) / cfg.n_paths),
-            rtol=1e-12)
+            est.ci_halfwidth, 1.96 * values.std(axis=1) / math.sqrt(cfg.n_paths),
+            rtol=1e-9)
         assert est.grid == grid
+
+
+def _with_per_path_values(monkeypatch, call):
+    """Run ``call`` and also return every ``erf(z / sqrt(2 I))`` array the
+    kernel reduced, shape ``(z, path)``, in the order it reduced them."""
+    seen = []
+    reduce = montecarlo._erf_sums
+
+    def spy(clock, z_grid):
+        seen.append(erf(z_grid[:, None] / np.sqrt(2.0 * clock)))
+        return reduce(clock, z_grid)
+
+    monkeypatch.setattr(montecarlo, "_erf_sums", spy)
+    return call(), seen
+
+
+class TestEstimator:
+    def test_ci_is_clt_of_per_path_values(self, dfig, monkeypatch):
+        # two blocks (workers=1 reduces them in block order), stationary starts
+        z_grid = np.array([0.002, 0.01, 0.05])
+        cfg = h.McConfig(dt=1e-3, n_paths=70_000, seed=31, horizon=0.05)
+        prof, per_path = _with_per_path_values(
+            monkeypatch, lambda: h.survival_profile(dfig, z_grid, cfg))
+        values = np.concatenate(per_path, axis=1)
+        assert values.shape == (3, cfg.n_paths)
+        np.testing.assert_allclose(prof.survival, values.mean(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(
+            prof.ci_halfwidth, 1.96 * values.std(axis=1) / math.sqrt(cfg.n_paths),
+            rtol=1e-9)
+
+    def test_work_counts(self, dfig):
+        cfg = h.McConfig(dt=1e-3, n_paths=70_000, seed=1, record_grid=(0.01, 0.02))
+        fixed = h.estimate_survival(dfig, 0.01, TH, cfg)
+        assert fixed.path_steps == fixed.rng_draws == 70_000 * 20
+        averaged = h.estimate_survival_averaged(dfig, 0.01, cfg, workers=2)
+        assert averaged.path_steps == 70_000 * 20
+        assert averaged.rng_draws == 70_000 * 21  # plus one Gamma start per path
+        prof = h.survival_profile(dfig, (0.01, 0.02), cfg, v0=TH)
+        assert prof.path_steps == prof.rng_draws == 70_000 * 20
+
+
+def _euler_bridge_alive(d, z, tau, dt, n, v0, seed):
+    """Survival indicators of ``n`` paths of a plain full-truncation Euler
+    scheme for the return ``w`` and the variance ``v``, with Brownian-bridge
+    killing between grid points; ``v0 = None`` draws stationary starts.
+    Shares no code with the package's simulator."""
+    rng = np.random.default_rng(seed)
+    v = rng.gamma(d.nu, d.beta**2 / 2.0, n) if v0 is None else np.full(n, v0)
+    w = np.full(n, z)
+    alive = np.ones(n, dtype=bool)
+    for _ in range(int(round(tau / dt))):
+        vpos = np.maximum(v, 0.0)
+        sdt = np.sqrt(vpos * dt)
+        w_next = w + sdt * rng.standard_normal(n)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            crossed = rng.random(n) < np.exp(-2.0 * w * w_next / (vpos * dt))
+        alive &= (w_next > 0.0) & ~crossed
+        v = v - (vpos - d.theta) * dt + d.beta * sdt * rng.standard_normal(n)
+        w = w_next
+    return alive
+
+
+class TestIndependentSimulation:
+    """The kernel's mean of erf(z / sqrt(2 I)) against the survival fraction
+    of an independent Euler-and-bridge simulation of both coordinates."""
+
+    @pytest.mark.parametrize("beta, v0, z, tau, euler_dt", [
+        (0.1, TH, 0.01, 0.5, 1e-3),
+        (1.0, None, 0.01, 0.2, 1e-4),  # Euler needs the fine step at beta = 1
+    ])
+    def test_agrees_with_euler_bridge(self, beta, v0, z, tau, euler_dt):
+        d = h.Dimensionless(theta=TH, beta=beta)
+        n = 4000
+        alive = _euler_bridge_alive(d, z, tau, euler_dt, n, v0, seed=41)
+        p = alive.mean()
+        cfg = h.McConfig(dt=1e-3, n_paths=n, seed=42, record_grid=(tau,))
+        est = (h.estimate_survival(d, z, v0, cfg) if v0 is not None
+               else h.estimate_survival_averaged(d, z, cfg))
+        sigma = math.hypot(est.ci_halfwidth[0] / 1.96, math.sqrt(p * (1.0 - p) / n))
+        assert abs(est.survival[0] - p) <= 3.0 * sigma
 
 
 @pytest.fixture(scope="module")
@@ -143,24 +229,11 @@ class TestQuadratureBrackets:
         assert abs(est.survival[0] - target) <= est.ci_halfwidth[0]
 
 
-class TestBridgeCorrection:
-    def test_only_adds_crossings(self, dfig):
-        cb = h.McConfig(dt=1e-3, n_paths=10**5, seed=7, record_grid=(0.5,))
-        cd = h.McConfig(dt=1e-3, n_paths=10**5, seed=8, record_grid=(0.5,),
-                        bridge_correction=False)
-        with_bridge = h.estimate_survival(dfig, 0.01, TH, cb)
-        discrete = h.estimate_survival(dfig, 0.01, TH, cd)
-        sigma = math.sqrt(with_bridge.ci_halfwidth[0]**2
-                          + discrete.ci_halfwidth[0]**2) / 1.96
-        # measured margin ~10 sigma at these seeds
-        assert with_bridge.survival[0] <= discrete.survival[0] + 3.0 * sigma
-
-
 class TestCoverage:
     def test_wiener_limit_ci_coverage(self):
         # beta -> 0 with v0 = theta freezes the variance, where the answer
-        # is erf(z / sqrt(2 theta tau)); the bridge makes the Brownian
-        # first-passage exact at any dt, so only binomial noise remains.
+        # is erf(z / sqrt(2 theta tau)); the estimator is exact given the
+        # variance path, so only the noise of that path remains.
         d = h.Dimensionless(theta=TH, beta=1e-9)
         want = math.erf(0.05 / math.sqrt(2.0 * TH * 0.5))
         hits = 0
@@ -231,3 +304,21 @@ class TestWorkerDeterminism:
         p1 = h.survival_profile(dfig, z_grid, cp, v0=TH, workers=1)
         p2 = h.survival_profile(dfig, z_grid, cp, v0=TH, workers=3)
         assert np.array_equal(p1.survival, p2.survival)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda d, cfg, w: h.estimate_survival(d, 0.01, TH, cfg, workers=w),
+                     id="fixed"),
+        pytest.param(lambda d, cfg, w: h.estimate_survival_averaged(d, 0.01, cfg, workers=w),
+                     id="averaged"),
+        pytest.param(lambda d, cfg, w: h.survival_profile(d, (0.005, 0.05), cfg, workers=w),
+                     id="profile"),
+    ])
+    def test_every_field_identical(self, dfig, call):
+        # three blocks, the last one short; the pooled CI merges block sums
+        cfg = h.McConfig(dt=1e-3, n_paths=140_000, seed=13, record_grid=(0.01, 0.02))
+        runs = [call(dfig, cfg, w) for w in (1, 2, 4)]
+        for other in runs[1:]:
+            assert np.array_equal(runs[0].survival, other.survival)
+            assert np.array_equal(runs[0].ci_halfwidth, other.ci_halfwidth)
+            assert (runs[0].path_steps, runs[0].rng_draws) == (other.path_steps,
+                                                               other.rng_draws)
