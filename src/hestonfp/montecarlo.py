@@ -14,14 +14,27 @@ estimate is the path mean of ``erf(z / sqrt(2 I))`` with the CLT interval
 discrete-monitoring bias to correct, and one simulation serves any number of
 starting distances.
 
-Reproducibility: one master seed, counter-based (Philox) substreams per
-path block, and per-block float sums merged in block order -- the estimate
-is bit-identical no matter how many worker threads run the blocks.
+Cost: each step draws the block's normals into a preallocated buffer and
+runs in-place ufuncs on scratch buffers allocated once per block; the
+exponential branch is screened with full-width masks and evaluated only on
+the hits.  At large vol-of-vol (``2 nu < 4/3``, so ``psi > 1.5`` at
+``v = 0``) paths on the atom take the exponential branch and mostly stay
+there; once more than half of a block sits on the atom, a step runs only
+on the paths off it or whose normal can lift them off it.  A parked path gets ``v' = 0`` and a
+clock increment of ``(0 + 0) dt / 2 = 0``, exactly what the full step
+gives it, and every path's arithmetic runs in the same operation order
+either way, so parking changes no bit of the output.
+
+Reproducibility: one master seed, an integer in ``[0, 2**64)``, counter-based
+(Philox) substreams per path block, and per-block float sums merged in
+block order -- the estimate is bit-identical no matter how many worker
+threads run the blocks.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,6 +63,16 @@ _K_SWITCH = 2.0 / 1.5  # 2/psi at Andersen's switch psi_c = 1.5 between the QE b
 _Z_FAR = 0.8416212335729144  # ndtri(0.8), and q = 1 - p < 0.8 where 2/psi < _K_SWITCH
 
 
+def _checked_int(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int; :class:`ConfigError` unless it is an integer,
+    not a bool, in ``[low, high)``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low or (high is not None and value >= high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ConfigError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Simulation settings.
@@ -67,8 +90,8 @@ class McConfig:
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
             raise ConfigError("dt must be finite and > 0")
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be >= 1")
+        object.__setattr__(self, "n_paths", _checked_int("n_paths", self.n_paths, 1))
+        object.__setattr__(self, "seed", _checked_int("seed", self.seed, 0, 2**64))
         grid = tuple(float(t) for t in self.record_grid)
         if not all(0.0 <= t < math.inf for t in grid):
             raise ConfigError("record_grid entries must be finite and >= 0")
@@ -154,6 +177,50 @@ def _erf_sums(clock: np.ndarray, z_grid: np.ndarray) -> np.ndarray:
     return out
 
 
+def _qe_step(v: np.ndarray, normal: np.ndarray, out: np.ndarray, scratch, coef) -> None:
+    """One QE step of the variances ``v`` driven by ``normal``: writes ``v'``
+    into ``out``.  ``scratch`` is ``(m, k, tmp, far, hit)``, float and bool
+    buffers of ``v``'s length; ``coef`` is ``(e, m0, s1, s0, z_atom)``.  Only
+    in-place ufuncs touch full-width data, in a fixed operation order, so a
+    path's ``v'`` depends on nothing but its own ``v`` and normal."""
+    m, k, tmp, far, hit = scratch
+    e, m0, s1, s0, z_atom = coef
+    # conditional mean m = e v + m0 and k = 2 / psi = m^2 / (s1 v + s0)
+    np.multiply(v, e, out=m)
+    m += m0
+    np.multiply(v, s1, out=tmp)
+    tmp += s0
+    np.multiply(m, m, out=k)
+    k /= tmp
+    # quadratic branch: b^2 = k - 1 + sqrt(k (k - 1)), NaN where k < 1, and
+    # v' = m / (1 + b^2) * (b + Z)^2
+    np.subtract(k, 1.0, out=tmp)
+    tmp *= k
+    np.sqrt(tmp, out=tmp)
+    np.subtract(k, 1.0, out=out)
+    out += tmp
+    np.sqrt(out, out=tmp)
+    tmp += normal
+    tmp *= tmp
+    out += 1.0
+    np.divide(m, out, out=out)
+    out *= tmp
+    # exponential branch where k < _K_SWITCH: v' = (m / q) log(q / Phi(Z)) where
+    # U = Phi(-Z) > p = 1 - q, else 0.  Only Z < ndtri(q) can pass: on the atom
+    # every path has q = q0, and q < 0.8 off it
+    np.less(k, _K_SWITCH, out=far)
+    np.copyto(out, 0.0, where=far)
+    np.equal(v, 0.0, out=hit)
+    tmp.fill(_Z_FAR)
+    np.copyto(tmp, z_atom, where=hit)
+    np.less(normal, tmp, out=hit)
+    hit &= far
+    idx = np.flatnonzero(hit)
+    if idx.size:
+        q = 2.0 * k[idx] / (2.0 + k[idx])
+        out[idx] = m[idx] / q * np.maximum(np.log(q) - log_ndtr(normal[idx]), 0.0)
+
+
 def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
            v0: float | None, d: Dimensionless, cfg: McConfig):
     """The one simulation kernel: QE variance steps of one path block.
@@ -162,6 +229,12 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     at each record step, and the block's path-steps and variates drawn.
     ``v0 = None`` draws the starting variances from the stationary Gamma law
     on the block's own substream (keeps worker-count invariance intact).
+
+    When paths on the atom ``v = 0`` take the exponential branch and more
+    than half of the block sits there, a step runs only on the paths off the
+    atom or whose normal can lift them off it; every other path is parked:
+    its ``v'`` is 0 and its clock gains ``(0 + 0) dt / 2 = 0``, exactly what
+    the full-width step gives it.
     """
     rng = _block_rng(cfg.seed, _PURPOSE_PATHS, block)
     draws = 0
@@ -178,27 +251,43 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     # on the atom v = 0 every path has the same q, so one threshold screens them
     k0 = m0 * m0 / s0
     z_atom = ndtri(2.0 * k0 / (2.0 + k0)) + 1e-9
+    coef = (e, m0, s1, s0, z_atom)
+    parkable = k0 < _K_SWITCH
+    half_dt = 0.5 * cfg.dt
+    normal, v_next = np.empty(n_block), np.empty(n_block)
+    scratch = (np.empty(n_block), np.empty(n_block), np.empty(n_block),
+               np.empty(n_block, dtype=bool), np.empty(n_block, dtype=bool))
+    far, hit = scratch[3:]
     clock = np.zeros(n_block)
     sums = np.empty((len(steps), z_grid.size, 2))
     done = 0
     with np.errstate(invalid="ignore"):
         for rec, stop in enumerate(steps.tolist()):
             for _ in range(stop - done):
-                normal = rng.standard_normal(n_block)
-                m = v * e + m0
-                k = m * m / (v * s1 + s0)  # 2 / psi
-                b2 = k - 1.0 + np.sqrt(k * (k - 1.0))  # NaN where k < 1: exponential branch
-                v_next = m / (1.0 + b2) * (np.sqrt(b2) + normal) ** 2
-                far = np.flatnonzero(k < _K_SWITCH)
-                if far.size:
-                    # v' = (m / q) log(q / Phi(Z)) where U = Phi(-Z) > p = 1 - q, else 0;
-                    # only Z < ndtri(q) can pass, and q < 0.8 off the atom
-                    v_next[far] = 0.0
-                    hit = far[normal[far] < np.where(v[far] == 0.0, z_atom, _Z_FAR)]
-                    q = 2.0 * k[hit] / (2.0 + k[hit])
-                    v_next[hit] = m[hit] / q * np.maximum(np.log(q) - log_ndtr(normal[hit]), 0.0)
-                clock += (v + v_next) * (0.5 * cfg.dt)
-                v = v_next
+                rng.standard_normal(out=normal)
+                live = None
+                if parkable and 2 * np.count_nonzero(np.equal(v, 0.0, out=far)) > n_block:
+                    np.not_equal(v, 0.0, out=far)
+                    np.less(normal, z_atom, out=hit)
+                    far |= hit
+                    live = np.flatnonzero(far)
+                    n = live.size
+                    v_in, z_in, out = v[live], normal[live], v_next[:n]
+                    _qe_step(v_in, z_in, out, tuple(a[:n] for a in scratch), coef)
+                else:
+                    v_in, out = v, v_next
+                    _qe_step(v, normal, out, scratch, coef)
+                # trapezoid clock: I += (v + v') dt / 2
+                inc = scratch[2][:out.size]
+                np.add(v_in, out, out=inc)
+                inc *= half_dt
+                if live is None:
+                    clock += inc
+                    v, v_next = v_next, v
+                else:
+                    clock[live] += inc
+                    v.fill(0.0)
+                    v[live] = out
             draws += n_block * (stop - done)
             done = stop
             sums[rec] = _erf_sums(clock, z_grid)
@@ -264,8 +353,8 @@ def estimate_survival_averaged(d: Dimensionless, z0: float, cfg: McConfig,
 def sample_stationary_volatility(d: Dimensionless, n: int, seed: int) -> np.ndarray:
     """``n`` i.i.d. draws from the stationary variance law,
     Gamma(shape ``nu``, rate ``2/beta**2``)."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = _checked_int("n", n, 1)
+    seed = _checked_int("seed", seed, 0, 2**64)
     out = np.empty(n)
     for b, nb in _blocks(n):
         rng = _block_rng(seed, _PURPOSE_GAMMA, b)

@@ -611,17 +611,13 @@ def survival_averaged_batch(z, tau, d, config: QuadConfig | None = None) -> list
 
     Raises
     ------
-    ConfigError
+    ParameterError
         If any ``z`` or ``tau`` is negative or not finite.
     NonConvergence
         Of the lowest-numbered failing point, its index in ``point``.
     """
     z, tau, theta, beta = _per_point(d, z, tau)
-    bad = np.flatnonzero(~((z >= 0.0) & (z < math.inf) & (tau >= 0.0) & (tau < math.inf)))
-    if bad.size:
-        i = bad[0]
-        raise ConfigError("z and tau must be finite and >= 0, got "
-                          f"z={float(z[i])!r}, tau={float(tau[i])!r}")
+    _nonnegative_arrays(z=z, tau=tau)
     live = (z > 0.0) & (tau > 0.0)
     tau, theta, beta = tau[live], theta[live], beta[live]
 

@@ -1,8 +1,11 @@
 """End-to-end CLI coverage: config intake, output formats, exit codes."""
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hestonfp.cli as cli
 from hestonfp import (Dimensionless, ModelParams, NonConvergence, QuadConfig, State,
@@ -291,6 +294,13 @@ class TestExitCodes:
         assert rc == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_the_key_range_is_rejected(self, seed, capsys):
+        # raised OverflowError from the Philox key, exit 1
+        rc = cli.main(["simulate", "--paths", "64", "--tau", "0.01", f"--seed={seed}"])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["tail_gaussian", "tail_powerlaw"])
     def test_tail_at_the_barrier_is_rejected(self, method, capsys):
         # printed S = -inf with exit 0 before the tails checked their input
@@ -330,3 +340,34 @@ class TestExitCodes:
         rc = cli.main(["crossing-level", "--beta", "10"])
         assert rc == 2
         assert "--theta-tau" in capsys.readouterr().err
+
+
+def _nonpositive_or_nan():
+    return st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
+
+
+_INVALID_SIMULATE = {
+    "--seed": st.integers(max_value=-1) | st.integers(min_value=2**64)
+    | st.sampled_from(["nan", "inf", "-inf", "1.5"]),
+    "--paths": st.integers(max_value=0) | st.sampled_from(["nan", "inf", "-inf", "2.5"]),
+    "--dt": _nonpositive_or_nan(),
+    "--z": _nonpositive_or_nan(),
+    "--tau": _nonpositive_or_nan(),
+}
+
+
+class TestSimulateFuzz:
+    """Every invalid ``simulate`` setting is a clean usage error: exit code 2,
+    a message and no traceback, before any simulation runs."""
+
+    @given(data=st.data(), flag=st.sampled_from(sorted(_INVALID_SIMULATE)))
+    @settings(deadline=5000)
+    def test_invalid_setting_exits_2(self, data, flag):
+        value = data.draw(_INVALID_SIMULATE[flag], label=flag)
+        args = {"--seed": "1", "--paths": "64", "--dt": "0.01", "--z": "0.01",
+                "--tau": "0.02", flag: str(value)}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["simulate", *(f"{k}={v}" for k, v in args.items())])
+        assert rc == 2
+        assert err.getvalue() and "Traceback" not in err.getvalue()

@@ -37,6 +37,12 @@ class TestConfig:
         {"record_grid": (0.1, math.inf)},
         {"record_grid": (math.nan,), "horizon": 1.0},
         {"record_grid": (-0.1, 0.5)},
+        {"seed": -1, "horizon": 0.5},
+        {"seed": 2**64, "horizon": 0.5},
+        {"seed": 1.5, "horizon": 0.5},
+        {"seed": True, "horizon": 0.5},
+        {"n_paths": 2.5, "horizon": 0.5},
+        {"n_paths": True, "horizon": 0.5},
     ])
     def test_rejected(self, kw):
         with pytest.raises(h.ConfigError):
@@ -284,6 +290,12 @@ class TestStationarySampler:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("n,seed", [(0, 1), (2.5, 1), (True, 1), (10, -1),
+                                        (10, 2**64), (10, 1.5), (10, False)])
+    def test_rejects_bad_count_or_seed(self, dfig, n, seed):
+        with pytest.raises(h.ConfigError):
+            h.sample_stationary_volatility(dfig, n, seed=seed)
+
 
 class TestWorkerDeterminism:
     def test_estimate_survival(self, dfig):
@@ -322,3 +334,49 @@ class TestWorkerDeterminism:
             assert np.array_equal(runs[0].ci_halfwidth, other.ci_halfwidth)
             assert (runs[0].path_steps, runs[0].rng_draws) == (other.path_steps,
                                                                other.rng_draws)
+
+
+class TestPinnedKernel:
+    """Exact survival, CI, path-step and draw counts of four small runs,
+    recorded from the kernel before it stepped in place and parked paths on
+    the atom.  Two blocks, the second of 17 paths.  ``parks`` says whether
+    the run takes steps on the live paths only: at beta = 1 more than half of
+    the block sits at v = 0 from the second step on (stationary starts) or
+    from the eighth (v0 = theta); at beta = 0.01, 2 nu >= _K_SWITCH, so paths
+    on the atom take the quadratic branch and nothing parks."""
+
+    CASES = {
+        "beta0.1-v0theta": (0.1, TH, 0.01, False, (
+            ["0x1.dffeb4ce064b9p-1", "0x1.81ba4e1e1492ap-1"],
+            ["0x1.4a034b61c03f6p-13", "0x1.e73c7c8096a6ap-12"], 2622120, 2622120)),
+        "beta1-stationary": (1.0, None, 2e-3, True, (
+            ["0x1.f3754bdc4765bp-1", "0x1.eb6326c6f0192p-1"],
+            ["0x1.093973d907934p-10", "0x1.42a2693fc62a9p-10"], 2622120, 2687673)),
+        "beta1-v0theta": (1.0, TH, 5e-3, True, (
+            ["0x1.98b4a3027196dp-1", "0x1.88d5ea89e631ep-1"],
+            ["0x1.d5266db40972dp-10", "0x1.191edb5aea6abp-9"], 2622120, 2622120)),
+        "beta0.01-v0zero": (0.01, 0.0, 1e-3, False, (
+            ["0x1.efee95614c889p-1", "0x1.2c3a1d7c9cca3p-1"],
+            ["0x1.61c841d932f21p-14", "0x1.ebedebf73c84ap-13"], 2622120, 2622120)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bit_identical(self, case, monkeypatch):
+        beta, v0, z, parks, (survival, ci, path_steps, draws) = self.CASES[case]
+        d = h.Dimensionless(theta=TH, beta=beta)
+        cfg = h.McConfig(dt=1e-3, n_paths=2**16 + 17, seed=7, record_grid=(0.015, 0.04))
+        widths = []
+        step = montecarlo._qe_step
+
+        def spy(v, *args):
+            widths.append(v.size)
+            return step(v, *args)
+
+        monkeypatch.setattr(montecarlo, "_qe_step", spy)
+        est = (h.estimate_survival_averaged(d, z, cfg) if v0 is None
+               else h.estimate_survival(d, z, v0, cfg))
+        assert [x.hex() for x in est.survival.tolist()] == survival
+        assert [x.hex() for x in est.ci_halfwidth.tolist()] == ci
+        assert (est.path_steps, est.rng_draws) == (path_steps, draws)
+        assert widths[0] == 2**16
+        assert any(w not in (2**16, 17) for w in widths) == parks

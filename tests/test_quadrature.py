@@ -315,7 +315,7 @@ class TestBatch:
             h.survival_exact_batch([0.1, -1.0], fig1_d.theta, 0.5, fig1_d)
         with pytest.raises(h.ParameterError):
             h.survival_exact_batch(0.1, [fig1_d.theta, math.nan], 0.5, fig1_d)
-        with pytest.raises(h.ConfigError):
+        with pytest.raises(h.ParameterError):
             h.survival_averaged_batch([0.1, -1.0], 0.5, fig1_d)
 
 
@@ -384,13 +384,13 @@ class TestSurvivalAveraged:
     @pytest.mark.parametrize("z,tau", [(math.nan, 1.0), (math.inf, 1.0),
                                        (0.01, math.nan), (0.01, math.inf)])
     def test_rejects_non_finite_arguments(self, fig1_d, z, tau):
-        with pytest.raises(h.ConfigError):
+        with pytest.raises(h.ParameterError):
             h.survival_averaged(z, tau, fig1_d)
 
     def test_rejects_negative_arguments(self, fig1_d):
-        with pytest.raises(h.ConfigError):
+        with pytest.raises(h.ParameterError):
             h.survival_averaged(-0.01, 1.0, fig1_d)
-        with pytest.raises(h.ConfigError):
+        with pytest.raises(h.ParameterError):
             h.survival_averaged(0.01, -1.0, fig1_d)
 
     @pytest.mark.xfail(strict=True, reason="documented 1e-3 agreement with the "
