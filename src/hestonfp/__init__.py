@@ -13,7 +13,6 @@ built on the shared kernels in :mod:`hestonfp.core` and fronted by the
 
 from .core import (
     Dimensionless,
-    KernelValues,
     ModelParams,
     State,
     exponent_A,

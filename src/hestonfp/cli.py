@@ -159,6 +159,16 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _cast(name: str, cast, raw):
+    """``cast(raw)``, or :class:`ConfigError` naming the key when a config
+    value (a string; flags arrive typed) does not parse."""
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{name}: expected {kind}, got {raw!r}") from None
+
+
 def _resolve_params(get) -> ModelParams | Dimensionless:
     """Apply the exactly-one-group rule for parameter intake.
 
@@ -175,15 +185,17 @@ def _resolve_params(get) -> ModelParams | Dimensionless:
         raise ParameterError(
             "supply either --alpha/--m2/--k or --theta/--beta, not both "
             f"(got {', '.join('--' + b for b in both)})")
+
+    def number(name, default):
+        raw = get(name)
+        return default if raw is None else _cast(name, float, raw)
+
     if have_direct:
         default_d = DEFAULT_PARAMS.dimensionless()
-        return Dimensionless(
-            theta=float(direct["theta"]) if direct["theta"] is not None else default_d.theta,
-            beta=float(direct["beta"]) if direct["beta"] is not None else default_d.beta)
-    return ModelParams(
-        alpha=float(physical["alpha"]) if physical["alpha"] is not None else DEFAULT_PARAMS.alpha,
-        m_sq=float(physical["m2"]) if physical["m2"] is not None else DEFAULT_PARAMS.m_sq,
-        k=float(physical["k"]) if physical["k"] is not None else DEFAULT_PARAMS.k)
+        return Dimensionless(theta=number("theta", default_d.theta),
+                             beta=number("beta", default_d.beta))
+    return ModelParams(alpha=number("alpha", DEFAULT_PARAMS.alpha),
+                       m_sq=number("m2", DEFAULT_PARAMS.m_sq), k=number("k", DEFAULT_PARAMS.k))
 
 
 def load_config(path: str, command: str = "exact") -> RunSpec:
@@ -215,7 +227,7 @@ def _build_spec(command: str, config: dict[str, str], flags: dict) -> RunSpec:
 
     def number(name, cast, default):
         raw = get(name)
-        return default if raw is None else cast(raw)
+        return default if raw is None else _cast(name, cast, raw)
 
     spec = RunSpec(
         command=command,
@@ -226,7 +238,7 @@ def _build_spec(command: str, config: dict[str, str], flags: dict) -> RunSpec:
         method=_resolve_method(get("method")),
         output_format=str(get("format") or "csv"),
         output_path=get("output"),
-        seed=int(get("seed") or 0),
+        seed=number("seed", int, 0),
         paths=number("paths", int, 10**6),
         dt=number("dt", float, 1e-3),
         theta_tau=grid("theta_tau", "--theta-tau"),

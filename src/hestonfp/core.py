@@ -30,7 +30,6 @@ __all__ = [
     "ModelParams",
     "Dimensionless",
     "State",
-    "KernelValues",
     "to_dimensionless",
     "kernel",
     "riccati_B",
@@ -167,19 +166,6 @@ class State:
         _require_nonnegative("tau", self.tau)
 
 
-@dataclass(frozen=True)
-class KernelValues:
-    """The frequency-domain kernel triple (delta, mu_plus, mu_minus).
-
-    Satisfies ``mu_plus - mu_minus == 1``, ``mu_plus + mu_minus == delta``
-    and ``mu_plus * mu_minus == (beta*omega)**2 / 4`` to rounding error.
-    """
-
-    delta: float
-    mu_plus: float
-    mu_minus: float
-
-
 def to_dimensionless(params: ModelParams, y: float, t: float,
                      L: float, x: float) -> tuple[Dimensionless, State]:
     """Map physical inputs to dimensionless parameters and state.
@@ -208,30 +194,59 @@ def to_dimensionless(params: ModelParams, y: float, t: float,
     return d, state
 
 
-def kernel(omega, beta: float):
-    """Frequency kernel: ``delta = sqrt(1 + (beta*omega)**2)``, ``mu = (delta -+ 1)/2``.
+def _delta_mu(omega, beta):
+    """``delta = sqrt(1 + (beta*omega)**2)`` and ``mu_minus = (delta - 1)/2``.
 
-    ``mu_minus`` is evaluated as ``(beta*omega)**2 / (2*(delta + 1))`` which
+    ``mu_minus`` is evaluated as ``(beta*omega)**2 / (2*(delta + 1))``, which
     is exact algebra but avoids the subtractive cancellation of
     ``(delta - 1)/2`` for small ``beta*omega``.
-
-    Scalar ``omega`` returns :class:`KernelValues`; array ``omega`` returns
-    a ``(delta, mu_plus, mu_minus)`` tuple of arrays.
     """
-    if np.ndim(omega) == 0:
-        if omega < 0.0:
-            raise ParameterError(f"omega must be >= 0, got {omega!r}")
-        if omega == 0.0:
-            return KernelValues(delta=1.0, mu_plus=1.0, mu_minus=0.0)
-        bw2 = (beta * float(omega)) ** 2
-        delta = math.sqrt(1.0 + bw2)
-        mu_minus = bw2 / (2.0 * (delta + 1.0))
-        return KernelValues(delta=delta, mu_plus=mu_minus + 1.0, mu_minus=mu_minus)
-    omega = np.asarray(omega, dtype=float)
-    bw2 = (beta * omega) ** 2
-    delta = np.sqrt(1.0 + bw2)
-    mu_minus = bw2 / (2.0 * (delta + 1.0))
-    return delta, mu_minus + 1.0, mu_minus
+    x = beta * np.asarray(omega, dtype=float)
+    delta = np.hypot(1.0, x)
+    return delta, x * x / (2.0 * (delta + 1.0))
+
+
+def _riccati(omega, tau, beta):
+    """``(B, A/nu)`` of the Riccati flow, both cancellation-free.
+
+    ``B = mu_minus*(1 - e)/(1 + (mu_minus/mu_plus)*e)`` with
+    ``e = exp(-delta*tau)`` and ``1 - e`` taken from ``expm1``; ``A/nu`` is
+    ``mu_minus*tau + log1p(mu_minus*expm1(-delta*tau)/delta)``: the argument
+    of ``log1p`` lies in ``(-mu_minus/delta, 0]`` so the logarithm never
+    sees a catastrophic subtraction, and the linear term carries the
+    large-``tau`` growth exactly.
+    """
+    delta, mu_minus = _delta_mu(omega, beta)
+    em1 = np.expm1(-delta * tau)
+    b = mu_minus * -em1 / (1.0 + mu_minus / (mu_minus + 1.0) * (em1 + 1.0))
+    return b, mu_minus * tau + np.log1p(mu_minus * em1 / delta)
+
+
+def _log_factor_exact(omega, tau, v, theta, beta):
+    """log F of the conditional survival integrand, ``-A - (2/beta**2)*B*v``."""
+    b, a = _riccati(omega, tau, beta)
+    return -(2.0 / (beta * beta)) * (theta * a + b * v)
+
+
+def _log_factor_averaged(omega, tau, theta, beta):
+    """log F of the stationary-averaged integrand: the Gamma average of
+    ``exp(-(2/beta**2)*B*v)`` is ``(1 + B)**(-nu)``, so log F is
+    ``-nu*(A/nu + log1p(B))``, a sum of two nonnegative terms."""
+    b, a = _riccati(omega, tau, beta)
+    return -(2.0 * theta / (beta * beta)) * (a + np.log1p(b))
+
+
+def kernel(omega, beta: float):
+    """Frequency kernel ``(delta, mu_plus, mu_minus)``:
+    ``delta = sqrt(1 + (beta*omega)**2)``, ``mu = (delta +- 1)/2``.
+
+    Each is a float for scalar ``omega`` and an ndarray otherwise.
+    Satisfies ``mu_plus - mu_minus == 1``, ``mu_plus + mu_minus == delta``
+    and ``mu_plus * mu_minus == (beta*omega)**2 / 4`` to rounding error.
+    """
+    omega, = _nonnegative_arrays(omega=omega)
+    delta, mu_minus = _delta_mu(omega, beta)
+    return tuple(_float_or_array(a) for a in (delta, mu_minus + 1.0, mu_minus))
 
 
 def riccati_B(omega, tau, beta: float):
@@ -242,36 +257,15 @@ def riccati_B(omega, tau, beta: float):
     ``exp(-delta*tau)`` is allowed to underflow: the returned value is then
     exactly the stationary limit.
     """
-    omega = np.asarray(omega, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(omega < 0.0) or np.any(tau < 0.0):
-        raise ParameterError("riccati_B requires omega >= 0 and tau >= 0")
-    bw2 = (beta * omega) ** 2
-    delta = np.sqrt(1.0 + bw2)
-    mu_minus = bw2 / (2.0 * (delta + 1.0))
-    mu_plus = mu_minus + 1.0
-    e = np.exp(-delta * tau)
-    return _float_or_array(mu_plus * mu_minus * (1.0 - e) / (mu_plus + mu_minus * e))
+    omega, tau = _nonnegative_arrays(omega=omega, tau=tau)
+    return _float_or_array(_riccati(omega, tau, beta)[0])
 
 
 def exponent_A(omega, tau, theta: float, beta: float):
-    """Accumulated exponent ``A(omega, tau) = nu * integral of B``.
-
-    Evaluated in the cancellation-free form
-    ``nu * (mu_minus*tau + log1p(mu_minus*expm1(-delta*tau)/delta))``:
-    the argument of ``log1p`` lies in ``(-mu_minus/delta, 0]`` so the
-    logarithm never sees a catastrophic subtraction, and the linear term
-    carries the large-``tau`` growth exactly.
-    """
-    omega = np.asarray(omega, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(omega < 0.0) or np.any(tau < 0.0):
-        raise ParameterError("exponent_A requires omega >= 0 and tau >= 0")
-    nu = 2.0 * theta / beta**2
-    bw2 = (beta * omega) ** 2
-    delta = np.sqrt(1.0 + bw2)
-    mu_minus = bw2 / (2.0 * (delta + 1.0))
-    out = nu * (mu_minus * tau + np.log1p(mu_minus * np.expm1(-delta * tau) / delta))
+    """Accumulated exponent ``A(omega, tau) = nu * integral of B``, in the
+    cancellation-free form of the Riccati helper."""
+    omega, tau = _nonnegative_arrays(omega=omega, tau=tau)
+    out = 2.0 * theta / beta**2 * _riccati(omega, tau, beta)[1]
     # the two terms cancel to O(tau^2) as tau -> 0 and can leave a negative
     # rounding residue; A >= 0 analytically, so pin the floor
     return _float_or_array(np.maximum(out, 0.0))

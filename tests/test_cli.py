@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,10 +206,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("zs", [(1e-3, 0.01, 0.02), (1e-3, 0.015, 0.01)])
     def test_sweep_fails_as_a_row_loop_would(self, zs, monkeypatch):
-        # with 3 panels the exact column fails from z = 0.015 and the
-        # averaged one from z = 0.005: the first grid meets the averaged
-        # failure of row 1 first, the second the exact one
-        cfg = QuadConfig(max_panels=3)
+        # no point meets this tolerance, so a row loop meets the exact
+        # failure of row 0 first
+        cfg = QuadConfig(abs_tol=1e-300, rel_tol=1e-300)
         monkeypatch.setattr(cli.RunSpec, "quad_config", lambda self: cfg)
         d = DEFAULT_D
         with pytest.raises(NonConvergence) as batch:
@@ -217,7 +218,7 @@ class TestCommands:
                 survival_exact(State(z, d.theta, 0.5), d, cfg)
                 survival_averaged(z, 0.5, d, cfg)
         got, want = batch.value, loop.value
-        assert got.point == 1
+        assert got.point == 0
         assert (str(got), got.partial, got.err_estimate, got.panels_used) == \
             (str(want), want.partial, want.err_estimate, want.panels_used)
 
@@ -371,3 +372,50 @@ class TestSimulateFuzz:
             rc = cli.main(["simulate", *(f"{k}={v}" for k, v in args.items())])
         assert rc == 2
         assert err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def _not_a_number():
+    return st.text(st.characters(whitelist_categories=("L",)), min_size=1)
+
+
+def _fractional():
+    return st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer())
+
+
+_INVALID_CONFIG = {
+    "seed": _not_a_number() | _fractional() | st.integers(max_value=-1)
+    | st.integers(min_value=2**64),
+    "paths": _not_a_number() | _fractional() | st.integers(max_value=0),
+    **{key: _not_a_number() | _nonpositive_or_nan()
+       for key in ("dt", "theta", "beta", "alpha", "m2", "k")},
+}
+
+
+class TestConfigFuzz:
+    """Every invalid numeric value in a ``--config`` file is a clean usage
+    error: exit code 2, a message and no traceback."""
+
+    @given(data=st.data(), key=st.sampled_from(sorted(_INVALID_CONFIG)))
+    @settings(deadline=5000)
+    def test_invalid_value_exits_2(self, data, key):
+        value = data.draw(_INVALID_CONFIG[key], label=key)
+        flags = {"--seed": "1", "--paths": "64", "--dt": "0.01"}
+        flags.pop(f"--{key}", None)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"{key} = {value}\n")
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(["simulate", "--config", path, "--z", "0.01", "--tau", "0.02",
+                               *(f"{k}={v}" for k, v in flags.items())])
+        assert rc == 2
+        assert err.getvalue().startswith("hestonfp: error:")
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("line,named", [("seed = abc", "seed"), ("paths = 2.5", "paths"),
+                                            ("theta = abc", "theta")])
+    def test_unparsable_value_names_its_key(self, tmp_path, line, named, capsys):
+        cfg = _write(tmp_path, "bad.cfg", line + "\n")
+        assert cli.main(["simulate", "--config", cfg, "--tau", "0.01"]) == 2
+        assert capsys.readouterr().err.startswith(f"hestonfp: error: {named}:")

@@ -44,24 +44,23 @@ class TestParams:
 
 class TestKernel:
     def test_omega_zero_hardcoded(self):
-        kv = h.kernel(0.0, beta=3.7)
-        assert (kv.delta, kv.mu_plus, kv.mu_minus) == (1.0, 1.0, 0.0)
+        assert h.kernel(0.0, beta=3.7) == (1.0, 1.0, 0.0)
 
     def test_reference_point(self):
-        kv = h.kernel(1.0, beta=1.0)
-        assert math.isclose(kv.delta, math.sqrt(2.0), rel_tol=1e-15)
-        assert math.isclose(kv.mu_plus, (math.sqrt(2.0) + 1.0) / 2.0, rel_tol=1e-15)
-        assert math.isclose(kv.mu_minus, (math.sqrt(2.0) - 1.0) / 2.0, rel_tol=1e-12)
+        delta, mu_plus, mu_minus = h.kernel(1.0, beta=1.0)
+        assert math.isclose(delta, math.sqrt(2.0), rel_tol=1e-15)
+        assert math.isclose(mu_plus, (math.sqrt(2.0) + 1.0) / 2.0, rel_tol=1e-15)
+        assert math.isclose(mu_minus, (math.sqrt(2.0) - 1.0) / 2.0, rel_tol=1e-12)
 
     @given(omega=st.floats(min_value=0.0, max_value=1e4),
            beta=st.sampled_from(BETAS))
     def test_identities(self, omega, beta):
-        kv = h.kernel(omega, beta=beta)
-        assert kv.delta >= 1.0
-        assert abs(kv.mu_plus - kv.mu_minus - 1.0) <= 1e-12
-        assert abs(kv.mu_plus + kv.mu_minus - kv.delta) <= 1e-12 * kv.delta
+        delta, mu_plus, mu_minus = h.kernel(omega, beta=beta)
+        assert delta >= 1.0
+        assert abs(mu_plus - mu_minus - 1.0) <= 1e-12
+        assert abs(mu_plus + mu_minus - delta) <= 1e-12 * delta
         target = (beta * omega) ** 2 / 4.0
-        assert abs(kv.mu_plus * kv.mu_minus - target) <= 1e-12 * max(target, 1.0)
+        assert abs(mu_plus * mu_minus - target) <= 1e-12 * max(target, 1.0)
 
     def test_rejects_negative_omega(self):
         with pytest.raises(h.ParameterError):
@@ -73,8 +72,8 @@ class TestRiccati:
         assert h.riccati_B(2.0, 0.0, 1.0) == 0.0
 
     def test_stationary_limit(self):
-        kv = h.kernel(3.0, beta=2.0)
-        assert math.isclose(h.riccati_B(3.0, 1e4, 2.0), kv.mu_minus, rel_tol=1e-14)
+        _, _, mu_minus = h.kernel(3.0, beta=2.0)
+        assert math.isclose(h.riccati_B(3.0, 1e4, 2.0), mu_minus, rel_tol=1e-14)
 
     def test_against_rk4(self):
         # independently integrated with step 1e-4: 0.15047884749273796
@@ -86,10 +85,10 @@ class TestRiccati:
            tau=st.floats(min_value=1e-3, max_value=50.0),
            beta=st.sampled_from(BETAS))
     def test_bounded_and_monotone(self, omega, tau, beta):
-        kv = h.kernel(omega, beta=beta)
+        _, _, mu_minus = h.kernel(omega, beta=beta)
         b1 = h.riccati_B(omega, tau, beta)
         b2 = h.riccati_B(omega, tau * 1.5, beta)
-        assert 0.0 <= b1 <= kv.mu_minus * (1.0 + 1e-12)
+        assert 0.0 <= b1 <= mu_minus * (1.0 + 1e-12)
         assert b2 >= b1 - 1e-15
 
     @given(omega=st.floats(min_value=1e-2, max_value=30.0),

@@ -4,7 +4,6 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate
 
 import hestonfp as h
 import hestonfp.asymptotics as asy
@@ -13,8 +12,19 @@ from hestonfp import quadrature as quad
 from conftest import gamma_average_oracle
 
 TIGHT = h.QuadConfig(abs_tol=1e-12, rel_tol=1e-10)
+# A tolerance no sum can meet: every point fails at the finest step.
+UNREACHABLE = h.QuadConfig(abs_tol=1e-300, rel_tol=1e-300)
 
-# The cases of TestAdaptiveDecisions.test_pinned, also run as one batch.
+# (z, tau, beta, S) at v = theta, checked against a 30-digit mpmath integral.
+SMALL_S = [
+    (1e-5, 1e4, 1.0, 1.858151109138600e-06),
+    (1e-5, 1e3, 0.1, 5.776162510826235e-06),
+    (1e-4, 1e4, 0.1, 1.823382030252744e-05),
+]
+
+# The cases of TestAdaptiveDecisions.test_pinned, also run as one batch: each
+# point with the leaves, value and err_estimate recorded from the removed
+# panel loop (its leaf counts are kept only as part of that record).
 PINNED = [
     # whole range in one adaptive pass (first sine zero past the cutoff)
     ("exact", 0.1, 1.0, 1.0, 0.1, 3, 0.10015558425580438, 6.366250733038467e-12),
@@ -33,16 +43,15 @@ class TestConfig:
         {"abs_tol": 0.0},
         {"abs_tol": -1e-9},
         {"rel_tol": 0.0},
-        {"max_panels": 0},
-        {"points_per_panel": 1},
+        {"abs_tol": math.nan},
+        {"rel_tol": math.nan},
     ])
     def test_rejected(self, kw):
         with pytest.raises(h.ConfigError):
             h.QuadConfig(**kw)
 
     def test_defaults(self):
-        cfg = h.QuadConfig()
-        assert cfg.abs_tol == 1e-9 and cfg.points_per_panel == 16
+        assert h.QuadConfig() == h.QuadConfig(abs_tol=1e-9, rel_tol=1e-7)
 
 
 class TestSineTransform:
@@ -78,7 +87,7 @@ class TestSineTransform:
 
     @pytest.mark.parametrize("z", [-1.0, -1e-300])
     def test_rejects_negative_distance_before_evaluating(self, z):
-        # a negative z used to run the panel loop to max_panels (~12 s)
+        # a negative z once ran the quadrature to its panel limit (~12 s)
         calls = []
 
         def F(w):
@@ -97,55 +106,35 @@ class TestSineTransform:
         val, _, _ = h.sine_transform(lambda w: np.exp(-a * w), z)
         assert abs(val - (2.0 / math.pi) * math.atan(z / a)) <= 1e-7
 
-    @pytest.mark.parametrize("omega_max", [None, 1.0])
-    def test_nan_integrand_exhausts_leaf_budget(self, omega_max):
-        # never-accepted leaves are bisected breadth-first until the shared
-        # leaf budget runs out, in both the panel loop and the single pass
-        with pytest.raises(h.NonConvergence):
-            h.sine_transform(lambda w: np.full_like(w, np.nan), 1.0,
-                             omega_max=omega_max)
-
-    def test_leaf_budget_failure_counts_finished_panels(self):
-        # F turns NaN past the first block of 25 panels: the failure reports
-        # the finished panels' sum and leaves, as the panel-limit failure does
-        edge = 25 * math.pi
-
-        def F(w):
-            return np.where(w > edge, np.nan, np.cos(w / 3.0) * np.exp(-w / 500.0))
-
-        with pytest.raises(h.NonConvergence, match="leaf budget") as exc:
-            h.sine_transform(F, 1.0, omega_max=1e3)
-        e = exc.value
-        want = (2.0 / math.pi) * integrate.quad(
-            lambda w: math.sin(w) / w * math.cos(w / 3.0) * math.exp(-w / 500.0),
-            0.0, edge, limit=500, epsabs=1e-13)[0]
-        assert abs(e.partial - want) <= 1e-9
-        assert e.panels_used >= 25
-        assert 0.0 < e.err_estimate <= 1e-9
-        with pytest.raises(h.NonConvergence) as batch:
-            quad._sine_transforms(lambda w, i: np.where(i == 0, np.exp(-w), F(w)),
-                                  lambda w, i: np.where(i == 0, -w, 0.0), [1.0, 1.0],
-                                  h.QuadConfig(), omega_max=[1e3, 1e3])
-        assert batch.value.point == 1
-        assert (str(batch.value), batch.value.partial, batch.value.err_estimate,
-                batch.value.panels_used) == (str(e), e.partial, e.err_estimate, e.panels_used)
+    def test_nan_integrand_never_converges(self):
+        # NaN sums never agree: the point fails at the finest step
+        with pytest.raises(h.NonConvergence) as exc:
+            h.sine_transform(lambda w: np.full_like(w, np.nan), 1.0)
+        assert math.isnan(exc.value.partial)
+        assert exc.value.panels_used == sum(quad._rule(quad._H_START / 2**k)[0].size
+                                            for k in range(7))
 
     def test_nonconvergence_carries_partial(self):
         d = h.ModelParams(0.045, 8.62e-5, 0.0045).dimensionless()
         with pytest.raises(h.NonConvergence) as exc:
-            h.survival_exact(h.State(0.2, d.theta, 0.5), d,
-                             h.QuadConfig(max_panels=3))
+            h.survival_exact(h.State(0.2, d.theta, 0.5), d, UNREACHABLE)
         e = exc.value
         assert 0.0 < e.partial < 1.1
         assert e.err_estimate > 0.0
         assert e.panels_used >= 3
 
+    def test_small_survival_is_relatively_accurate(self, fig1_d):
+        # values from a 30-digit mpmath integral of the same sine transform
+        for z, tau, beta, want in SMALL_S:
+            d = h.Dimensionless(fig1_d.theta, beta)
+            got = h.survival_exact(h.State(z, d.theta, tau), d, TIGHT).value
+            assert abs(got - want) <= 1e-12 * want
+
 
 class TestAdaptiveDecisions:
-    """Leaf counts, values and error bounds recorded from the depth-first,
-    one-panel-at-a-time implementation: batching the refinement may reorder
-    sums but must not move a single stopping or refinement decision.
-    ``v=None`` starts at the long-run variance."""
+    """The points the removed panel loop's decisions were pinned on: the
+    value lies within the recorded and the new error bound of the recorded
+    value.  ``v=None`` starts at the long-run variance."""
 
     @pytest.mark.parametrize("kind,z,v,tau,beta,leaves,value,err", PINNED)
     def test_pinned(self, fig1_d, kind, z, v, tau, beta, leaves, value, err):
@@ -154,9 +143,7 @@ class TestAdaptiveDecisions:
             sp = h.survival_exact(h.State(z, d.theta if v is None else v, tau), d)
         else:
             sp = h.survival_averaged(z, tau, d)
-        assert sp.panels_used == leaves
-        assert abs(sp.value - value) <= 1e-14
-        assert abs(sp.err_estimate - err) <= 1e-14
+        assert abs(sp.value - value) <= err + sp.err_estimate
 
 
 def _same_as_single_calls(kind, batch, args, d):
@@ -182,10 +169,7 @@ def _exp_family(nan_points=()):
     def F(w, i):
         f = np.exp(-0.1 * (i + 1) * w)
         return np.where(np.isin(i, nan_points), np.nan, f)
-
-    def log_f(w, i):
-        return np.log(np.maximum(np.abs(F(w, i)), 1e-300))
-    return F, log_f
+    return F
 
 
 def _first_raised(calls):
@@ -195,6 +179,11 @@ def _first_raised(calls):
         except h.NonConvergence as exc:
             return exc
     raise AssertionError("no point failed")
+
+
+def _failure(e):
+    """What a ``NonConvergence`` reports, comparable when ``partial`` is NaN."""
+    return str(e), repr(e.partial), repr(e.err_estimate), e.panels_used
 
 
 class TestBatch:
@@ -228,17 +217,17 @@ class TestBatch:
     def test_pinned_cases_in_one_batch(self, fig1_d):
         for kind in ("exact", "averaged"):
             cases = [c for c in PINNED if c[0] == kind]
-            z, v, tau, beta, leaves, value, err = (np.array(x, dtype=float)
-                                                   for x in list(zip(*cases))[1:])
+            z, v, tau, beta, _, value, err = (np.array(x, dtype=float)
+                                              for x in list(zip(*cases))[1:])
             v = np.where(np.isnan(v), fig1_d.theta, v)
             d = [h.Dimensionless(fig1_d.theta, b) for b in beta]
             if kind == "exact":
                 batch = h.survival_exact_batch(z, v, tau, d)
             else:
                 batch = h.survival_averaged_batch(z, tau, d)
-            assert [sp.panels_used for sp in batch] == leaves.astype(int).tolist()
-            assert np.all(np.abs([sp.value for sp in batch] - value) <= 1e-14)
-            assert np.all(np.abs([sp.err_estimate for sp in batch] - err) <= 1e-14)
+            new_err = np.array([sp.err_estimate for sp in batch])
+            assert np.all(np.abs([sp.value for sp in batch] - value) <= err + new_err)
+            _same_as_single_calls(kind, batch, (z, v, tau) if kind == "exact" else (z, tau), d)
 
     def test_short_circuits_mixed_in(self, fig1_d):
         z = [0.01, 0.0, 0.02, 0.01, 0.0, 1e-3]
@@ -257,35 +246,32 @@ class TestBatch:
     @pytest.mark.parametrize("nan_points", [(5,), (6, 2), tuple(range(8))])
     def test_nan_point_fails_as_the_loop_would(self, nan_points):
         z = np.geomspace(0.05, 20.0, 8)
-        F, log_f = _exp_family(nan_points)
+        F = _exp_family(nan_points)
         with pytest.raises(h.NonConvergence) as batch:
-            quad._sine_transforms(F, log_f, z, h.QuadConfig(), seeds=[1.0] * z.size)
+            quad._sine_transforms(F, z, h.QuadConfig())
         first = _first_raised(
             (lambda i=i: h.sine_transform(lambda w: F(w, i), z[i])) for i in range(z.size))
-        e = batch.value
-        assert e.point == min(nan_points)
-        assert (str(e), e.partial, e.err_estimate, e.panels_used) == \
-            (str(first), first.partial, first.err_estimate, first.panels_used)
+        assert batch.value.point == min(nan_points)
+        assert _failure(batch.value) == _failure(first)
 
     def test_panel_limit_fails_as_the_loop_would(self, fig1_d):
-        # z <= 0.01 stops within 3 panels; points 2 and 3 run out of panels
-        z = [1e-3, 3e-3, 0.1, 0.02, 0.01]
-        cfg = h.QuadConfig(max_panels=3)
+        # no point meets the tolerance; points 0 and 3 short-circuit, so the
+        # first failure a loop meets is point 1's
+        z = [0.0, 1e-3, 3e-3, 0.0, 0.1]
         with pytest.raises(h.NonConvergence) as batch:
-            h.survival_exact_batch(z, fig1_d.theta, 0.5, fig1_d, cfg)
+            h.survival_exact_batch(z, fig1_d.theta, 0.5, fig1_d, UNREACHABLE)
         first = _first_raised(
-            (lambda zi=zi: h.survival_exact(h.State(zi, fig1_d.theta, 0.5), fig1_d, cfg))
+            (lambda zi=zi: h.survival_exact(h.State(zi, fig1_d.theta, 0.5), fig1_d,
+                                            UNREACHABLE))
             for zi in z)
-        e = batch.value
-        assert e.point == 2
-        assert (str(e), e.partial, e.err_estimate, e.panels_used) == \
-            (str(first), first.partial, first.err_estimate, first.panels_used)
+        assert batch.value.point == 1
+        assert _failure(batch.value) == _failure(first)
 
     def test_nan_batch_is_bounded(self):
-        # every point fails: the batch stops after point 0, and no call of F
-        # sees more than _MAX_NODES nodes however many points there are
+        # every point fails, point 0 first, and no call of F sees more than
+        # _MAX_NODES nodes however many points there are
         sizes = []
-        F, log_f = _exp_family(tuple(range(256)))
+        F = _exp_family(tuple(range(256)))
 
         def counted(w, i):
             sizes.append(np.size(w))
@@ -293,14 +279,13 @@ class TestBatch:
 
         start = time.perf_counter()
         with pytest.raises(h.NonConvergence) as exc:
-            quad._sine_transforms(counted, log_f, np.ones(256), h.QuadConfig(),
-                                  seeds=[1.0] * 256)
+            quad._sine_transforms(counted, np.ones(256), h.QuadConfig())
         assert time.perf_counter() - start < 5.0
         assert exc.value.point == 0
         assert max(sizes) <= quad._MAX_NODES
 
     def test_rejects_bad_distance_before_evaluating(self, fig1_d):
-        F, log_f = _exp_family()
+        F = _exp_family()
         calls = []
 
         def counted(w, i):
@@ -309,7 +294,7 @@ class TestBatch:
 
         for z in ([0.1, -1.0], [0.1, math.nan], [0.1, math.inf]):
             with pytest.raises(h.ConfigError):
-                quad._sine_transforms(counted, counted, z, h.QuadConfig(), seeds=[1.0, 1.0])
+                quad._sine_transforms(counted, z, h.QuadConfig())
         assert not calls
         with pytest.raises(h.ParameterError):
             h.survival_exact_batch([0.1, -1.0], fig1_d.theta, 0.5, fig1_d)
@@ -340,6 +325,11 @@ class TestSurvivalExact:
         loose = h.survival_exact(state, fig1_d, h.QuadConfig(abs_tol=1e-6, rel_tol=1e-5))
         tight = h.survival_exact(state, fig1_d, TIGHT)
         assert abs(loose.value - tight.value) <= max(loose.err_estimate, 1e-12)
+        # a fig6 point: averaged, beta = 100, at the default tolerance
+        d = h.Dimensionless(fig1_d.theta, 100.0)
+        default = h.survival_averaged(0.01, 1.0, d)
+        tight = h.survival_averaged(0.01, 1.0, d, TIGHT)
+        assert abs(default.value - tight.value) <= max(default.err_estimate, 1e-12)
 
     def test_monotone_in_distance(self, fig1_d):
         vals = [h.survival_exact(h.State(z, fig1_d.theta, 0.5), fig1_d).value
