@@ -197,13 +197,14 @@ def to_dimensionless(params: ModelParams, y: float, t: float,
 def _delta_mu(omega, beta):
     """``delta = sqrt(1 + (beta*omega)**2)`` and ``mu_minus = (delta - 1)/2``.
 
-    ``mu_minus`` is evaluated as ``(beta*omega)**2 / (2*(delta + 1))``, which
-    is exact algebra but avoids the subtractive cancellation of
-    ``(delta - 1)/2`` for small ``beta*omega``.
+    ``mu_minus`` is evaluated as ``x * (x / (2*(delta + 1)))`` with
+    ``x = beta*omega``, which is exact algebra but avoids the subtractive
+    cancellation of ``(delta - 1)/2`` for small ``x`` and the overflow of
+    ``x*x`` for large ``x``.
     """
     x = beta * np.asarray(omega, dtype=float)
     delta = np.hypot(1.0, x)
-    return delta, x * x / (2.0 * (delta + 1.0))
+    return delta, x * (x / (2.0 * (delta + 1.0)))
 
 
 def _riccati(omega, tau, beta):

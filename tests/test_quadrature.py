@@ -331,6 +331,13 @@ class TestSurvivalExact:
         tight = h.survival_averaged(0.01, 1.0, d, TIGHT)
         assert abs(default.value - tight.value) <= max(default.err_estimate, 1e-12)
 
+    @pytest.mark.parametrize("z", [1e-200, 1e-300])
+    def test_tiny_distance_converges(self, fig1_d, z):
+        # the nodes reach omega = u/z ~ 1e303, where (beta*omega)**2 overflows
+        for sp in (h.survival_exact(h.State(z, fig1_d.theta, 0.5), fig1_d),
+                   h.survival_averaged(z, 0.5, fig1_d)):
+            assert 0.0 <= sp.value <= 1e-9 and sp.err_estimate <= 1e-9
+
     def test_monotone_in_distance(self, fig1_d):
         vals = [h.survival_exact(h.State(z, fig1_d.theta, 0.5), fig1_d).value
                 for z in (0.005, 0.01, 0.02, 0.05, 0.1)]
