@@ -14,12 +14,16 @@ estimate is the path mean of ``erf(z / sqrt(2 I))`` with the CLT interval
 discrete-monitoring bias to correct, and one simulation serves any number of
 starting distances.
 
-Cost: each step draws the block's normals into a preallocated buffer and
-runs in-place ufuncs on scratch buffers allocated once per block; the
-exponential branch is screened with full-width masks and evaluated only on
-the hits.  At large vol-of-vol (``2 nu < 4/3``, so ``psi > 1.5`` at
-``v = 0``) paths on the atom take the exponential branch and mostly stay
-there; once more than half of a block sits on the atom, a step runs only
+Cost: a block's normals are drawn in chunks of about ``2**16`` on one
+helper thread per block, one chunk ahead of the steps that use them, so the
+Philox draws (which release the GIL) overlap the step arithmetic; with
+``workers`` blocks at once that is up to ``2 * workers`` threads.  The
+stream, and so every output bit, is the same as drawing each step's normals
+inline.  Each step runs in-place ufuncs on scratch buffers allocated once
+per block; the exponential branch is screened with full-width masks and
+evaluated only on the hits.  At large vol-of-vol (``2 nu < 4/3``, so
+``psi > 1.5`` at ``v = 0``) paths on the atom take the exponential branch
+and mostly stay there; once more than half of a block sits on the atom, a step runs only
 on the paths off it or whose normal can lift them off it.  A parked path gets ``v' = 0`` and a
 clock increment of ``(0 + 0) dt / 2 = 0``, exactly what the full step
 gives it, and every path's arithmetic runs in the same operation order
@@ -33,6 +37,7 @@ threads run the blocks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -221,6 +226,32 @@ def _qe_step(v: np.ndarray, normal: np.ndarray, out: np.ndarray, scratch, coef) 
         out[idx] = m[idx] / q * np.maximum(np.log(q) - log_ndtr(normal[idx]), 0.0)
 
 
+def _normals(rng: np.random.Generator, n_block: int, n_steps: int, drawer):
+    """Yield ``n_steps`` arrays of ``n_block`` standard normals from ``rng``,
+    in the order ``n_steps`` calls of ``rng.standard_normal(n_block)`` give
+    them.
+
+    Two buffers of ``rows`` steps take turns: while the caller steps through
+    one chunk, ``drawer`` (a one-thread executor) fills the next.  A yielded
+    array is valid until the next one is requested.
+    """
+    rows = max(1, _BLOCK // n_block)
+    buffers = (np.empty((rows, n_block)), np.empty((rows, n_block)))
+
+    def fill(chunk: int) -> np.ndarray:
+        buf = buffers[chunk % 2][:n_steps - chunk * rows]
+        rng.standard_normal(out=buf)  # row by row, as the inline draws
+        return buf
+
+    n_chunks = -(-n_steps // rows)
+    pending = drawer.submit(fill, 0) if n_chunks else None
+    for chunk in range(1, n_chunks + 1):
+        buf = pending.result()
+        if chunk < n_chunks:
+            pending = drawer.submit(fill, chunk)
+        yield from buf
+
+
 def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
            v0: float | None, d: Dimensionless, cfg: McConfig):
     """The one simulation kernel: QE variance steps of one path block.
@@ -254,17 +285,19 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     coef = (e, m0, s1, s0, z_atom)
     parkable = k0 < _K_SWITCH
     half_dt = 0.5 * cfg.dt
-    normal, v_next = np.empty(n_block), np.empty(n_block)
+    v_next = np.empty(n_block)
     scratch = (np.empty(n_block), np.empty(n_block), np.empty(n_block),
                np.empty(n_block, dtype=bool), np.empty(n_block, dtype=bool))
     far, hit = scratch[3:]
     clock = np.zeros(n_block)
     sums = np.empty((len(steps), z_grid.size, 2))
     done = 0
-    with np.errstate(invalid="ignore"):
+    # the drawer's first fill starts after the Gamma start draw above, so the
+    # stream order is that of drawing every step's normals inline
+    with ThreadPoolExecutor(max_workers=1) as drawer, np.errstate(invalid="ignore"):
+        normals = _normals(rng, n_block, int(steps[-1]), drawer)
         for rec, stop in enumerate(steps.tolist()):
-            for _ in range(stop - done):
-                rng.standard_normal(out=normal)
+            for normal in itertools.islice(normals, stop - done):
                 live = None
                 if parkable and 2 * np.count_nonzero(np.equal(v, 0.0, out=far)) > n_block:
                     np.not_equal(v, 0.0, out=far)

@@ -6,6 +6,8 @@ file dominates the suite's runtime (a couple of minutes); every seed here
 was verified once against the quadrature before being frozen.
 """
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -334,6 +336,62 @@ class TestWorkerDeterminism:
             assert np.array_equal(runs[0].ci_halfwidth, other.ci_halfwidth)
             assert (runs[0].path_steps, runs[0].rng_draws) == (other.path_steps,
                                                                other.rng_draws)
+
+
+class TestNormalStream:
+    """The helper thread draws each block's normals one chunk ahead; the
+    stream must be the one the inline draws gave."""
+
+    @pytest.mark.parametrize("n_block, n_steps", [
+        pytest.param(2**16, 5, id="one-row-chunks"),
+        pytest.param(2**14, 4, id="ends-on-a-chunk"),
+        pytest.param(2**14, 9, id="partial-last-chunk"),
+        pytest.param(17, 1, id="one-step"),
+        pytest.param(17, 0, id="no-steps"),
+    ])
+    def test_same_stream_as_inline_draws(self, n_block, n_steps):
+        want = montecarlo._block_rng(99, montecarlo._PURPOSE_PATHS, 3)
+        rng = montecarlo._block_rng(99, montecarlo._PURPOSE_PATHS, 3)
+        with ThreadPoolExecutor(max_workers=1) as drawer:
+            # copy each step: a yielded array is reused two chunks later
+            got = [z.copy() for z in montecarlo._normals(rng, n_block, n_steps, drawer)]
+        assert len(got) == n_steps
+        for z in got:
+            assert np.array_equal(z, want.standard_normal(n_block))
+
+    def test_zero_step_record(self, dfig):
+        cfg = h.McConfig(n_paths=17, seed=1, record_grid=(0.0,), horizon=0.01)
+        est = h.estimate_survival(dfig, 0.01, TH, cfg)
+        assert est.survival.tolist() == [1.0]
+        assert est.path_steps == 0
+
+
+class TestDrawerThreads:
+    def test_no_thread_outlives_a_call(self, dfig):
+        before = threading.active_count()
+        cfg = h.McConfig(n_paths=2**16 + 17, seed=2, record_grid=(0.005,))
+        h.estimate_survival_averaged(dfig, 0.01, cfg, workers=2)
+        assert threading.active_count() == before
+
+    def test_step_error_propagates_and_stops_the_drawer(self, dfig, monkeypatch):
+        def fail(*args):
+            raise FloatingPointError("step failed")
+
+        monkeypatch.setattr(montecarlo, "_qe_step", fail)
+        before = threading.active_count()
+        cfg = h.McConfig(n_paths=1000, seed=3, record_grid=(0.1,))
+        done = []
+
+        def call():
+            with pytest.raises(FloatingPointError, match="step failed"):
+                h.estimate_survival(dfig, 0.01, TH, cfg)
+            done.append(True)
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        caller.join(timeout=30.0)
+        assert not caller.is_alive() and done == [True]
+        assert threading.active_count() == before
 
 
 class TestPinnedKernel:
