@@ -85,7 +85,6 @@ class RunSpec:
     dt: float = 1e-3
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
-    workers: int = 1
     theta_tau: tuple[float, ...] = ()
     beta_grid: tuple[float, ...] = ()
     stationary: bool = False
@@ -100,12 +99,6 @@ class RunSpec:
             for value in grid:
                 if not math.isfinite(value):
                     raise ParameterError(f"{name}: grid values must be finite")
-        for name, tol in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
-            if not 0.0 < tol < math.inf:
-                raise ConfigError(f"{name}: must be finite and > 0, got {tol!r}")
-        if (isinstance(self.workers, bool) or not isinstance(self.workers, int)
-                or self.workers < 1):
-            raise ConfigError(f"workers: must be an integer >= 1, got {self.workers!r}")
 
     @property
     def dimensionless(self) -> Dimensionless:
@@ -248,9 +241,6 @@ def _build_spec(command: str, config: dict[str, str], flags: dict) -> RunSpec:
         seed=number("seed", int, 0),
         paths=number("paths", int, 10**6),
         dt=number("dt", float, 1e-3),
-        abs_tol=number("abs_tol", float, RunSpec.abs_tol),
-        rel_tol=number("rel_tol", float, RunSpec.rel_tol),
-        workers=number("workers", int, RunSpec.workers),
         theta_tau=grid("theta_tau", "--theta-tau"),
         beta_grid=grid("beta_scan", "--beta"),
         stationary=_as_bool(get("stationary")),
@@ -401,10 +391,10 @@ def _cmd_simulate(spec: RunSpec):
     cfg = McConfig(dt=spec.dt, n_paths=spec.paths, seed=spec.seed,
                    record_grid=tuple(sorted(taus)))
     if spec.stationary:
-        est = estimate_survival_averaged(d, z0, cfg, workers=spec.workers)
+        est = estimate_survival_averaged(d, z0, cfg)
     else:
         v0 = spec.v[0] if spec.v else d.theta
-        est = estimate_survival(d, z0, v0, cfg, workers=spec.workers)
+        est = estimate_survival(d, z0, v0, cfg)
     rows = [(t, s, c) for t, s, c in zip(est.grid, est.survival, est.ci_halfwidth)]
     return ["tau", "S", "ci"], rows, _mc_work(est)
 
@@ -461,7 +451,7 @@ def _figure_fig1(spec: RunSpec):
     zs = tuple(np.logspace(math.log10(2e-3), math.log10(2e-1), 16))
     mc_cfg = McConfig(dt=spec.dt, n_paths=spec.paths, seed=spec.seed, horizon=0.5)
     from .montecarlo import survival_profile
-    prof = survival_profile(d, zs, mc_cfg, v0=d.theta, workers=spec.workers)
+    prof = survival_profile(d, zs, mc_cfg, v0=d.theta)
     exact = survival_exact_batch(prof.z_grid, d.theta, 0.5, d, cfg)
     rows = [(z, ex.value, ex.err_estimate, s_mc, ci)
             for z, ex, s_mc, ci in zip(prof.z_grid, exact, prof.survival, prof.ci_halfwidth)]
@@ -619,13 +609,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    # cast in _build_spec, so that a bad value is a ConfigError naming its key
-    p.add_argument("--workers", default=None,
-                   help="path blocks simulated at once (simulate, fig1)")
-    p.add_argument("--abs-tol", dest="abs_tol", default=None,
-                   help="quadrature absolute tolerance")
-    p.add_argument("--rel-tol", dest="rel_tol", default=None,
-                   help="quadrature relative tolerance")
     p.add_argument("--output", default=None)
     p.add_argument("--format", default=None, choices=("csv", "json"))
     p.add_argument("--config", default=None)

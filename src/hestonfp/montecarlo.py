@@ -16,9 +16,9 @@ starting distances.
 
 Cost: a block's normals are drawn in chunks of about ``2**16`` on one
 helper thread per block, one chunk ahead of the steps that use them, so the
-Philox draws (which release the GIL) overlap the step arithmetic; with
-``workers`` blocks at once that is up to ``2 * workers`` threads.  The
-stream, and so every output bit, is the same as drawing each step's normals
+Philox draws (which release the GIL) overlap the step arithmetic when a
+core is free; with ``workers`` blocks at once that is up to
+``2 * workers`` threads.  The stream, and so every output bit, is the same as drawing each step's normals
 inline.  Each step runs in-place ufuncs on scratch buffers allocated once
 per block; the exponential branch is screened with full-width masks and
 evaluated only on the hits.  At large vol-of-vol (``2 nu < 4/3``, so

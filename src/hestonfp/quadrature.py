@@ -84,8 +84,8 @@ class QuadConfig:
     rel_tol: float = 1e-7
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ConfigError("tolerances must be > 0")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ConfigError("tolerances must be finite and > 0")
 
 
 @dataclass(frozen=True)

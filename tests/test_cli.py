@@ -247,27 +247,6 @@ class TestCommands:
         assert cli.main(base + ["--output", csv]) == 0
         assert open(csv, encoding="utf-8").read().splitlines()[0] == "tau,S,ci"
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["simulate", "--z", "0.01", "--tau", "0.01:0.02:2", "--dt", "0.01"],
-                     id="simulate"),
-        pytest.param(["figure", "fig1", "--dt", "0.05"], id="fig1"),
-    ])
-    def test_workers_leave_the_output_unchanged(self, tmp_path, argv):
-        # two path blocks, so that two workers run them at once
-        outs = []
-        for workers in ("1", "2"):
-            outs.append(str(tmp_path / f"w{workers}.csv"))
-            assert cli.main(argv + ["--paths", "70000", "--seed", "3", "--workers", workers,
-                                    "--output", outs[-1]]) == 0
-        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
-
-    def test_tolerance_flags_reach_the_quadrature(self, capsys):
-        assert cli.main(["exact", "--z", "0.01", "--abs-tol", "1e-300",
-                         "--rel-tol", "1e-300"]) == 3
-        assert "numerical failure" in capsys.readouterr().err
-        spec = cli._build_spec("exact", {}, {"abs_tol": "1e-12", "rel_tol": "1e-10"})
-        assert spec.quad_config() == QuadConfig(abs_tol=1e-12, rel_tol=1e-10)
-
     def test_simulate_stationary_smoke(self, tmp_path):
         out = str(tmp_path / "sim.csv")
         rc = cli.main(["simulate", "--z", "0.01", "--tau", "0.2", "--paths",
@@ -375,15 +354,7 @@ _INVALID_SIMULATE = {
     "--dt": _nonpositive_or_nan(),
     "--z": _nonpositive_or_nan(),
     "--tau": _nonpositive_or_nan(),
-    "--workers": st.integers(max_value=0) | st.sampled_from(["nan", "inf", "2.5", "abc"]),
-    "--abs-tol": _nonpositive_or_nan() | st.just(-math.inf),
-    "--rel-tol": _nonpositive_or_nan() | st.just(-math.inf),
 }
-
-
-# flags that argparse takes as text: the spec casts and checks them, and a bad
-# value is a ConfigError naming its key, not an argparse usage message
-_CAST_IN_SPEC = ("--workers", "--abs-tol", "--rel-tol")
 
 
 class TestSimulateFuzz:
@@ -401,9 +372,6 @@ class TestSimulateFuzz:
             rc = cli.main(["simulate", *(f"{k}={v}" for k, v in args.items())])
         assert rc == 2
         assert err.getvalue() and "Traceback" not in err.getvalue()
-        if flag in _CAST_IN_SPEC:
-            key = flag[2:].replace("-", "_")
-            assert err.getvalue().startswith(f"hestonfp: error: {key}: ")
 
 
 def _not_a_number():

@@ -45,6 +45,8 @@ class TestConfig:
         {"rel_tol": 0.0},
         {"abs_tol": math.nan},
         {"rel_tol": math.nan},
+        {"abs_tol": math.inf},
+        {"rel_tol": math.inf},
     ])
     def test_rejected(self, kw):
         with pytest.raises(h.ConfigError):
