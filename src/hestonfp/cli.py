@@ -11,6 +11,9 @@ ratio           risk ratio against the constant-volatility baseline
 sweep           side-by-side comparison table of all survival routes
 figure          canned datasets behind the standard plots (fig1..fig10)
 
+Every survival column comes from one method table, once per grid: ``approx``,
+``sweep`` and fig2-fig5, fig7 and fig8 (rows of a figure table) read it.
+
 Parameters come either as physical rates (--alpha --m2 --k, units 1/day) or
 directly as dimensionless (--theta --beta) -- never both.  Grid-valued flags
 accept a scalar or ``start:stop:count`` (log-spaced).  Output is CSV (17
@@ -38,30 +41,12 @@ from .errors import (ConfigError, DivisionDomain, HestonFPError, NoRoot,
 from .quadrature import (QuadConfig, survival_averaged_batch, survival_exact_batch,
                          survival_wiener)
 from . import asymptotics as asy
-from .montecarlo import McConfig, estimate_survival, estimate_survival_averaged
+from .montecarlo import (McConfig, estimate_survival, estimate_survival_averaged,
+                         survival_profile)
 
 __all__ = ["RunSpec", "load_config", "run", "main"]
 
 DEFAULT_PARAMS = ModelParams(alpha=0.045, m_sq=8.62e-5, k=0.0045)
-
-_COMMANDS = ("exact", "averaged", "approx", "simulate", "crossing-level",
-             "ratio", "sweep", "figure")
-
-_METHOD_ALIASES = {
-    "erf": "erf_joint",
-    "erf_joint": "erf_joint",
-    "arctan": "arctan_joint",
-    "arctan_joint": "arctan_joint",
-    "pheno": "pheno",
-    "pheno_beta": "pheno_beta",
-    "erf_avg": "erf_averaged",
-    "erf_averaged": "erf_averaged",
-    "arctan_avg": "arctan_averaged",
-    "arctan_averaged": "arctan_averaged",
-    "tail_gaussian": "tail_gaussian",
-    "tail_powerlaw": "tail_powerlaw",
-    "wiener": "wiener",
-}
 
 _CONFIG_KEYS = ("alpha", "m2", "k", "theta", "beta", "z", "v", "tau",
                 "method", "paths", "dt", "seed", "output", "format",
@@ -83,19 +68,18 @@ class RunSpec:
     seed: int = 0
     paths: int = 10**6
     dt: float = 1e-3
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-7
     theta_tau: tuple[float, ...] = ()
     beta_grid: tuple[float, ...] = ()
     stationary: bool = False
     figure: str | None = None
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if self.command not in _RUNNERS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"--format: must be csv or json, got {self.output_format!r}")
-        for name, grid in (("--z", self.z), ("--v", self.v), ("--tau", self.tau)):
+        for name, grid in (("--z", self.z), ("--v", self.v), ("--tau", self.tau),
+                           ("--theta-tau", self.theta_tau), ("--beta", self.beta_grid)):
             for value in grid:
                 if not math.isfinite(value):
                     raise ParameterError(f"{name}: grid values must be finite")
@@ -106,11 +90,8 @@ class RunSpec:
             return self.params
         return self.params.dimensionless()
 
-    def quad_config(self) -> QuadConfig:
-        return QuadConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol)
 
-
-def _parse_grid(flag: str, text: str, allow_nonpositive: bool = False) -> tuple[float, ...]:
+def _parse_grid(flag: str, text: str) -> tuple[float, ...]:
     """A scalar, or ``start:stop:count`` expanded log-spaced."""
     text = text.strip()
     if ":" in text:
@@ -123,14 +104,14 @@ def _parse_grid(flag: str, text: str, allow_nonpositive: bool = False) -> tuple[
             raise ParameterError(f"{flag}: {exc}") from None
         if count < 1:
             raise ParameterError(f"{flag}: count must be >= 1")
-        if start <= 0.0 or stop <= 0.0:
-            raise ParameterError(f"{flag}: log grid endpoints must be > 0")
+        if not (0.0 < start < math.inf and 0.0 < stop < math.inf):
+            raise ParameterError(f"{flag}: log grid endpoints must be finite and > 0")
         return tuple(np.logspace(math.log10(start), math.log10(stop), count))
     try:
         value = float(text)
     except ValueError:
         raise ParameterError(f"{flag}: not a number or grid: {text!r}") from None
-    if not allow_nonpositive and value < 0.0:
+    if value < 0.0:
         raise ParameterError(f"{flag}: must be >= 0, got {value!r}")
     return (value,)
 
@@ -304,6 +285,7 @@ def _meta(spec: RunSpec) -> dict:
         meta["params"] = {"theta": spec.params.theta, "beta": spec.params.beta}
     meta["theta"] = d.theta
     meta["beta"] = d.beta
+    meta.update(asdict(_QUAD_CONFIG))
     meta["version"] = __version__
     return meta
 
@@ -321,10 +303,6 @@ def emit_json(spec: RunSpec, columns, rows, work: dict | None = None) -> str:
 # command implementations (each returns columns, rows)
 
 
-def _default(grid: tuple[float, ...], fallback: tuple[float, ...]) -> tuple[float, ...]:
-    return grid if grid else fallback
-
-
 def _grid(*axes) -> list[np.ndarray]:
     """The product grid of ``axes``, first axis slowest, one flat array per axis."""
     return [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
@@ -335,11 +313,19 @@ def _columns(*cols) -> list[tuple]:
     return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols)))
 
 
+# Tolerances of every quadrature the CLI runs.
+_QUAD_CONFIG = QuadConfig()
+
+
+def _zvtau(spec: RunSpec, d: Dimensionless, z=(0.01,)) -> list[np.ndarray]:
+    """The (z, v, tau) product grid of ``spec``, with each axis defaulted."""
+    return _grid(spec.z or z, spec.v or (d.theta,), spec.tau or (0.5,))
+
+
 def _cmd_exact(spec: RunSpec):
     d = spec.dimensionless
-    z, v, tau = _grid(_default(spec.z, (0.01,)), _default(spec.v, (d.theta,)),
-                      _default(spec.tau, (0.5,)))
-    res = survival_exact_batch(z, v, tau, d, spec.quad_config())
+    z, v, tau = _zvtau(spec, d)
+    res = survival_exact_batch(z, v, tau, d, _QUAD_CONFIG)
     return ["z", "v", "tau", "S", "err_estimate", "panels"], _columns(
         z, v, tau, [r.value for r in res], [r.err_estimate for r in res],
         [r.panels_used for r in res])
@@ -347,17 +333,22 @@ def _cmd_exact(spec: RunSpec):
 
 def _cmd_averaged(spec: RunSpec):
     d = spec.dimensionless
-    z, tau = _grid(_default(spec.z, (0.01,)), _default(spec.tau, (0.5,)))
-    res = survival_averaged_batch(z, tau, d, spec.quad_config())
+    z, tau = _grid(spec.z or (0.01,), spec.tau or (0.5,))
+    res = survival_averaged_batch(z, tau, d, _QUAD_CONFIG)
     return ["z", "tau", "S", "err_estimate", "panels"], _columns(
         z, tau, [r.value for r in res], [r.err_estimate for r in res],
         [r.panels_used for r in res])
 
 
-# Each canonical method's survival as one vectorised expression in
-# (z, v, tau, d).  Functions are looked up when an entry is called, so a
-# module attribute replaced later (a tracer, a test double) still sees it.
-_APPROX = {
+# Each method's survival over a flat (z, v, tau) grid as one vectorised
+# call: the two quadrature routes, then every closed form.  Functions are
+# looked up when an entry is called, so a module attribute replaced later
+# (a tracer, a test double) still sees it.
+_COLUMNS = {
+    "exact": lambda z, v, tau, d:
+        [r.value for r in survival_exact_batch(z, v, tau, d, _QUAD_CONFIG)],
+    "averaged": lambda z, v, tau, d:
+        [r.value for r in survival_averaged_batch(z, tau, d, _QUAD_CONFIG)],
     "erf_joint": lambda z, v, tau, d: asy.survival_erf(z, v, tau, d.theta),
     "arctan_joint": lambda z, v, tau, d: asy.survival_arctan(z, v, tau, d.theta, d.beta),
     "pheno": lambda z, v, tau, d: asy.survival_pheno(z, v, tau, d.theta, d.beta),
@@ -371,30 +362,50 @@ _APPROX = {
     "tail_powerlaw": lambda z, v, tau, d: 1.0 - asy.tail_powerlaw_hitting(z, tau, d.theta, d.beta),
 }
 
+# ``approx --method`` takes every closed form by its name or a short one;
+# the quadrature routes have commands of their own.
+_METHOD_ALIASES = {**{m: m for m in _COLUMNS if m not in ("exact", "averaged")},
+                   "erf": "erf_joint", "arctan": "arctan_joint",
+                   "erf_avg": "erf_averaged", "arctan_avg": "arctan_averaged"}
+
+
+def _table(d: Dimensionless, z, v, tau, methods) -> list:
+    """One column per method over the flat grid ``z, v, tau``, each evaluated once.
+    A failing quadrature column raises the ``NonConvergence`` a loop over the
+    rows would meet first: each later column runs only on the rows before the
+    failure, and a failure among them is an earlier one."""
+    cols, rows, failure = [], len(z), None
+    for m in methods:
+        try:
+            cols.append(_COLUMNS[m](z[:rows], v[:rows], tau[:rows], d))
+        except NonConvergence as exc:
+            rows, failure = exc.point, exc
+    if failure is not None:
+        raise failure
+    return cols
+
 
 def _cmd_approx(spec: RunSpec):
     if spec.method is None:
         raise ParameterError("--method is required for the approx command")
     d = spec.dimensionless
-    z, v, tau = _grid(_default(spec.z, (0.01,)), _default(spec.v, (d.theta,)),
-                      _default(spec.tau, (0.5,)))
-    return ["z", "v", "tau", "S"], _columns(z, v, tau, _APPROX[spec.method](z, v, tau, d))
+    z, v, tau = _zvtau(spec, d)
+    return ["z", "v", "tau", "S"], _columns(z, v, tau, *_table(d, z, v, tau, [spec.method]))
 
 
 def _cmd_simulate(spec: RunSpec):
     d = spec.dimensionless
-    taus = _default(spec.tau, (0.5,))
-    zs = _default(spec.z, (0.01,))
+    zs = spec.z or (0.01,)
     if len(zs) != 1:
         raise ParameterError("--z: simulate needs exactly one starting distance")
-    z0 = zs[0]
+    if len(spec.v) > (0 if spec.stationary else 1):
+        raise ParameterError("--v: simulate takes one starting variance, none with --stationary")
     cfg = McConfig(dt=spec.dt, n_paths=spec.paths, seed=spec.seed,
-                   record_grid=tuple(sorted(taus)))
+                   record_grid=tuple(sorted(spec.tau or (0.5,))))
     if spec.stationary:
-        est = estimate_survival_averaged(d, z0, cfg)
+        est = estimate_survival_averaged(d, zs[0], cfg)
     else:
-        v0 = spec.v[0] if spec.v else d.theta
-        est = estimate_survival(d, z0, v0, cfg)
+        est = estimate_survival(d, zs[0], spec.v[0] if spec.v else d.theta, cfg)
     rows = [(t, s, c) for t, s, c in zip(est.grid, est.survival, est.ci_halfwidth)]
     return ["tau", "S", "ci"], rows, _mc_work(est)
 
@@ -406,7 +417,7 @@ def _mc_work(est) -> dict:
 
 def _cmd_crossing_level(spec: RunSpec):
     d = spec.dimensionless
-    betas = _default(spec.beta_grid, (d.beta,))
+    betas = spec.beta_grid or (d.beta,)
     tts = spec.theta_tau
     if not tts:
         raise ParameterError("--theta-tau is required for crossing-level")
@@ -419,151 +430,100 @@ def _cmd_crossing_level(spec: RunSpec):
 
 def _cmd_ratio(spec: RunSpec):
     d = spec.dimensionless
-    cfg = spec.quad_config()
-    tau, z = _grid(_default(spec.tau, (3.0,)),
-                   _default(spec.z, tuple(np.logspace(-3, math.log10(0.6), 48))))
-    return ["z", "tau", "ratio"], _columns(z, tau, asy.risk_ratio(z, tau, d, cfg))
+    tau, z = _grid(spec.tau or (3.0,),
+                   spec.z or tuple(np.logspace(-3, math.log10(0.6), 48)))
+    return ["z", "tau", "ratio"], _columns(z, tau, asy.risk_ratio(z, tau, d, _QUAD_CONFIG))
 
 
-_SWEEP_FORMS = ("erf_joint", "arctan_joint", "pheno", "erf_averaged", "arctan_averaged")
+_SWEEP = ("exact", "averaged", "erf_joint", "arctan_joint", "pheno", "erf_averaged",
+          "arctan_averaged")
 
 
 def _cmd_sweep(spec: RunSpec):
     d = spec.dimensionless
-    cfg = spec.quad_config()
-    z, v, tau = _grid(_default(spec.z, tuple(np.logspace(-3, -1, 64))),
-                      _default(spec.v, (d.theta,)), _default(spec.tau, (0.5,)))
-    try:
-        exact = survival_exact_batch(z, v, tau, d, cfg)
-    except NonConvergence as exc:
-        # a loop over the rows meets an averaged failure at an earlier row first
-        survival_averaged_batch(z[:exc.point], tau[:exc.point], d, cfg)
-        raise
-    averaged = survival_averaged_batch(z, tau, d, cfg)
-    return ["z", "v", "tau", "exact", "averaged", *_SWEEP_FORMS], _columns(
-        z, v, tau, [r.value for r in exact], [r.value for r in averaged],
-        *(_APPROX[m](z, v, tau, d) for m in _SWEEP_FORMS))
+    z, v, tau = _zvtau(spec, d, z=tuple(np.logspace(-3, -1, 64)))
+    return ["z", "v", "tau", *_SWEEP], _columns(z, v, tau, *_table(d, z, v, tau, _SWEEP))
+
+
+def _log_z(theta):
+    return np.logspace(-3, -1, 64), theta, 0.5
+
+
+# The figures that are a few ``_COLUMNS`` methods along one axis.  Each row:
+# beta, the axis ("z", "v" or "tau", the first column), the (z, v, tau) grid
+# as a function of theta, {column: method}, and whether to print 1 - S.
+_CURVES = {
+    "fig2": (1.0, "tau", lambda th: (0.01, 1000.0 * th, np.logspace(math.log10(0.1), 2, 64)),
+             {"exact": "exact", "erf": "erf_joint"}, False),
+    "fig3": (1.0, "v", lambda th: (0.01, np.logspace(math.log10(1e3 * th),
+                                                     math.log10(1e5 * th), 64), 0.1),
+             {"exact": "exact", "erf": "erf_joint"}, False),
+    "fig4": (10.0, "z", _log_z, {"exact": "exact", "arctan": "arctan_joint", "erf": "erf_joint"},
+             False),
+    "fig5": (10.0, "z", _log_z, {"exact": "exact", "pheno": "pheno", "pheno_beta": "pheno_beta"},
+             False),
+    "fig7": (10.0, "z", _log_z, {"averaged": "averaged", "arctan_averaged": "arctan_averaged"},
+             False),
+    "fig8": (10.0, "z", lambda th: (np.logspace(-3, 0, 64), th, 3.0),
+             {"W_averaged": "averaged", "W_wiener": "wiener"}, True),
+}
+
+
+def _curve(beta, axis, grid, columns, hitting, spec: RunSpec):
+    d = Dimensionless(theta=spec.dimensionless.theta, beta=beta)
+    z, v, tau = _grid(*(np.atleast_1d(a) for a in grid(d.theta)))
+    cols = _table(d, z, v, tau, columns.values())
+    if hitting:
+        cols = [1.0 - np.asarray(c) for c in cols]
+    return [axis, *columns], _columns({"z": z, "v": v, "tau": tau}[axis], *cols)
 
 
 def _figure_fig1(spec: RunSpec):
     d = spec.dimensionless
-    cfg = spec.quad_config()
     zs = tuple(np.logspace(math.log10(2e-3), math.log10(2e-1), 16))
     mc_cfg = McConfig(dt=spec.dt, n_paths=spec.paths, seed=spec.seed, horizon=0.5)
-    from .montecarlo import survival_profile
     prof = survival_profile(d, zs, mc_cfg, v0=d.theta)
-    exact = survival_exact_batch(prof.z_grid, d.theta, 0.5, d, cfg)
+    exact = survival_exact_batch(prof.z_grid, d.theta, 0.5, d, _QUAD_CONFIG)
     rows = [(z, ex.value, ex.err_estimate, s_mc, ci)
             for z, ex, s_mc, ci in zip(prof.z_grid, exact, prof.survival, prof.ci_halfwidth)]
     return ["z", "S_exact", "err_estimate", "S_mc", "ci"], rows, _mc_work(prof)
 
 
-def _figure_fig2(spec: RunSpec):
-    d = Dimensionless(theta=spec.dimensionless.theta, beta=1.0)
-    cfg = spec.quad_config()
-    taus = np.logspace(math.log10(0.1), 2, 64)
-    z, v = 0.01, 1000.0 * d.theta
-    exact = survival_exact_batch(z, v, taus, d, cfg)
-    return ["tau", "exact", "erf"], _columns(
-        taus, [r.value for r in exact], asy.survival_erf(z, v, taus, d.theta))
-
-
-def _figure_fig3(spec: RunSpec):
-    d = Dimensionless(theta=spec.dimensionless.theta, beta=1.0)
-    cfg = spec.quad_config()
-    vs = np.logspace(math.log10(1e3 * d.theta), math.log10(1e5 * d.theta), 64)
-    z, tau = 0.01, 0.1
-    exact = survival_exact_batch(z, vs, tau, d, cfg)
-    return ["v", "exact", "erf"], _columns(
-        vs, [r.value for r in exact], asy.survival_erf(z, vs, tau, d.theta))
-
-
-def _figure_fig4(spec: RunSpec):
-    d = Dimensionless(theta=spec.dimensionless.theta, beta=10.0)
-    cfg = spec.quad_config()
-    zs = np.logspace(-3, -1, 64)
-    v, tau = d.theta, 0.5
-    exact = survival_exact_batch(zs, v, tau, d, cfg)
-    return ["z", "exact", "arctan", "erf"], _columns(
-        zs, [r.value for r in exact], asy.survival_arctan(zs, v, tau, d.theta, d.beta),
-        asy.survival_erf(zs, v, tau, d.theta))
-
-
-def _figure_fig5(spec: RunSpec):
-    d = Dimensionless(theta=spec.dimensionless.theta, beta=10.0)
-    cfg = spec.quad_config()
-    zs = np.logspace(-3, -1, 64)
-    v, tau = d.theta, 0.5
-    exact = survival_exact_batch(zs, v, tau, d, cfg)
-    return ["z", "exact", "pheno", "pheno_beta"], _columns(
-        zs, [r.value for r in exact], asy.survival_pheno(zs, v, tau, d.theta, d.beta),
-        asy.survival_pheno(zs, v, tau, d.theta, d.beta, use_beta_factor=True))
-
-
 def _figure_fig6(spec: RunSpec):
     theta = spec.dimensionless.theta
-    cfg = spec.quad_config()
     betas = np.logspace(-2, 2, 64)
     z, tau = 0.01, 1.0
     ds = [Dimensionless(theta=theta, beta=beta) for beta in betas]
     rows = [(beta, 1.0 - r.value)
-            for beta, r in zip(betas, survival_averaged_batch(z, tau, ds, cfg))]
+            for beta, r in zip(betas, survival_averaged_batch(z, tau, ds, _QUAD_CONFIG))]
     return ["beta", "W_averaged"], rows
-
-
-def _figure_fig7(spec: RunSpec):
-    d = Dimensionless(theta=spec.dimensionless.theta, beta=10.0)
-    cfg = spec.quad_config()
-    zs = np.logspace(-3, -1, 64)
-    tau = 0.5
-    averaged = survival_averaged_batch(zs, tau, d, cfg)
-    return ["z", "averaged", "arctan_averaged"], _columns(
-        zs, [r.value for r in averaged], asy.survival_avg_arctan(zs, tau, d.theta, d.beta))
-
-
-def _figure_fig8(spec: RunSpec):
-    d = Dimensionless(theta=spec.dimensionless.theta, beta=10.0)
-    cfg = spec.quad_config()
-    tau = 3.0
-    zs = np.logspace(-3, 0, 64)
-    averaged = survival_averaged_batch(zs, tau, d, cfg)
-    return ["z", "W_averaged", "W_wiener"], _columns(
-        zs, [1.0 - r.value for r in averaged], 1.0 - survival_wiener(zs, d.theta, tau))
 
 
 def _figure_fig9(spec: RunSpec):
     theta_tau = 3.0 * spec.dimensionless.theta
-    betas = np.logspace(0, 2, 32)
-    rows = []
-    for beta in betas:
-        res = asy.crossing_level(beta, theta_tau)
-        rows.append((beta, res.l_c))
-    return ["beta", "l_c"], rows
+    return ["beta", "l_c"], [(beta, asy.crossing_level(beta, theta_tau).l_c)
+                             for beta in np.logspace(0, 2, 32)]
 
 
 def _figure_fig10(spec: RunSpec):
     d = Dimensionless(theta=spec.dimensionless.theta, beta=10.0)
-    cfg = spec.quad_config()
     tau = 3.0
     theta_tau = d.theta * tau
     zs = np.logspace(-3, math.log10(0.6), 48)
     rows = [(z, ratio, asy.ratio_asymptote(z, theta_tau, beta=d.beta))
-            for z, ratio in zip(zs, asy.risk_ratio(zs, tau, d, cfg))]
+            for z, ratio in zip(zs, asy.risk_ratio(zs, tau, d, _QUAD_CONFIG))]
     return ["z", "ratio", "asymptote"], rows
 
 
 _FIGURES = {
-    "fig1": _figure_fig1, "fig2": _figure_fig2, "fig3": _figure_fig3,
-    "fig4": _figure_fig4, "fig5": _figure_fig5, "fig6": _figure_fig6,
-    "fig7": _figure_fig7, "fig8": _figure_fig8, "fig9": _figure_fig9,
-    "fig10": _figure_fig10,
+    "fig1": _figure_fig1, "fig6": _figure_fig6, "fig9": _figure_fig9, "fig10": _figure_fig10,
+    **{name: functools.partial(_curve, *curve) for name, curve in _CURVES.items()},
 }
 
 
 def _cmd_figure(spec: RunSpec):
     if spec.figure not in _FIGURES:
-        raise ParameterError(
-            f"figure: unknown figure {spec.figure!r} (fig1..fig10)")
+        raise ParameterError(f"figure: unknown figure {spec.figure!r} (fig1..fig10)")
     return _FIGURES[spec.figure](spec)
 
 
@@ -622,7 +582,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hestonfp", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         if name == "figure":
             p.add_argument("figure", choices=sorted(_FIGURES, key=lambda s: int(s[3:])))
@@ -657,7 +617,6 @@ def main(argv=None) -> int:
     except HestonFPError as exc:
         print(f"hestonfp: error: {exc}", file=sys.stderr)
         return 2
-
 
 
 if __name__ == "__main__":

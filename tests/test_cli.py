@@ -6,15 +6,16 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hestonfp.cli as cli
 from hestonfp import (Dimensionless, ModelParams, NonConvergence, QuadConfig, State,
-                      survival_arctan, survival_averaged, survival_avg_arctan,
-                      survival_avg_erf, survival_erf, survival_exact, survival_pheno,
-                      survival_wiener, tail_gaussian_hitting, tail_powerlaw_hitting,
-                      variance_scale)
+                      survival_arctan, survival_averaged, survival_averaged_batch,
+                      survival_avg_arctan, survival_avg_erf, survival_erf, survival_exact,
+                      survival_exact_batch, survival_pheno, survival_wiener,
+                      tail_gaussian_hitting, tail_powerlaw_hitting, variance_scale)
 
 DEFAULT_D = cli.DEFAULT_PARAMS.dimensionless()
 
@@ -209,7 +210,7 @@ class TestCommands:
         # no point meets this tolerance, so a row loop meets the exact
         # failure of row 0 first
         cfg = QuadConfig(abs_tol=1e-300, rel_tol=1e-300)
-        monkeypatch.setattr(cli.RunSpec, "quad_config", lambda self: cfg)
+        monkeypatch.setattr(cli, "_QUAD_CONFIG", cfg)
         d = DEFAULT_D
         with pytest.raises(NonConvergence) as batch:
             cli.run(cli.RunSpec(command="sweep", params=d, z=zs))
@@ -247,6 +248,12 @@ class TestCommands:
         assert cli.main(base + ["--output", csv]) == 0
         assert open(csv, encoding="utf-8").read().splitlines()[0] == "tau,S,ci"
 
+    @pytest.mark.parametrize("extra", [["--v", "1e-3:1e-2:3"], ["--v", "1e-3", "--stationary"]])
+    def test_simulate_rejects_an_unused_v(self, extra, capsys):
+        # printed one curve, at the first v or from stationary starts, with exit 0
+        assert cli.main(["simulate", "--paths", "64", "--tau", "0.01", *extra]) == 2
+        assert capsys.readouterr().err.startswith("hestonfp: error: --v:")
+
     def test_simulate_stationary_smoke(self, tmp_path):
         out = str(tmp_path / "sim.csv")
         rc = cli.main(["simulate", "--z", "0.01", "--tau", "0.2", "--paths",
@@ -265,6 +272,55 @@ class TestCommands:
         meta = json.loads(open(out, encoding="utf-8").read())["meta"]
         assert meta["beta"] == 1.0
         assert meta["theta"] == 1.92e-3
+
+
+def _values(results):
+    return [r.value for r in results]
+
+
+def _figure_columns(name):
+    """Figure ``name``'s columns by name, each from a direct library call."""
+    th = DEFAULT_D.theta
+    d1, d10 = Dimensionless(th, 1.0), Dimensionless(th, 10.0)
+    zs = np.logspace(-3, -1, 64)
+    if name == "fig2":
+        taus = np.logspace(math.log10(0.1), 2, 64)
+        return {"tau": taus, "exact": _values(survival_exact_batch(0.01, 1e3 * th, taus, d1)),
+                "erf": survival_erf(0.01, 1e3 * th, taus, th)}
+    if name == "fig3":
+        vs = np.logspace(math.log10(1e3 * th), math.log10(1e5 * th), 64)
+        return {"v": vs, "exact": _values(survival_exact_batch(0.01, vs, 0.1, d1)),
+                "erf": survival_erf(0.01, vs, 0.1, th)}
+    if name == "fig4":
+        return {"z": zs, "exact": _values(survival_exact_batch(zs, th, 0.5, d10)),
+                "arctan": survival_arctan(zs, th, 0.5, th, 10.0),
+                "erf": survival_erf(zs, th, 0.5, th)}
+    if name == "fig5":
+        return {"z": zs, "exact": _values(survival_exact_batch(zs, th, 0.5, d10)),
+                "pheno": survival_pheno(zs, th, 0.5, th, 10.0),
+                "pheno_beta": survival_pheno(zs, th, 0.5, th, 10.0, use_beta_factor=True)}
+    if name == "fig7":
+        return {"z": zs, "averaged": _values(survival_averaged_batch(zs, 0.5, d10)),
+                "arctan_averaged": survival_avg_arctan(zs, 0.5, th, 10.0)}
+    zs = np.logspace(-3, 0, 64)
+    return {"z": zs,
+            "W_averaged": [1.0 - s for s in _values(survival_averaged_batch(zs, 3.0, d10))],
+            "W_wiener": 1.0 - survival_wiener(zs, th, 3.0)}
+
+
+class TestFigures:
+    """The curve figures hold exactly what the library computes, cell by cell."""
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "fig7", "fig8"])
+    def test_columns_match_the_library(self, name, tmp_path):
+        out = str(tmp_path / f"{name}.csv")
+        assert cli.main(["figure", name, "--output", out]) == 0
+        header, rows = _read_rows(out)
+        want = _figure_columns(name)
+        assert header == list(want)
+        assert len(rows) == 64
+        for column, values in want.items():
+            assert [float(row[column]) for row in rows] == list(values), column
 
 
 class TestExitCodes:
@@ -336,6 +392,15 @@ class TestExitCodes:
         assert rc == 3
         assert not out.exists()
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta,theta_tau,named", [
+        ("10", "nan", "--theta-tau"), ("10", "inf", "--theta-tau"),
+        ("10", "1e-3:inf:3", "--theta-tau"), ("10", "nan:1:3", "--theta-tau"),
+        ("1:nan:3", "0.01", "--beta"), ("1:inf:3", "0.01", "--beta")])
+    def test_non_finite_crossing_level_grid(self, beta, theta_tau, named, capsys):
+        # exited 3 with "gap function indistinguishable from zero"
+        assert cli.main(["crossing-level", "--beta", beta, "--theta-tau", theta_tau]) == 2
+        assert capsys.readouterr().err.startswith(f"hestonfp: error: {named}:")
 
     def test_missing_required_theta_tau(self, capsys):
         rc = cli.main(["crossing-level", "--beta", "10"])
