@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
 from .core import (Dimensionless, _float_or_array, _nonnegative_arrays, _positive_arrays,
@@ -212,6 +211,10 @@ def crossing_level(beta: float, theta_tau: float, tol: float = 1e-10) -> Crossin
     sign change discards leading grid points where the gap is still within
     ``10*tol`` of zero before bracketing.
     """
+    # imported here, not at module level: scipy.optimize adds about 0.3 s
+    # to the start-up of every command that never solves for a root
+    from scipy.optimize import brentq
+
     if beta <= 0.0 or theta_tau <= 0.0:
         raise NoRoot("crossing_level requires beta > 0 and theta_tau > 0")
     grid = np.logspace(-4.0, 1.0, 200)

@@ -83,6 +83,10 @@ class RunSpec:
             for value in grid:
                 if not math.isfinite(value):
                     raise ParameterError(f"{name}: grid values must be finite")
+        for name, grid in (("--theta-tau", self.theta_tau), ("--beta", self.beta_grid)):
+            for value in grid:
+                if value <= 0.0:
+                    raise ParameterError(f"{name}: must be > 0, got {value!r}")
 
     @property
     def dimensionless(self) -> Dimensionless:

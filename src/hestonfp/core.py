@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, xlogy
 
 from .errors import ParameterError
 
@@ -276,10 +276,18 @@ def stationary_density(v, theta: float, beta: float):
     """Stationary variance density: Gamma(shape ``nu``, rate ``2/beta**2``).
 
     Pointwise value; for ``nu < 1`` the density diverges (integrably) at
-    ``v = 0`` and ``inf`` is returned there.
+    ``v = 0`` and ``inf`` is returned there.  ``v`` must be finite and
+    >= 0, ``theta`` and ``beta`` finite and > 0.  Evaluated as
+    ``exp(xlogy(nu - 1, x) - x - gammaln(nu)) / scale`` with
+    ``x = v/scale``, the expression ``scipy.stats.gamma.pdf`` evaluates,
+    so the values are the same to the bit.
     """
+    v, = _nonnegative_arrays(v=v)
+    _positive_arrays(theta=theta, beta=beta)   # checked only: nu and scale use them as given
     nu = 2.0 * theta / beta**2
-    return stats.gamma.pdf(v, a=nu, scale=beta**2 / 2.0)
+    scale = beta**2 / 2.0
+    x = v / scale
+    return _float_or_array(np.exp(xlogy(nu - 1.0, x) - x - gammaln(nu)) / scale)
 
 
 def variance_scale(tau, v, theta: float):

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hestonfp.cli as cli
-from hestonfp import (Dimensionless, ModelParams, NonConvergence, QuadConfig, State,
+from hestonfp import (Dimensionless, ModelParams, NonConvergence, ParameterError, QuadConfig,
+                      State,
                       survival_arctan, survival_averaged, survival_averaged_batch,
                       survival_avg_arctan, survival_avg_erf, survival_erf, survival_exact,
                       survival_exact_batch, survival_pheno, survival_wiener,
@@ -396,11 +399,20 @@ class TestExitCodes:
     @pytest.mark.parametrize("beta,theta_tau,named", [
         ("10", "nan", "--theta-tau"), ("10", "inf", "--theta-tau"),
         ("10", "1e-3:inf:3", "--theta-tau"), ("10", "nan:1:3", "--theta-tau"),
-        ("1:nan:3", "0.01", "--beta"), ("1:inf:3", "0.01", "--beta")])
+        ("1:nan:3", "0.01", "--beta"), ("1:inf:3", "0.01", "--beta"),
+        ("10", "0", "--theta-tau"), ("10", "-0.0", "--theta-tau")])
     def test_non_finite_crossing_level_grid(self, beta, theta_tau, named, capsys):
-        # exited 3 with "gap function indistinguishable from zero"
-        assert cli.main(["crossing-level", "--beta", beta, "--theta-tau", theta_tau]) == 2
+        # exited 3: non-finite entries with "gap function indistinguishable
+        # from zero", zero ones with "crossing_level requires ... theta_tau > 0"
+        assert cli.main(["crossing-level", f"--beta={beta}", f"--theta-tau={theta_tau}"]) == 2
         assert capsys.readouterr().err.startswith(f"hestonfp: error: {named}:")
+
+    @pytest.mark.parametrize("field,flag", [("theta_tau", "--theta-tau"),
+                                            ("beta_grid", "--beta")])
+    def test_zero_scan_entry_is_rejected(self, field, flag):
+        with pytest.raises(ParameterError, match=f"^{flag}: must be > 0"):
+            cli.RunSpec(command="crossing-level", params=DEFAULT_D,
+                        **{field: (0.01, 0.0)})
 
     def test_missing_required_theta_tau(self, capsys):
         rc = cli.main(["crossing-level", "--beta", "10"])
@@ -484,3 +496,53 @@ class TestConfigFuzz:
         cfg = _write(tmp_path, "bad.cfg", line + "\n")
         assert cli.main(["simulate", "--config", cfg, "--tau", "0.01"]) == 2
         assert capsys.readouterr().err.startswith(f"hestonfp: error: {named}:")
+
+
+_INVALID_CROSSING = {"--beta": _not_a_number() | _nonpositive_or_nan(),
+                     "--theta-tau": _not_a_number() | _nonpositive_or_nan()}
+
+
+class TestCrossingLevelFuzz:
+    """Every invalid ``crossing-level`` flag is a clean usage error: exit
+    code 2, a message and no traceback."""
+
+    @given(data=st.data(), flag=st.sampled_from(sorted(_INVALID_CROSSING)))
+    @settings(deadline=5000)
+    def test_invalid_value_exits_2(self, data, flag):
+        value = data.draw(_INVALID_CROSSING[flag], label=flag)
+        args = {"--beta": "10", "--theta-tau": "0.01", flag: str(value)}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["crossing-level", *(f"{k}={v}" for k, v in args.items())])
+        assert rc == 2
+        assert not out.getvalue()
+        assert err.getvalue().startswith("hestonfp: error:")
+        assert "Traceback" not in err.getvalue()
+
+
+_STARTUP = """
+import contextlib, io, json, sys
+import hestonfp, hestonfp.cli as cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    figure = cli.main(["figure", "fig2"])
+before = sorted(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules)
+with contextlib.redirect_stdout(out):
+    crossing = cli.main(["crossing-level", "--beta", "10", "--theta-tau", "0.01"])
+print(json.dumps({"figure": figure, "crossing": crossing, "before": before,
+                  "optimize_after": "scipy.optimize" in sys.modules,
+                  "last_line": out.getvalue().splitlines()[-1]}))
+"""
+
+
+def test_startup_loads_neither_scipy_stats_nor_optimize():
+    # importing scipy.stats and scipy.optimize took about 1.1 s of every
+    # command's start-up; a fresh interpreter sees what the import path loads
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", _STARTUP], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    got = json.loads(proc.stdout)
+    assert got["figure"] == 0 and got["before"] == []
+    # crossing-level loads scipy.optimize on first use, and still finds the root
+    assert got["crossing"] == 0 and got["optimize_after"]
+    assert got["last_line"].startswith("10,0.01,0.3080488671063")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 import hestonfp as h
 from conftest import rk4_riccati
@@ -164,6 +164,36 @@ class TestStationaryDensity:
         assert h.stationary_density(0.0, fig1_d.theta, fig1_d.beta) == np.inf
         # nu > 1: vanishes at the origin
         assert h.stationary_density(0.0, 1.0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("nu,beta", [(0.0038, 1.0), (0.38, 0.1), (1.0, 0.5), (2.0, 0.5),
+                                         (10.0, 0.5)])
+    def test_bit_identical_to_scipy_gamma(self, nu, beta):
+        theta = nu * beta**2 / 2.0
+        scale = beta**2 / 2.0
+        rng = np.random.default_rng(20261018)
+        v = np.concatenate([[0.0, 5e-324, 1e-300, 1e-12, theta, 1e3 * theta],
+                            rng.gamma(nu, scale, 10**4)])
+        with np.errstate(over="ignore"):   # the density at 5e-324 overflows for nu < 1
+            got = h.stationary_density(v, theta, beta)
+            want = stats.gamma.pdf(v, a=2.0 * theta / beta**2, scale=scale)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+        for x, w in zip(v[:6].tolist(), want[:6].tolist()):
+            with np.errstate(over="ignore"):
+                one = h.stationary_density(x, theta, beta)
+            assert type(one) is float and one.hex() == w.hex()
+
+    @pytest.mark.parametrize("v,theta,beta,named", [
+        (-1e-300, 1.0, 0.5, "v"), (math.nan, 1.0, 0.5, "v"), (math.inf, 1.0, 0.5, "v"),
+        ([0.1, math.inf], 1.0, 0.5, "v"),
+        (0.1, 0.0, 0.5, "theta"), (0.1, -1.0, 0.5, "theta"), (0.1, math.nan, 0.5, "theta"),
+        (0.1, math.inf, 0.5, "theta"),
+        (0.1, 1.0, 0.0, "beta"), (0.1, 1.0, -0.5, "beta"), (0.1, 1.0, math.nan, "beta"),
+        (0.1, 1.0, math.inf, "beta")])
+    def test_out_of_domain_input_is_rejected(self, v, theta, beta, named):
+        # NaN and negative parameters passed through silently, and v = inf
+        # gave NaN (nu > 1) or 0 (nu < 1)
+        with pytest.raises(h.ParameterError, match=f"^{named} must be"):
+            h.stationary_density(v, theta, beta)
 
 
 class TestScales:
