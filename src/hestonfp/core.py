@@ -277,7 +277,7 @@ def stationary_density(v, theta: float, beta: float):
 
     Pointwise value; for ``nu < 1`` the density diverges (integrably) at
     ``v = 0`` and ``inf`` is returned there.  ``v`` must be finite and
-    >= 0, ``theta`` and ``beta`` finite and > 0.  Evaluated as
+    >= 0, ``theta``, ``beta`` and ``nu`` finite and > 0.  Evaluated as
     ``exp(xlogy(nu - 1, x) - x - gammaln(nu)) / scale`` with
     ``x = v/scale``, the expression ``scipy.stats.gamma.pdf`` evaluates,
     so the values are the same to the bit.
@@ -285,6 +285,7 @@ def stationary_density(v, theta: float, beta: float):
     v, = _nonnegative_arrays(v=v)
     _positive_arrays(theta=theta, beta=beta)   # checked only: nu and scale use them as given
     nu = 2.0 * theta / beta**2
+    _positive_arrays(nu=nu)   # 0 or inf where 2*theta/beta**2 under- or overflows
     scale = beta**2 / 2.0
     x = v / scale
     return _float_or_array(np.exp(xlogy(nu - 1.0, x) - x - gammaln(nu)) / scale)

@@ -188,10 +188,10 @@ class TestStationaryDensity:
         (0.1, 0.0, 0.5, "theta"), (0.1, -1.0, 0.5, "theta"), (0.1, math.nan, 0.5, "theta"),
         (0.1, math.inf, 0.5, "theta"),
         (0.1, 1.0, 0.0, "beta"), (0.1, 1.0, -0.5, "beta"), (0.1, 1.0, math.nan, "beta"),
-        (0.1, 1.0, math.inf, "beta")])
+        (0.1, 1.0, math.inf, "beta"), (0.1, 5e-324, 2.0, "nu"), (0.1, 1e300, 1e-10, "nu")])
     def test_out_of_domain_input_is_rejected(self, v, theta, beta, named):
-        # NaN and negative parameters passed through silently, and v = inf
-        # gave NaN (nu > 1) or 0 (nu < 1)
+        # NaN and negative parameters passed through silently, v = inf gave
+        # NaN (nu > 1) or 0 (nu < 1), and nu over- or underflowed to a NaN
         with pytest.raises(h.ParameterError, match=f"^{named} must be"):
             h.stationary_density(v, theta, beta)
 
