@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import hestonfp.cli as cli
 from hestonfp import (Dimensionless, ModelParams, NonConvergence, ParameterError, QuadConfig,
-                      State,
-                      survival_arctan, survival_averaged, survival_averaged_batch,
+                      State, survival_arctan, survival_averaged, survival_averaged_batch,
                       survival_avg_arctan, survival_avg_erf, survival_erf, survival_exact,
                       survival_exact_batch, survival_pheno, survival_wiener,
                       tail_gaussian_hitting, tail_powerlaw_hitting, variance_scale)
