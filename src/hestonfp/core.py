@@ -144,7 +144,8 @@ class Dimensionless:
 
     @property
     def nu(self) -> float:
-        return 2.0 * self.theta / self.beta**2
+        # 0 or inf, not OverflowError or ZeroDivisionError, if beta**2 over- or underflows
+        return 2.0 * self.theta / self.beta / self.beta
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,8 @@ def _delta_mu(omega, beta):
     ``x*x`` for large ``x``.
     """
     x = beta * np.asarray(omega, dtype=float)
-    delta = np.hypot(1.0, x)
+    with np.errstate(over="ignore"):  # x*x past 1.34e154, where delta = x is exact
+        delta = np.where(x > 1e150, x, np.sqrt(1.0 + x * x))
     return delta, x * (x / (2.0 * (delta + 1.0)))
 
 

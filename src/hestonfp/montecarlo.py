@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, log_ndtr, ndtri
 
-from .core import Dimensionless
+from .core import Dimensionless, _positive_arrays
 from .errors import ConfigError
 
 __all__ = [
@@ -333,6 +333,7 @@ def _run_blocks(z_grid, steps, v0, d, cfg: McConfig, workers: int):
     z_grid.size)``, and the total path-steps and variates drawn."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers!r}")
+    _positive_arrays(nu=d.nu, beta_squared=d.beta * d.beta)
 
     def run(block):
         return _block(*block, z_grid, steps, v0, d, cfg)
@@ -388,6 +389,7 @@ def sample_stationary_volatility(d: Dimensionless, n: int, seed: int) -> np.ndar
     Gamma(shape ``nu``, rate ``2/beta**2``)."""
     n = _checked_int("n", n, 1)
     seed = _checked_int("seed", seed, 0, 2**64)
+    _positive_arrays(nu=d.nu, beta_squared=d.beta * d.beta)
     out = np.empty(n)
     for b, nb in _blocks(n):
         rng = _block_rng(seed, _PURPOSE_GAMMA, b)

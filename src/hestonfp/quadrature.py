@@ -22,15 +22,17 @@ with ``b = 1/4`` and ``a = b / sqrt(1 + M log(1 + M) / (4 pi))``.  As
 ``t -> +inf`` they run double-exponentially into the zeros ``n pi`` of the
 sine, so the oscillatory tail needs no cutoff, no panels and no series
 acceleration.  Nodes lie at ``t = n h`` in ``[-12, 8]``; a node whose weight
-is zero or not finite is dropped.  Nodes and weights depend only on ``h``
-and are cached.
+is zero or not finite is dropped, and so are the tail nodes of smallest
+``|w|`` whose ``|w|`` sum to at most ``1e-20``, about a third of each level:
+both survival factors have ``0 < F <= 1``, so they move no sum by more than
+that mass.  Nodes, weights and that mass depend only on ``h`` and are cached.
 
 Every point starts at ``h = 0.2`` and halves ``h`` until two consecutive
 sums agree, and reports the finer sum.  Its ``err_estimate`` is their
-difference plus a rounding floor from the sum of the absolute terms, and the
-point stops once that is within ``abs_tol + rel_tol*|S|``; ``panels_used``
-counts the nodes evaluated.  A point still open at the finest step raises
-:class:`NonConvergence`.
+difference plus a rounding floor from the sum of the absolute terms and the
+finer level's dropped mass, and the point stops once that is within
+``abs_tol + rel_tol*|S|``; ``panels_used`` counts the nodes evaluated.  A
+point still open at the finest step raises :class:`NonConvergence`.
 
 The batch entry points (``survival_exact_batch``,
 ``survival_averaged_batch``) take many points of one integrand family, with
@@ -74,6 +76,7 @@ _H_START = 0.2
 _H_MIN = 0.2 / 64
 # Rounding floor of a sum, per unit of the sum of its absolute terms.
 _ROUNDING = 4.0 * np.finfo(float).eps
+_TRIM = 1e-20  # |w| a rule may drop: what the dropped nodes can add where |F| <= 1
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,10 @@ class SPResult:
 
 
 @functools.cache
-def _rule(h: float) -> tuple[np.ndarray, np.ndarray]:
+def _rule(h: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Nodes ``u`` and weights ``w`` of the Ooura-Mori rule of step ``h``:
-    ``S = sum(w * F(u / z))``, the weights including ``2/pi``.
+    ``S = sum(w * F(u / z))``, the weights including ``2/pi``, and the mass
+    ``sum(|w|)`` of the smallest-``|w|`` nodes dropped, at most ``_TRIM``.
 
     The map is evaluated without cancellation: ``exp(g)`` never as
     ``expm1(g) + 1`` (which is 0 below ``g = -37``), ``phi = t e^g/expm1(g)``
@@ -139,8 +143,13 @@ def _rule(h: float) -> tuple[np.ndarray, np.ndarray]:
         dlog[zero] = (g1 * g1 - g2) / (2.0 * g1)
         sine[zero] = np.sin(m / g1)
         w = (2.0 / math.pi) * h * dlog * sine
-    keep = np.isfinite(w) & (w != 0.0)
-    return m * phi[keep], w[keep]
+    # zero and non-finite weights count as 0 and so head the dropped prefix
+    mag = np.where(np.isfinite(w), np.abs(w), 0.0)
+    small = np.argsort(mag, kind="stable")
+    mass = np.cumsum(mag[small])
+    cut = int(np.searchsorted(mass, _TRIM, side="right"))
+    keep = np.delete(np.arange(w.size), small[:cut])
+    return m * phi[keep], w[keep], float(mass[cut - 1]) if cut else 0.0
 
 
 def _level(F, u, w, z, points):
@@ -181,15 +190,15 @@ def _sine_transforms(F, z, cfg: QuadConfig) -> list[tuple[float, float, int]]:
     open_ = np.flatnonzero(z > 0.0)
     nodes = np.zeros(z.size, dtype=int)
     h = _H_START
-    u, w = _rule(h)
+    u, w, _ = _rule(h)
     prev, _ = _level(F, u, w, z, open_)
     nodes[open_] += u.size
     while open_.size:
         h *= 0.5
-        u, w = _rule(h)
+        u, w, dropped = _rule(h)
         fine, mag = _level(F, u, w, z, open_)
         nodes[open_] += u.size
-        err = np.abs(fine - prev) + _ROUNDING * mag
+        err = np.abs(fine - prev) + _ROUNDING * mag + dropped
         done = err <= cfg.abs_tol + cfg.rel_tol * np.abs(fine)
         for i, val, e in zip(open_[done].tolist(), fine[done].tolist(), err[done].tolist()):
             results[i] = (val, e, int(nodes[i]))
@@ -218,6 +227,8 @@ def sine_transform(F, z: float,
     Returns
     -------
     (value, err_estimate, panels_used), ``panels_used`` counting the nodes.
+    ``err_estimate`` includes the weight mass of the dropped nodes, their
+    bound where ``|F| <= 1``; for a general ``F`` the bound is ``max |F|`` times it.
 
     Raises
     ------

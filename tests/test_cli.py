@@ -418,6 +418,14 @@ class TestExitCodes:
         assert rc == 2
         assert "--theta-tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--stationary"]])
+    def test_simulate_at_an_overflowing_beta(self, extra, capsys):
+        # nu = 2*theta/beta**2 underflows: ended in an OverflowError traceback, exit 1
+        rc = cli.main(["simulate", "--beta", "1e200", "--paths", "64", "--tau", "0.01", *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hestonfp: error: nu") and "Traceback" not in err
+
 
 def _nonpositive_or_nan():
     return st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
@@ -517,6 +525,28 @@ class TestCrossingLevelFuzz:
         assert not out.getvalue()
         assert err.getvalue().startswith("hestonfp: error:")
         assert "Traceback" not in err.getvalue()
+
+
+def _negative_or_non_finite():
+    return st.floats(max_value=-5e-324) | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestQuadratureFuzz:
+    """Every invalid numeric flag of the quadrature commands is a clean usage
+    error: exit code 2, a message and no traceback, and no output."""
+
+    @given(command=st.sampled_from(["exact", "averaged", "approx", "ratio", "sweep"]),
+           flag=st.sampled_from(["--alpha", "--m2", "--k", "--theta", "--beta", "--z", "--v",
+                                 "--tau"]),
+           value=_not_a_number() | _negative_or_non_finite())
+    @settings(deadline=5000)
+    def test_invalid_value_exits_2(self, command, flag, value):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main([command, "--z=0.01", f"{flag}={value}"])
+        assert rc == 2
+        assert not out.getvalue()
+        assert err.getvalue() and "Traceback" not in err.getvalue()
 
 
 _STARTUP = """

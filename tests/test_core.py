@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,23 @@ class TestKernel:
     def test_rejects_negative_omega(self):
         with pytest.raises(h.ParameterError):
             h.kernel(-0.5, beta=1.0)
+
+    def test_delta_within_one_ulp_of_hypot(self):
+        x = np.logspace(-300, 300, 6001)
+        delta = h.kernel(x, beta=1.0)[0]
+        ref = np.hypot(1.0, x)
+        assert np.all(np.abs(delta - ref) <= np.spacing(ref))
+
+    def test_large_argument_without_overflow(self):
+        # x*x overflows above about 1.34e154; delta = x is exact above 1e150
+        x = np.array([1.0000001e150, 1e154, 1.34e154, 1e200, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta, _, mu_minus = h.kernel(x, beta=1.0)
+        np.testing.assert_array_equal(delta, x)
+        big = x >= 1e154
+        assert np.all(np.isfinite(mu_minus))
+        np.testing.assert_allclose(mu_minus[big], x[big] / 2.0, rtol=4 * np.finfo(float).eps)
 
 
 class TestRiccati:

@@ -76,6 +76,20 @@ class TestConfig:
         with pytest.raises(h.ConfigError):
             call(dfig, h.McConfig(n_paths=8, horizon=0.01))
 
+    @pytest.mark.parametrize("beta", [1e200, 1e-200])
+    def test_unrepresentable_model_rejected(self, beta):
+        # nu or beta**2 under- or overflows a float: these calls ended in
+        # OverflowError or ZeroDivisionError
+        d = h.Dimensionless(theta=TH, beta=beta)
+        assert d.nu in (0.0, math.inf)
+        cfg = h.McConfig(n_paths=8, horizon=0.01)
+        for call in (lambda: h.estimate_survival(d, 0.01, TH, cfg),
+                     lambda: h.estimate_survival_averaged(d, 0.01, cfg),
+                     lambda: h.survival_profile(d, (0.01,), cfg),
+                     lambda: h.sample_stationary_volatility(d, 8, 0)):
+            with pytest.raises(h.ParameterError):
+                call()
+
     def test_horizon_defaults_to_last_record(self):
         cfg = h.McConfig(record_grid=(0.1, 0.4))
         assert cfg.horizon == 0.4

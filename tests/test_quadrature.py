@@ -148,6 +148,99 @@ class TestAdaptiveDecisions:
         assert abs(sp.value - value) <= err + sp.err_estimate
 
 
+def _full_rule(hstep):
+    """The Ooura-Mori rule of step ``hstep`` with every node whose weight is
+    finite and nonzero: ``quadrature._rule``'s map, without its trimming."""
+    m = math.pi / hstep
+    b = 0.25
+    a = b / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
+    n = np.arange(round(-12.0 / hstep), round(8.0 / hstep) + 1)
+    t = n * hstep
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = 2.0 * t - a * np.expm1(-t) + b * np.expm1(t)
+        dg = 2.0 + a * np.exp(-t) + b * np.exp(t)
+        d = np.expm1(g)
+        pos = t > 0.0
+        phi = t * np.where(pos, 1.0 + 1.0 / d, np.exp(g) / d)
+        dlog = (1.0 - t * dg / d) / t
+        sine = np.where(pos, np.where(n % 2, -1.0, 1.0) * np.sin(m * t / d), np.sin(m * phi))
+        g1, g2 = 2.0 + a + b, b - a
+        phi[n == 0], dlog[n == 0], sine[n == 0] = 1.0 / g1, (g1 * g1 - g2) / (2.0 * g1), \
+            np.sin(m / g1)
+        w = (2.0 / math.pi) * hstep * dlog * sine
+    keep = np.isfinite(w) & (w != 0.0)
+    return m * phi[keep], w[keep]
+
+
+# Every step level, from _H_START down to _H_MIN = _H_START / 64.
+_LEVELS = [quad._H_START / 2**k for k in range(7)]
+
+
+def _seeded_points(n=24, seed=2024):
+    """Log-uniform ``(z, v, tau, theta, beta)`` over the ranges the CLI reaches."""
+    rng = np.random.default_rng(seed)
+
+    def logu(lo, hi):
+        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+
+    theta = np.full(n, 1.9156e-3)
+    return logu(3e-4, 3.0), theta * logu(1e-3, 3e3), logu(1e-3, 1e3), theta, logu(0.01, 30.0)
+
+
+class TestTrimmedRule:
+    """Each step level drops the smallest-weight nodes whose weights sum to
+    at most ``quadrature._TRIM``; with ``0 < F <= 1`` that mass bounds what
+    the dropping changes, and every ``err_estimate`` includes it."""
+
+    @pytest.mark.parametrize("hstep", _LEVELS)
+    def test_dropped_mass_within_budget(self, hstep):
+        u, w, dropped = quad._rule(hstep)
+        full_u, full_w = _full_rule(hstep)
+        kept = np.isin(full_u, u)
+        np.testing.assert_array_equal(full_u[kept], u)
+        np.testing.assert_array_equal(full_w[kept], w)
+        gone = np.abs(full_w[~kept])
+        assert gone.size and dropped <= quad._TRIM == 1e-20
+        assert math.isclose(gone.sum(), dropped, rel_tol=1e-12)
+        assert gone.max() <= np.abs(w).min()
+
+    @pytest.mark.parametrize("kind", ["exact", "averaged"])
+    def test_trimmed_sum_within_dropped_mass(self, kind):
+        z, v, tau, theta, beta = (a[:, None] for a in _seeded_points())
+        for hstep in _LEVELS:
+            u, w, dropped = quad._rule(hstep)
+            sums = []
+            for nodes, weights in ((u, w), _full_rule(hstep)):
+                omega = nodes / z
+                if kind == "exact":
+                    f = weights * np.exp(quad._log_factor_exact(omega, tau, v, theta, beta))
+                else:
+                    f = weights * np.exp(quad._log_factor_averaged(omega, tau, theta, beta))
+                sums.append((f.sum(axis=1), np.abs(f).sum(axis=1)))
+            (trimmed, _), (full, mag) = sums
+            assert np.all(np.abs(trimmed - full) <= dropped + quad._ROUNDING * mag)
+
+    def test_err_estimate_covers_dropped_mass(self):
+        z, v, tau, theta, beta = _seeded_points()
+        d = [h.Dimensionless(t, b) for t, b in zip(theta, beta)]
+        nodes = np.cumsum([quad._rule(hs)[0].size for hs in _LEVELS])
+        for sp in (h.survival_exact_batch(z, v, tau, d)
+                   + h.survival_averaged_batch(z, tau, d)):
+            last = int(np.flatnonzero(nodes == sp.panels_used)[0])
+            assert last >= 1 and sp.err_estimate >= quad._rule(_LEVELS[last])[2]
+
+    @pytest.mark.parametrize("z", [1e-50, 1e-200])
+    def test_err_estimate_covers_survival_below_budget(self, fig1_d, z):
+        # S is linear in z near the barrier and lies far below the dropped
+        # mass here, so the trimmed rule may return 0
+        for call in (lambda z: h.survival_exact(h.State(z, fig1_d.theta, 0.5), fig1_d),
+                     lambda z: h.survival_averaged(z, 0.5, fig1_d)):
+            slope = call(1e-10).value / 1e-10
+            sp = call(z)
+            assert 0.0 < slope * z < quad._TRIM
+            assert abs(sp.value - slope * z) <= sp.err_estimate
+
+
 def _same_as_single_calls(kind, batch, args, d):
     """Every point of a batch call equals its one-point call."""
     if isinstance(d, h.Dimensionless):
