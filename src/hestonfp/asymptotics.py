@@ -5,8 +5,9 @@ Each closed form is one numpy expression: its inputs broadcast, a Python
 ``float`` comes back when every input is a scalar and an ndarray of the
 broadcast shape otherwise, and each boundary rule (0 at ``z = 0``, 1 where
 the form's scale vanishes) is applied once with ``np.where``.  The survival
-forms reject a negative or non-finite ``z``, ``v`` or ``tau`` with
-:class:`ParameterError`, on scalars and arrays alike.
+forms reject a negative or non-finite ``z``, ``v`` or ``tau``, and a zero,
+negative or non-finite ``theta`` or ``beta``, with :class:`ParameterError`,
+on scalars and arrays alike.
 
 Each approximation is valid in a particular corner of parameter space; the
 ``REGIMES`` table records those predicates as advisory metadata.  Nothing is
@@ -105,6 +106,7 @@ def survival_erf(z, v, tau, theta):
     (1 at tau=0, v=0).
     """
     z, v, tau = _nonnegative_arrays(z=z, v=v, tau=tau)
+    _positive_arrays(theta=theta)
     return _with_boundaries(z, variance_scale(tau, v, theta), lambda z, lam: erf(z / np.sqrt(lam)))
 
 
@@ -114,6 +116,7 @@ def survival_arctan(z, v, tau, theta, beta):
     Obeys the barrier condition but not the initial condition.
     """
     z, v, tau = _nonnegative_arrays(z=z, v=v, tau=tau)
+    _positive_arrays(theta=theta, beta=beta)
     return _with_boundaries(z, theta * tau + v,
                             lambda z, denom: (2.0 / np.pi) * np.arctan(beta * z / denom))
 
@@ -126,6 +129,7 @@ def survival_pheno(z, v, tau, theta, beta, use_beta_factor: bool = False):
     form omits; the default stays with the baseline.
     """
     z, v, tau = _nonnegative_arrays(z=z, v=v, tau=tau)
+    _positive_arrays(theta=theta, beta=beta)
     factor = 2.0 * beta if use_beta_factor else 2.0
     return _with_boundaries(z, variance_scale(tau, v, theta),
                             lambda z, lam: (2.0 / np.pi) * np.arctan(factor * z / lam))
@@ -138,6 +142,7 @@ def survival_avg_erf(z, tau, theta):
     at the long-run variance level.
     """
     z, tau = _nonnegative_arrays(z=z, tau=tau)
+    _positive_arrays(theta=theta)
     return survival_wiener(z, theta, tau)
 
 

@@ -16,9 +16,10 @@ Every survival column comes from one method table, once per grid: ``approx``,
 
 Parameters come either as physical rates (--alpha --m2 --k, units 1/day) or
 directly as dimensionless (--theta --beta) -- never both.  Grid-valued flags
-accept a scalar or ``start:stop:count`` (log-spaced).  Output is CSV (17
-significant digits, LF line endings) or JSON; exit codes: 0 ok, 2 parameter
-or usage error, 3 numerical non-convergence.
+accept a scalar or ``start:stop:count`` (log-spaced).  Every flag --x-y is
+also the --config file key x_y, parsed the same way; a flag wins over the
+file.  Output is CSV (17 significant digits, LF line endings) or JSON; exit
+codes: 0 ok, 2 parameter or usage error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -47,10 +48,6 @@ from .montecarlo import (McConfig, estimate_survival, estimate_survival_averaged
 __all__ = ["RunSpec", "load_config", "run", "main"]
 
 DEFAULT_PARAMS = ModelParams(alpha=0.045, m_sq=8.62e-5, k=0.0045)
-
-_CONFIG_KEYS = ("alpha", "m2", "k", "theta", "beta", "z", "v", "tau",
-                "method", "paths", "dt", "seed", "output", "format",
-                "theta_tau", "stationary")
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,14 @@ class RunSpec:
         return self.params.dimensionless()
 
 
-def _parse_grid(flag: str, text: str) -> tuple[float, ...]:
+def _flag(key: str) -> str:
+    """The flag of config key ``key``: ``--theta-tau`` for ``theta_tau``."""
+    return "--" + key.replace("_", "-")
+
+
+def _parse_grid(key: str, text: str) -> tuple[float, ...]:
     """A scalar, or ``start:stop:count`` expanded log-spaced."""
+    flag = _flag(key)
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -120,6 +123,62 @@ def _parse_grid(flag: str, text: str) -> tuple[float, ...]:
     return (value,)
 
 
+def _number(cast):
+    """The parser ``cast(text)``, raising :class:`ConfigError` that names the
+    key when the text does not parse."""
+    kind = "an integer" if cast is int else "a number"
+
+    def parse(key: str, text: str):
+        try:
+            return cast(text)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {kind}, got {text!r}") from None
+    return parse
+
+
+_float, _int = _number(float), _number(int)
+
+
+def _text(key: str, text: str) -> str:
+    return text
+
+
+def _parse_beta(key: str, text: str) -> float | tuple[float, ...]:
+    """A scalar beta (a model parameter), or a ``start:stop:count`` scan."""
+    return _parse_grid(key, text) if ":" in text else _float(key, text)
+
+
+def _as_bool(key: str, text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off", ""):
+        return False
+    raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+
+
+def _resolve_method(key: str, text: str) -> str:
+    name = text.strip().lower().replace("-", "_")
+    if name not in _METHOD_ALIASES:
+        raise ParameterError(
+            f"{_flag(key)}: unknown method {text!r} (choose from "
+            f"{', '.join(sorted(set(_METHOD_ALIASES)))})")
+    return _METHOD_ALIASES[name]
+
+
+# Every option, by config key, with the parser of its text.  Its flag is
+# ``_flag(key)``; a flag and a config value of the same key are parsed alike,
+# and RunSpec holds the defaults.
+_OPTIONS = {
+    "alpha": _float, "m2": _float, "k": _float, "theta": _float, "beta": _parse_beta,
+    "z": _parse_grid, "v": _parse_grid, "tau": _parse_grid, "method": _resolve_method,
+    "paths": _int, "dt": _float, "seed": _int, "output": _text, "format": _text,
+    "theta_tau": _parse_grid, "stationary": _as_bool,
+}
+# RunSpec's field of an option, where it is not the key (``beta`` here is a scan)
+_FIELDS = {"output": "output_path", "format": "output_format", "beta": "beta_grid"}
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -136,7 +195,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"--config {path}:{i}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"--config {path}:{i}: duplicate key {key!r}")
@@ -144,43 +203,22 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _cast(name: str, cast, raw):
-    """``cast(raw)``, or :class:`ConfigError` naming the key when a config
-    value (a string; flags arrive typed) does not parse."""
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{name}: expected {kind}, got {raw!r}") from None
-
-
-def _resolve_params(get) -> ModelParams | Dimensionless:
+def _resolve_params(given: dict[str, float]) -> ModelParams | Dimensionless:
     """Apply the exactly-one-group rule for parameter intake.
 
-    ``get(name)`` returns the merged flag/config value (string or float) or
-    None.  Missing members of the chosen group fall back to the standard
-    defaults; supplying members of both groups is rejected.
+    ``given`` holds the supplied members of alpha, m2, k, theta and beta, in
+    that order.  Missing members of the chosen group fall back to the
+    standard defaults; supplying members of both groups is rejected.
     """
-    physical = {n: get(n) for n in ("alpha", "m2", "k")}
-    direct = {n: get(n) for n in ("theta", "beta")}
-    have_physical = any(v is not None for v in physical.values())
-    have_direct = any(v is not None for v in direct.values())
-    if have_physical and have_direct:
-        both = [n for n, v in {**physical, **direct}.items() if v is not None]
+    physical = {("m_sq" if n == "m2" else n): x for n, x in given.items()
+                if n in ("alpha", "m2", "k")}
+    if physical and len(physical) < len(given):
         raise ParameterError(
             "supply either --alpha/--m2/--k or --theta/--beta, not both "
-            f"(got {', '.join('--' + b for b in both)})")
-
-    def number(name, default):
-        raw = get(name)
-        return default if raw is None else _cast(name, float, raw)
-
-    if have_direct:
-        default_d = DEFAULT_PARAMS.dimensionless()
-        return Dimensionless(theta=number("theta", default_d.theta),
-                             beta=number("beta", default_d.beta))
-    return ModelParams(alpha=number("alpha", DEFAULT_PARAMS.alpha),
-                       m_sq=number("m2", DEFAULT_PARAMS.m_sq), k=number("k", DEFAULT_PARAMS.k))
+            f"(got {', '.join('--' + n for n in given)})")
+    if given and not physical:
+        return replace(DEFAULT_PARAMS.dimensionless(), **given)
+    return replace(DEFAULT_PARAMS, **physical)
 
 
 def load_config(path: str, command: str = "exact") -> RunSpec:
@@ -193,69 +231,17 @@ def load_config(path: str, command: str = "exact") -> RunSpec:
     return _build_spec(command, _parse_config_file(path), {})
 
 
-def _build_spec(command: str, config: dict[str, str], flags: dict) -> RunSpec:
-    def get(name):
-        value = flags.get(name)
-        if value is not None:
-            return value
-        return config.get(name)
-
-    params = _resolve_params(get)
-
-    def grid(name, flag, default=()):
-        raw = get(name)
-        if raw is None:
-            return tuple(default)
-        if isinstance(raw, tuple):
-            return raw
-        return _parse_grid(flag, str(raw))
-
-    def number(name, cast, default):
-        raw = get(name)
-        return default if raw is None else _cast(name, cast, raw)
-
-    spec = RunSpec(
-        command=command,
-        params=params,
-        z=grid("z", "--z"),
-        v=grid("v", "--v"),
-        tau=grid("tau", "--tau"),
-        method=_resolve_method(get("method")),
-        output_format=str(get("format") or "csv"),
-        output_path=get("output"),
-        seed=number("seed", int, 0),
-        paths=number("paths", int, 10**6),
-        dt=number("dt", float, 1e-3),
-        theta_tau=grid("theta_tau", "--theta-tau"),
-        beta_grid=grid("beta_scan", "--beta"),
-        stationary=_as_bool(get("stationary")),
-        figure=get("figure"),
-    )
-    return spec
-
-
-def _as_bool(value) -> bool:
-    if value is None:
-        return False
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off", ""):
-        return False
-    raise ConfigError(f"stationary: expected a boolean, got {value!r}")
-
-
-def _resolve_method(raw) -> str | None:
-    if raw is None:
-        return None
-    name = str(raw).strip().lower().replace("-", "_")
-    if name not in _METHOD_ALIASES:
-        raise ParameterError(
-            f"--method: unknown method {raw!r} (choose from "
-            f"{', '.join(sorted(set(_METHOD_ALIASES)))})")
-    return _METHOD_ALIASES[name]
+def _build_spec(command: str, config: dict[str, str], flags: dict[str, str],
+                figure: str | None = None) -> RunSpec:
+    """The RunSpec of option texts by key, a flag winning over the config
+    value of its key; each given text is parsed once, by its key's parser."""
+    texts = {**config, **flags}
+    values = {key: parse(key, texts[key]) for key, parse in _OPTIONS.items() if key in texts}
+    # beta is a model parameter, or a scan when crossing-level is given a grid
+    given = {n: values.pop(n) for n in ("alpha", "m2", "k", "theta", "beta")
+             if isinstance(values.get(n), float)}
+    return RunSpec(command=command, params=_resolve_params(given), figure=figure,
+                   **{_FIELDS.get(key, key): value for key, value in values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +419,9 @@ def _cmd_crossing_level(spec: RunSpec):
 
 
 def _cmd_ratio(spec: RunSpec):
+    for flag, grid in (("--z", spec.z), ("--tau", spec.tau)):
+        if grid and min(grid) <= 0.0:
+            raise ParameterError(f"{flag}: ratio needs values > 0, got {min(grid)!r}")
     d = spec.dimensionless
     tau, z = _grid(spec.tau or (3.0,),
                    spec.z or tuple(np.logspace(-3, math.log10(0.6), 48)))
@@ -560,25 +549,14 @@ def run(spec: RunSpec) -> str:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--m2", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--beta", default=None,
-                   help="dimensionless vol-of-vol; accepts start:stop:count for scans")
-    p.add_argument("--z", default=None, help="scalar or start:stop:count (log)")
-    p.add_argument("--v", default=None, help="scalar or start:stop:count (log)")
-    p.add_argument("--tau", default=None, help="scalar or start:stop:count (log)")
-    p.add_argument("--method", default=None)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", default=None, choices=("csv", "json"))
-    p.add_argument("--config", default=None)
-    p.add_argument("--theta-tau", dest="theta_tau", default=None,
-                   help="scalar or start:stop:count (log)")
-    p.add_argument("--stationary", action="store_true", default=None)
+    """Every option's flag, taking its value as text (``--stationary`` none)."""
+    for key, parse in _OPTIONS.items():
+        if key == "stationary":
+            p.add_argument(_flag(key), action="store_const", const="true")
+        else:
+            p.add_argument(_flag(key), help="scalar or start:stop:count (log)"
+                           if parse in (_parse_grid, _parse_beta) else None)
+    p.add_argument("--config")
 
 
 @functools.cache
@@ -601,13 +579,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _parse_config_file(args.config) if args.config else {}
-        flags = dict(vars(args))
-        beta_raw = args.beta if args.beta is not None else config.get("beta")
-        if beta_raw is not None and ":" in str(beta_raw):
-            flags["beta_scan"] = _parse_grid("--beta", str(beta_raw))
-            flags["beta"] = None
-            config.pop("beta", None)
-        spec = _build_spec(args.command, config, flags)
+        flags = {key: text for key in _OPTIONS if (text := getattr(args, key)) is not None}
+        spec = _build_spec(args.command, config, flags, getattr(args, "figure", None))
         text = run(spec)
         if not spec.output_path:
             sys.stdout.write(text)

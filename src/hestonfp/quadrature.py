@@ -352,8 +352,9 @@ def survival_wiener(z, sigma_sq, t):
     The inputs broadcast; a float when all are scalars, else an ndarray.
     """
     z, sigma_sq, t = (np.asarray(a, dtype=float) for a in (z, sigma_sq, t))
-    if not (np.all(z >= 0.0) and np.all(sigma_sq > 0.0) and np.all(t >= 0.0)):
-        raise ConfigError("require z >= 0, sigma_sq > 0, t >= 0")
+    finite = all(np.isfinite(a).all() for a in (z, sigma_sq, t))
+    if not (finite and np.all(z >= 0.0) and np.all(sigma_sq > 0.0) and np.all(t >= 0.0)):
+        raise ConfigError("require finite z >= 0, sigma_sq > 0, t >= 0")
     return _with_boundaries(z, t, lambda z, t: erf(z / np.sqrt(2.0 * sigma_sq * t)))
 
 

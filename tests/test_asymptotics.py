@@ -370,6 +370,27 @@ def test_survival_forms_reject_bad_input(data, bad, as_array, good):
         form(*args)
 
 
+# each form's model parameters, as keyword arguments after (z, v, tau) or (z, tau)
+_FORM_PARAMETERS = {
+    "erf": (h.survival_erf, (0.01, TH, 0.5), {"theta": TH}),
+    "arctan": (h.survival_arctan, (0.01, TH, 0.5), {"theta": TH, "beta": 10.0}),
+    "pheno": (h.survival_pheno, (0.01, TH, 0.5), {"theta": TH, "beta": 10.0}),
+    "avg_erf": (h.survival_avg_erf, (0.01, 0.5), {"theta": TH}),
+    "avg_arctan": (h.survival_avg_arctan, (0.01, 0.5), {"theta": TH, "beta": 10.0}),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name,parameter", [(name, p) for name, (_, _, params)
+                                            in _FORM_PARAMETERS.items() for p in params])
+def test_survival_forms_reject_bad_parameters(name, parameter, bad):
+    # survival_arctan(0.01, 1e-3, 1.0, -1.0, 1.0) returned -0.0064, and a nan
+    # theta returned nan from every form
+    form, args, params = _FORM_PARAMETERS[name]
+    with pytest.raises(h.ParameterError, match=parameter):
+        form(*args, **{**params, parameter: bad})
+
+
 TAIL_CALLS = {"tail_gaussian": (h.tail_gaussian_hitting, (0.01, TH)),
               "tail_powerlaw": (h.tail_powerlaw_hitting, (0.01, 0.5, TH, 10.0))}
 

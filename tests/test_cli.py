@@ -418,6 +418,14 @@ class TestExitCodes:
         assert rc == 2
         assert "--theta-tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--z", "0"), ("--tau", "0"), ("--z", "-0.0")])
+    def test_ratio_outside_its_domain(self, flag, value, capsys, monkeypatch):
+        # exited 3 with "numerical failure: risk_ratio requires z > 0 and tau > 0"
+        monkeypatch.setattr(cli.asy, "risk_ratio", None)  # rejected before any quadrature
+        assert cli.main(["ratio", f"{flag}={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith(f"hestonfp: error: {flag}:")
+
     @pytest.mark.parametrize("extra", [[], ["--stationary"]])
     def test_simulate_at_an_overflowing_beta(self, extra, capsys):
         # nu = 2*theta/beta**2 underflows: ended in an OverflowError traceback, exit 1
@@ -425,6 +433,71 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("hestonfp: error: nu") and "Traceback" not in err
+
+
+# two valid texts for every option, the first not its default
+_TEXTS = {"alpha": ("0.05", "0.06"), "m2": ("1e-4", "2e-4"), "k": ("0.01", "0.02"),
+          "theta": ("2e-3", "3e-3"), "beta": ("1:100:5", "10"), "z": ("1e-3:0.1:4", "0.02"),
+          "v": ("1e-3", "1e-4:1e-2:3"), "tau": ("0.5", "0.1:3:2"), "method": ("Erf-Avg", "pheno"),
+          "paths": ("64", "128"), "dt": ("5e-3", "0.01"), "seed": ("7", "8"),
+          "output": ("a.csv", "b.csv"), "format": ("json", "csv"),
+          "theta_tau": ("0.01", "1e-3:1e-2:3"), "stationary": ("true", "yes")}
+
+
+class TestIntakeParity:
+    """A flag and the config key of the same name take one parse path."""
+
+    @staticmethod
+    def _spec(monkeypatch, tmp_path, flags, config):
+        specs = []
+        monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or "")
+        argv = ["exact"]
+        for key, text in flags.items():
+            flag = "--" + key.replace("_", "-")
+            argv += [flag] if key == "stationary" else [f"{flag}={text}"]
+        if config:
+            argv += ["--config", _write(tmp_path, "c.cfg",
+                                        "".join(f"{k} = {v}\n" for k, v in config.items()))]
+        assert cli.main(argv) == 0
+        return specs[0]
+
+    def test_every_key_is_a_flag(self):
+        assert set(_TEXTS) == set(cli._OPTIONS)
+
+    @pytest.mark.parametrize("key", sorted(_TEXTS))
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_flag_and_config_give_one_spec(self, key, which, monkeypatch, tmp_path):
+        text = _TEXTS[key][which]
+        from_flag = self._spec(monkeypatch, tmp_path, {key: text}, {})
+        assert from_flag == self._spec(monkeypatch, tmp_path, {}, {key: text})
+        if which == 0:
+            assert from_flag != self._spec(monkeypatch, tmp_path, {}, {})
+
+    @pytest.mark.parametrize("key", sorted(_TEXTS))
+    def test_flag_overrides_config(self, key, monkeypatch, tmp_path):
+        flag_text, config_text = _TEXTS[key]
+        if key == "stationary":
+            config_text = "off"  # --stationary can only say true
+        want = self._spec(monkeypatch, tmp_path, {key: flag_text}, {})
+        assert self._spec(monkeypatch, tmp_path, {key: flag_text}, {key: config_text}) == want
+        assert want != self._spec(monkeypatch, tmp_path, {}, {key: config_text})
+
+    def test_beta_scan_from_config_or_flag(self, tmp_path, capsys):
+        args = ["crossing-level", "--theta-tau", "5.76e-3"]
+        assert cli.main([*args, "--beta", "1:100:5"]) == 0
+        from_flag = capsys.readouterr().out
+        cfg = _write(tmp_path, "scan.cfg", "beta = 1:100:5\n")
+        assert cli.main([*args, "--config", cfg]) == 0
+        assert capsys.readouterr().out == from_flag
+        assert len(from_flag.splitlines()) == 6
+
+    @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+    def test_help_lists_every_flag(self, command, capsys):
+        argv = [command, "fig1", "--help"] if command == "figure" else [command, "--help"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        for key in [*cli._OPTIONS, "config"]:
+            assert "--" + key.replace("_", "-") in out, key
 
 
 def _nonpositive_or_nan():

@@ -514,6 +514,11 @@ class TestWienerBaseline:
             h.survival_wiener(0.05, 0.0, 1.0)
         with pytest.raises(h.ConfigError):
             h.survival_wiener(np.array([0.05, math.nan]), 1e-3, 1.0)
+        # infinite input gave 1.0, 0.0 and 0.0
+        for args in ((math.inf, 1e-3, 1.0), (0.05, math.inf, 1.0), (0.05, 1e-3, math.inf),
+                     (np.array([0.05, math.inf]), 1e-3, 1.0)):
+            with pytest.raises(h.ConfigError):
+                h.survival_wiener(*args)
 
 
 class TestResultType:
