@@ -70,13 +70,15 @@ REGIMES = {r.tag: r for r in (
 
 @dataclass(frozen=True)
 class CrossingResult:
-    """Root of the Gaussian-vs-heavy-tail hitting balance."""
+    """Root of the Gaussian-vs-heavy-tail hitting balance: floats for one
+    point, ndarrays of the grid's shape (``bracket`` a pair of them) for a
+    grid."""
 
-    l_c: float
-    beta: float
-    theta_tau: float
-    bracket: tuple[float, float]
-    residual: float
+    l_c: float | np.ndarray
+    beta: float | np.ndarray
+    theta_tau: float | np.ndarray
+    bracket: tuple[float, float] | tuple[np.ndarray, np.ndarray]
+    residual: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -204,40 +206,72 @@ def ratio_asymptote(z: float, theta_tau: float, beta: float | None = None) -> fl
     return val / beta if beta is not None else val
 
 
-def _crossing_gap(l, beta: float, theta_tau: float):
+def _crossing_gap(l, beta, theta_tau):
     return erf(l / np.sqrt(2.0 * theta_tau)) - (2.0 / np.pi) * np.arctan(beta * l / theta_tau)
 
 
-def crossing_level(beta: float, theta_tau: float, tol: float = 1e-10) -> CrossingResult:
+# the scan grid of crossing_level: 200 log-spaced levels from 1e-4 to 10
+_SCAN = np.logspace(-4.0, 1.0, 200)
+
+
+def crossing_level(beta, theta_tau, tol: float = 1e-10) -> CrossingResult:
     """Level beyond which heavy-tail hitting overtakes the Gaussian hitting.
 
     Solves ``erf(l/sqrt(2*theta_tau)) = (2/pi)*arctan(beta*l/theta_tau)`` for
     the nontrivial root.  Both sides vanish at ``l = 0``, so the scan for a
     sign change discards leading grid points where the gap is still within
-    ``10*tol`` of zero before bracketing.
-    """
-    # imported here, not at module level: scipy.optimize adds about 0.3 s
-    # to the start-up of every command that never solves for a root
-    from scipy.optimize import brentq
+    ``10*tol`` of zero before bracketing.  The bracket is then bisected down
+    to adjacent floats (or an exact zero of the gap), and ``l_c`` is the end
+    with the smaller ``|gap|``, reported as ``residual``.
 
-    if beta <= 0.0 or theta_tau <= 0.0:
-        raise NoRoot("crossing_level requires beta > 0 and theta_tau > 0")
-    grid = np.logspace(-4.0, 1.0, 200)
-    gaps = _crossing_gap(grid, beta, theta_tau)
+    ``beta`` and ``theta_tau`` broadcast, and a whole grid is scanned and
+    bisected at once.  Scalar input gives a result of floats; array input
+    gives fields of the broadcast shape, ``bracket`` a pair of arrays.  A
+    scalar call equals the matching grid element bit for bit.  The
+    :class:`NoRoot` raised is that of the first failing point in flattened
+    order, as a loop over the points would raise it.
+    """
+    b, tt = np.broadcast_arrays(np.asarray(beta, dtype=float),
+                                np.asarray(theta_tau, dtype=float))
+    bf, tf = b.ravel()[:, None], tt.ravel()[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gaps = _crossing_gap(_SCAN, bf, tf)
     alive = np.abs(gaps) > 10.0 * tol
-    if not np.any(alive):
-        raise NoRoot("gap function indistinguishable from zero on the scan grid")
-    start = int(np.argmax(alive))
-    change = np.flatnonzero(gaps[start:-1] * gaps[start + 1:] < 0.0)
-    if not change.size:
-        raise NoRoot(f"no sign change on the scan grid for beta={beta!r}, "
-                     f"theta_tau={theta_tau!r}")
-    i = start + int(change[0])
-    lo, hi = float(grid[i]), float(grid[i + 1])
-    root = float(brentq(_crossing_gap, lo, hi, args=(beta, theta_tau),
-                        xtol=1e-14, rtol=8.882e-16))
-    return CrossingResult(l_c=root, beta=beta, theta_tau=theta_tau, bracket=(lo, hi),
-                          residual=abs(float(_crossing_gap(root, beta, theta_tau))))
+    start = np.argmax(alive, axis=1)
+    change = ((gaps[:, :-1] * gaps[:, 1:] < 0.0)
+              & (np.arange(_SCAN.size - 1) >= start[:, None]))
+    domain = (bf[:, 0] <= 0.0) | (tf[:, 0] <= 0.0)
+    bad = domain | ~change.any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if domain[k]:
+            raise NoRoot("crossing_level requires beta > 0 and theta_tau > 0")
+        if not alive[k].any():
+            raise NoRoot("gap function indistinguishable from zero on the scan grid")
+        raise NoRoot(f"no sign change on the scan grid for beta={float(bf[k, 0])!r}, "
+                     f"theta_tau={float(tf[k, 0])!r}")
+    i = np.argmax(change, axis=1)
+    bracket = _SCAN[i], _SCAN[i + 1]
+    rising = gaps[np.arange(i.size), i] < 0.0
+    bf, tf = bf[:, 0], tf[:, 0]
+    # bisect each bracket over the floats in it (positive doubles order as
+    # their bit patterns) down to adjacent floats; an exact zero of the gap
+    # closes its bracket onto itself
+    lo, hi = (x.view(np.uint64) for x in bracket)
+    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        g = _crossing_gap(mid.view(float), bf, tf)
+        up = (g < 0.0) == rising
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        if not g.all():
+            lo, hi = np.where(g == 0.0, mid, lo), np.where(g == 0.0, mid, hi)
+    ends = np.stack((lo, hi)).view(float)
+    res = np.abs(_crossing_gap(ends, bf, tf))
+    hi_wins = res[1] < res[0]
+    out = (np.where(hi_wins, ends[1], ends[0]), b, tt, *bracket, np.where(hi_wins, res[1], res[0]))
+    l_c, beta, theta_tau, lo, hi, residual = (_float_or_array(x.reshape(b.shape)) for x in out)
+    return CrossingResult(l_c=l_c, beta=beta, theta_tau=theta_tau, bracket=(lo, hi),
+                          residual=residual)
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> LineFit:

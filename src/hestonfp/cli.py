@@ -31,7 +31,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from itertools import product
 
 import numpy as np
 
@@ -140,6 +139,8 @@ _float, _int = _number(float), _number(int)
 
 
 def _text(key: str, text: str) -> str:
+    if not text.strip():
+        raise ConfigError(f"{_flag(key)}: expected a value, got an empty text")
     return text
 
 
@@ -152,7 +153,7 @@ def _as_bool(key: str, text: str) -> bool:
     value = text.strip().lower()
     if value in ("1", "true", "yes", "on"):
         return True
-    if value in ("0", "false", "no", "off", ""):
+    if value in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"{key}: expected a boolean, got {text!r}")
 
@@ -411,11 +412,9 @@ def _cmd_crossing_level(spec: RunSpec):
     tts = spec.theta_tau
     if not tts:
         raise ParameterError("--theta-tau is required for crossing-level")
-    rows = []
-    for beta, tt in product(betas, tts):
-        res = asy.crossing_level(beta, tt)
-        rows.append((beta, tt, res.l_c, res.residual))
-    return ["beta", "theta_tau", "l_c", "residual"], rows
+    beta, tt = _grid(betas, tts)
+    res = asy.crossing_level(beta, tt)
+    return ["beta", "theta_tau", "l_c", "residual"], _columns(beta, tt, res.l_c, res.residual)
 
 
 def _cmd_ratio(spec: RunSpec):
@@ -493,9 +492,9 @@ def _figure_fig6(spec: RunSpec):
 
 
 def _figure_fig9(spec: RunSpec):
-    theta_tau = 3.0 * spec.dimensionless.theta
-    return ["beta", "l_c"], [(beta, asy.crossing_level(beta, theta_tau).l_c)
-                             for beta in np.logspace(0, 2, 32)]
+    betas = np.logspace(0, 2, 32)
+    l_c = asy.crossing_level(betas, 3.0 * spec.dimensionless.theta).l_c
+    return ["beta", "l_c"], _columns(betas, l_c)
 
 
 def _figure_fig10(spec: RunSpec):

@@ -344,12 +344,14 @@ def _run_blocks(z_grid, steps, v0, d, cfg: McConfig, workers: int):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, blocks))
-    sums = np.array([r[0] for r in results])  # (block, record, z, 2)
-    n_block = np.array([nb for _, nb in blocks], dtype=float)[:, None, None]
+    # each (record, z, 2) block sum is added left to right, in block order:
+    # numpy's sum over a block axis may pair them, and pairs them or not
+    # depending on the z grid's size
     n = cfg.n_paths
-    mean = sums[..., 0].sum(axis=0) / n
+    mean = sum(r[0][..., 0] for r in results) / n
     # pooled sum of squared deviations: within blocks plus between block means
-    m2 = (sums[..., 1] + n_block * (sums[..., 0] / n_block - mean) ** 2).sum(axis=0)
+    m2 = sum(r[0][..., 1] + nb * (r[0][..., 0] / nb - mean) ** 2
+             for r, (_, nb) in zip(results, blocks))
     return (mean, 1.96 * np.sqrt(m2 / n) / math.sqrt(n),
             sum(r[1] for r in results), sum(r[2] for r in results))
 

@@ -257,6 +257,35 @@ class TestCrossingLevel:
         with pytest.raises(h.NoRoot):
             h.crossing_level(-1.0, 0.01)
 
+    def test_grid_matches_scalar_calls_bit_for_bit(self):
+        betas, tts = np.geomspace(1.0, 100.0, 7)[:, None], np.geomspace(1e-4, 1e-1, 5)
+        grid = h.crossing_level(betas, tts)
+        assert grid.l_c.shape == grid.residual.shape == grid.beta.shape == (7, 5)
+        assert grid.bracket[0].shape == grid.bracket[1].shape == (7, 5)
+        for idx in np.ndindex(7, 5):
+            one = h.crossing_level(float(betas[idx[0], 0]), float(tts[idx[1]]))
+            assert isinstance(one.l_c, float) and isinstance(one.bracket[0], float)
+            assert (one.l_c, one.residual, one.bracket) == (
+                grid.l_c[idx], grid.residual[idx], (grid.bracket[0][idx], grid.bracket[1][idx]))
+
+    def test_root_is_a_sign_change_between_adjacent_floats(self):
+        betas = np.geomspace(1.0, 100.0, 16)
+        res = h.crossing_level(betas, 5.76e-3)
+        for beta, l_c, residual in zip(betas, res.l_c, res.residual):
+            near = np.array([np.nextafter(l_c, 0.0), l_c, np.nextafter(l_c, 1.0)])
+            below, at, above = h.asymptotics._crossing_gap(near, beta, 5.76e-3)
+            assert residual == abs(at) <= 1e-15
+            assert at == 0.0 or below * at < 0.0 or at * above < 0.0
+
+    @pytest.mark.parametrize("beta,theta_tau,match", [
+        ([10.0, 0.01, -1.0], 0.01, "no sign change .* beta=0.01, theta_tau=0.01$"),
+        ([10.0, -1.0, 0.01], 0.01, "requires beta > 0"),
+        ([10.0, math.nan, -1.0], 0.01, "indistinguishable"),
+    ])
+    def test_grid_raises_the_first_failing_point(self, beta, theta_tau, match):
+        with pytest.raises(h.NoRoot, match=match):
+            h.crossing_level(np.array(beta), theta_tau)
+
 
 class TestCrossingLawFits:
     def test_power_law_exponent_examples(self):

@@ -395,6 +395,24 @@ class TestExitCodes:
         assert not out.exists()
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_no_root_message_prints_plain_floats(self, capsys):
+        # printed beta=np.float64(0.29999999999999993)
+        assert cli.main(["crossing-level", "--beta", "0.3:300:4", "--theta-tau", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "beta=0.29999999999999993, theta_tau=1.0" in err and "np.float64" not in err
+
+    @pytest.mark.parametrize("argv,config", [
+        (["exact", "--output", ""], None), (["exact"], "output =\n"),
+        (["exact", "--output", "  "], None), (["simulate", "--paths", "64"], "stationary =\n")])
+    def test_empty_output_or_stationary_is_rejected(self, argv, config, tmp_path, capsys):
+        # an empty output meant stdout, an empty stationary meant false
+        if config:
+            argv = [*argv, "--config", _write(tmp_path, "empty.cfg", config)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        key = "output" if "output" in (config or " ".join(argv)) else "stationary"
+        assert not out and err.startswith("hestonfp: error: ") and key in err
+
     @pytest.mark.parametrize("beta,theta_tau,named", [
         ("10", "nan", "--theta-tau"), ("10", "inf", "--theta-tau"),
         ("10", "1e-3:inf:3", "--theta-tau"), ("10", "nan:1:3", "--theta-tau"),
@@ -628,23 +646,38 @@ import hestonfp, hestonfp.cli as cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     figure = cli.main(["figure", "fig2"])
-before = sorted(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules)
 with contextlib.redirect_stdout(out):
     crossing = cli.main(["crossing-level", "--beta", "10", "--theta-tau", "0.01"])
-print(json.dumps({"figure": figure, "crossing": crossing, "before": before,
-                  "optimize_after": "scipy.optimize" in sys.modules,
-                  "last_line": out.getvalue().splitlines()[-1]}))
+    fig9 = cli.main(["figure", "fig9"])
+print(json.dumps({"codes": [figure, crossing, fig9],
+                  "loaded": sorted(m for m in ("scipy.stats", "scipy.optimize")
+                                   if m in sys.modules),
+                  "crossing_line": out.getvalue().splitlines()[-34]}))
 """
 
 
 def test_startup_loads_neither_scipy_stats_nor_optimize():
     # importing scipy.stats and scipy.optimize took about 1.1 s of every
-    # command's start-up; a fresh interpreter sees what the import path loads
+    # command's start-up; a fresh interpreter sees what the import path loads,
+    # and the root finder of crossing-level and fig9 needs neither
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     proc = subprocess.run([sys.executable, "-c", _STARTUP], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     got = json.loads(proc.stdout)
-    assert got["figure"] == 0 and got["before"] == []
-    # crossing-level loads scipy.optimize on first use, and still finds the root
-    assert got["crossing"] == 0 and got["optimize_after"]
-    assert got["last_line"].startswith("10,0.01,0.3080488671063")
+    assert got["codes"] == [0, 0, 0] and got["loaded"] == []
+    beta, theta_tau, l_c, residual = map(float, got["crossing_line"].split(","))
+    assert (beta, theta_tau, residual) == (10.0, 0.01, 0.0)
+    assert abs(l_c - 0.30804886710639989) <= 1e-15  # brentq's root
+
+
+def test_crossing_grid_solves_in_a_bounded_number_of_gap_calls(monkeypatch, capsys):
+    # one scan, one bisection round per halving of the widest bracket (the
+    # scan's spacing bounds it, whatever the grid) and one final evaluation;
+    # a loop over the 512 points made 4911 calls
+    calls, gap = [], cli.asy._crossing_gap
+    monkeypatch.setattr(cli.asy, "_crossing_gap", lambda *a: calls.append(1) or gap(*a))
+    for beta, theta_tau in (("10", "0.01"), ("1:100:32", "1e-4:1e-1:16")):
+        calls.clear()
+        assert cli.main(["crossing-level", "--beta", beta, "--theta-tau", theta_tau]) == 0
+        assert len(calls) <= 55
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 513

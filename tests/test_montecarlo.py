@@ -218,14 +218,17 @@ class TestIndependentSimulation:
 
 @pytest.fixture(scope="module")
 def leg(dfig):
+    # one profile over every bracketed level per dt; each level's survival
+    # and CI have the bits of its own estimate_survival run
     cache = {}
 
     def run(z, dt):
-        if (z, dt) not in cache:
-            cfg = h.McConfig(dt=dt, n_paths=10**6, seed=12345, record_grid=(0.5,))
-            est = h.estimate_survival(dfig, z, TH, cfg)
-            cache[(z, dt)] = (est.survival[0], est.ci_halfwidth[0])
-        return cache[(z, dt)]
+        if dt not in cache:
+            cfg = h.McConfig(dt=dt, n_paths=10**6, seed=12345, horizon=0.5)
+            prof = h.survival_profile(dfig, (0.005, 0.01, 0.05), cfg, v0=TH)
+            cache[dt] = dict(zip(prof.z_grid.tolist(),
+                                 zip(prof.survival.tolist(), prof.ci_halfwidth.tolist())))
+        return cache[dt][z]
     return run
 
 
@@ -350,6 +353,24 @@ class TestWorkerDeterminism:
             assert np.array_equal(runs[0].ci_halfwidth, other.ci_halfwidth)
             assert (runs[0].path_steps, runs[0].rng_draws) == (other.path_steps,
                                                                other.rng_draws)
+
+
+class TestBlockMerge:
+    def test_one_z_and_three_z_merge_alike(self, dfig, monkeypatch):
+        # 16 blocks of crafted sums, the same for every z: numpy's sum over
+        # the block axis paired them for one z and not for three
+        def block(b, n_block, z_grid, steps, v0, d, cfg):
+            rng = np.random.default_rng(b)
+            one = np.array([n_block * rng.uniform(0.2, 0.9), n_block * rng.uniform(0.0, 0.1)])
+            return np.broadcast_to(one, (len(steps), z_grid.size, 2)).copy(), 0, 0
+
+        monkeypatch.setattr(montecarlo, "_block", block)
+        cfg = h.McConfig(dt=1e-3, n_paths=16 * 2**16 - 5, seed=1, horizon=0.5)
+        one = h.survival_profile(dfig, (0.01,), cfg)
+        three = h.survival_profile(dfig, (0.005, 0.01, 0.05), cfg)
+        assert len(montecarlo._blocks(cfg.n_paths)) == 16
+        for got, want in ((three.survival, one.survival), (three.ci_halfwidth, one.ci_halfwidth)):
+            assert [x.hex() for x in got] == [want[0].hex()] * 3
 
 
 class TestNormalStream:
