@@ -233,14 +233,14 @@ def crossing_level(beta, theta_tau, tol: float = 1e-10) -> CrossingResult:
     """
     b, tt = np.broadcast_arrays(np.asarray(beta, dtype=float),
                                 np.asarray(theta_tau, dtype=float))
-    bf, tf = b.ravel()[:, None], tt.ravel()[:, None]
+    bf, tf = b.ravel(), tt.ravel()
     with np.errstate(invalid="ignore", divide="ignore"):
-        gaps = _crossing_gap(_SCAN, bf, tf)
+        gaps = _crossing_gap(_SCAN, bf[:, None], tf[:, None])
     alive = np.abs(gaps) > 10.0 * tol
     start = np.argmax(alive, axis=1)
     change = ((gaps[:, :-1] * gaps[:, 1:] < 0.0)
               & (np.arange(_SCAN.size - 1) >= start[:, None]))
-    domain = (bf[:, 0] <= 0.0) | (tf[:, 0] <= 0.0)
+    domain = (bf <= 0.0) | (tf <= 0.0)
     bad = domain | ~change.any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
@@ -248,15 +248,15 @@ def crossing_level(beta, theta_tau, tol: float = 1e-10) -> CrossingResult:
             raise NoRoot("crossing_level requires beta > 0 and theta_tau > 0")
         if not alive[k].any():
             raise NoRoot("gap function indistinguishable from zero on the scan grid")
-        raise NoRoot(f"no sign change on the scan grid for beta={float(bf[k, 0])!r}, "
-                     f"theta_tau={float(tf[k, 0])!r}")
+        raise NoRoot(f"no sign change on the scan grid for beta={float(bf[k])!r}, "
+                     f"theta_tau={float(tf[k])!r}")
     i = np.argmax(change, axis=1)
     bracket = _SCAN[i], _SCAN[i + 1]
     rising = gaps[np.arange(i.size), i] < 0.0
-    bf, tf = bf[:, 0], tf[:, 0]
     # bisect each bracket over the floats in it (positive doubles order as
-    # their bit patterns) down to adjacent floats; an exact zero of the gap
-    # closes its bracket onto itself
+    # their bit patterns, below 2**63, so a uint64 sum of two cannot
+    # overflow) down to adjacent floats; an exact zero of the gap closes its
+    # bracket onto itself
     lo, hi = (x.view(np.uint64) for x in bracket)
     for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
         mid = (lo + hi) >> 1
