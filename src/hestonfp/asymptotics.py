@@ -290,31 +290,25 @@ def fit_crossing_laws(samples) -> CrossingLawFits:
     rows = [(float(b), float(tt), float(lc)) for b, tt, lc in samples]
     if not rows:
         raise InsufficientData("no samples")
-    log_law: dict[float, LineFit] = {}
-    power_law: dict[float, LineFit] = {}
-    by_tt: dict[float, list[tuple[float, float]]] = {}
-    by_beta: dict[float, list[tuple[float, float]]] = {}
-    for b, tt, lc in rows:
-        by_tt.setdefault(tt, []).append((b, lc))
-        by_beta.setdefault(b, []).append((tt, lc))
-    for tt, pts in by_tt.items():
-        if len(pts) < 2:
-            continue
-        b = np.array([p[0] for p in pts])
-        lc = np.array([p[1] for p in pts])
-        if len(pts) < 5 or b.max() / b.min() < 10.0:
-            raise InsufficientData(
-                f"log-law fit at theta_tau={tt!r} needs >= 5 samples over a decade")
-        log_law[tt] = _line_fit(np.log(b), lc)
-    for b, pts in by_beta.items():
-        if len(pts) < 2:
-            continue
-        tt = np.array([p[0] for p in pts])
-        lc = np.array([p[1] for p in pts])
-        if len(pts) < 5 or tt.max() / tt.min() < 10.0:
-            raise InsufficientData(
-                f"power-law fit at beta={b!r} needs >= 5 samples over a decade")
-        power_law[b] = _line_fit(np.log(tt), np.log(lc))
+    fits: list[dict[float, LineFit]] = []
+    # (law, name and column of the grouping, transform of l_c); the other of
+    # beta and theta_tau is the abscissa
+    for law, name, key, ordinate in (("log-law", "theta_tau", 1, lambda lc: lc),
+                                     ("power-law", "beta", 0, np.log)):
+        groups: dict[float, list[tuple[float, float]]] = {}
+        for row in rows:
+            groups.setdefault(row[key], []).append((row[1 - key], row[2]))
+        fits.append({})
+        for g, pts in groups.items():
+            if len(pts) < 2:
+                continue
+            x = np.array([p[0] for p in pts])
+            lc = np.array([p[1] for p in pts])
+            if len(pts) < 5 or x.max() / x.min() < 10.0:
+                raise InsufficientData(
+                    f"{law} fit at {name}={g!r} needs >= 5 samples over a decade")
+            fits[-1][g] = _line_fit(np.log(x), ordinate(lc))
+    log_law, power_law = fits
     if not log_law and not power_law:
         raise InsufficientData("no group had enough samples to fit")
     return CrossingLawFits(log_law=log_law, power_law=power_law)

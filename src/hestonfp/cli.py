@@ -584,9 +584,6 @@ def main(argv=None) -> int:
         if not spec.output_path:
             sys.stdout.write(text)
         return 0
-    except (ParameterError, ConfigError) as exc:
-        print(f"hestonfp: error: {exc}", file=sys.stderr)
-        return 2
     except (NonConvergence, NoRoot, DivisionDomain) as exc:
         print(f"hestonfp: numerical failure: {exc}", file=sys.stderr)
         return 3

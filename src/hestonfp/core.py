@@ -195,18 +195,24 @@ def to_dimensionless(params: ModelParams, y: float, t: float,
     return d, state
 
 
+_FLOAT_MAX = np.finfo(float).max
+
+
 def _delta_mu(omega, beta):
     """``delta = sqrt(1 + (beta*omega)**2)`` and ``mu_minus = (delta - 1)/2``.
 
-    ``mu_minus`` is evaluated as ``x * (x / (2*(delta + 1)))`` with
+    ``mu_minus`` is evaluated as ``x * (x/2 / (delta + 1))`` with
     ``x = beta*omega``, which is exact algebra but avoids the subtractive
     cancellation of ``(delta - 1)/2`` for small ``x`` and the overflow of
-    ``x*x`` for large ``x``.
+    ``x*x``, and of ``2*(delta + 1)``, for large ``x``.  An ``x`` past the
+    largest float (an infinite ``omega`` too) is held at it, so both stay
+    finite; the survival factors reach 0 long before it.
     """
-    x = beta * np.asarray(omega, dtype=float)
-    with np.errstate(over="ignore"):  # x*x past 1.34e154, where delta = x is exact
+    # beta*omega past the largest float, and x*x past 1.34e154, where delta = x is exact
+    with np.errstate(over="ignore"):
+        x = np.minimum(beta * np.asarray(omega, dtype=float), _FLOAT_MAX)
         delta = np.where(x > 1e150, x, np.sqrt(1.0 + x * x))
-    return delta, x * (x / (2.0 * (delta + 1.0)))
+    return delta, x * (0.5 * x / (delta + 1.0))
 
 
 def _riccati(omega, tau, beta):

@@ -20,14 +20,14 @@ Philox draws (which release the GIL) overlap the step arithmetic when a
 core is free; with ``workers`` blocks at once that is up to
 ``2 * workers`` threads.  The stream, and so every output bit, is the same as drawing each step's normals
 inline.  Each step runs in-place ufuncs on scratch buffers allocated once
-per block; the exponential branch is screened with full-width masks and
-evaluated only on the hits.  At large vol-of-vol (``2 nu < 4/3``, so
-``psi > 1.5`` at ``v = 0``) paths on the atom take the exponential branch
-and mostly stay there; once more than half of a block sits on the atom, a step runs only
-on the paths off it or whose normal can lift them off it.  A parked path gets ``v' = 0`` and a
-clock increment of ``(0 + 0) dt / 2 = 0``, exactly what the full step
-gives it, and every path's arithmetic runs in the same operation order
-either way, so parking changes no bit of the output.
+per block, and evaluates the exponential branch only on the paths that
+take it.  At large vol-of-vol (``2 nu < 4/3``, so ``psi > 1.5`` at
+``v = 0``) paths on the atom take the exponential branch and mostly stay
+there; once more than half of a block sits on the atom, a step runs only
+on the paths off it or whose normal can lift them off it.  A parked path
+gets ``v' = 0`` and a clock increment of ``(0 + 0) dt / 2 = 0``, exactly
+what the full step gives it, and every path's arithmetic runs in the same
+operation order either way, so parking changes no bit of the output.
 
 Reproducibility: one master seed, an integer in ``[0, 2**64)``, counter-based
 (Philox) substreams per path block, and per-block float sums merged in
@@ -65,7 +65,6 @@ _PURPOSE_PATHS = 0
 _PURPOSE_GAMMA = 1
 
 _K_SWITCH = 2.0 / 1.5  # 2/psi at Andersen's switch psi_c = 1.5 between the QE branches
-_Z_FAR = 0.8416212335729144  # ndtri(0.8), and q = 1 - p < 0.8 where 2/psi < _K_SWITCH
 
 
 def _checked_int(name: str, value, low: int, high: int | None = None) -> int:
@@ -184,12 +183,12 @@ def _erf_sums(clock: np.ndarray, z_grid: np.ndarray) -> np.ndarray:
 
 def _qe_step(v: np.ndarray, normal: np.ndarray, out: np.ndarray, scratch, coef) -> None:
     """One QE step of the variances ``v`` driven by ``normal``: writes ``v'``
-    into ``out``.  ``scratch`` is ``(m, k, tmp, far, hit)``, float and bool
-    buffers of ``v``'s length; ``coef`` is ``(e, m0, s1, s0, z_atom)``.  Only
+    into ``out``.  ``scratch`` is ``(m, k, tmp, far)``, three float buffers
+    and a bool one of ``v``'s length; ``coef`` is ``(e, m0, s1, s0)``.  Only
     in-place ufuncs touch full-width data, in a fixed operation order, so a
     path's ``v'`` depends on nothing but its own ``v`` and normal."""
-    m, k, tmp, far, hit = scratch
-    e, m0, s1, s0, z_atom = coef
+    m, k, tmp, far = scratch
+    e, m0, s1, s0 = coef
     # conditional mean m = e v + m0 and k = 2 / psi = m^2 / (s1 v + s0)
     np.multiply(v, e, out=m)
     m += m0
@@ -211,16 +210,9 @@ def _qe_step(v: np.ndarray, normal: np.ndarray, out: np.ndarray, scratch, coef) 
     np.divide(m, out, out=out)
     out *= tmp
     # exponential branch where k < _K_SWITCH: v' = (m / q) log(q / Phi(Z)) where
-    # U = Phi(-Z) > p = 1 - q, else 0.  Only Z < ndtri(q) can pass: on the atom
-    # every path has q = q0, and q < 0.8 off it
+    # U = Phi(-Z) > p = 1 - q, else 0
     np.less(k, _K_SWITCH, out=far)
-    np.copyto(out, 0.0, where=far)
-    np.equal(v, 0.0, out=hit)
-    tmp.fill(_Z_FAR)
-    np.copyto(tmp, z_atom, where=hit)
-    np.less(normal, tmp, out=hit)
-    hit &= far
-    idx = np.flatnonzero(hit)
+    idx = np.flatnonzero(far)
     if idx.size:
         q = 2.0 * k[idx] / (2.0 + k[idx])
         out[idx] = m[idx] / q * np.maximum(np.log(q) - log_ndtr(normal[idx]), 0.0)
@@ -231,25 +223,18 @@ def _normals(rng: np.random.Generator, n_block: int, n_steps: int, drawer):
     in the order ``n_steps`` calls of ``rng.standard_normal(n_block)`` give
     them.
 
-    Two buffers of ``rows`` steps take turns: while the caller steps through
-    one chunk, ``drawer`` (a one-thread executor) fills the next.  A yielded
-    array is valid until the next one is requested.
+    The normals come in chunks of ``rows`` steps: while the caller steps
+    through one chunk, ``drawer`` (a one-thread executor) draws the next.
     """
     rows = max(1, _BLOCK // n_block)
-    buffers = (np.empty((rows, n_block)), np.empty((rows, n_block)))
-
-    def fill(chunk: int) -> np.ndarray:
-        buf = buffers[chunk % 2][:n_steps - chunk * rows]
-        rng.standard_normal(out=buf)  # row by row, as the inline draws
-        return buf
-
-    n_chunks = -(-n_steps // rows)
-    pending = drawer.submit(fill, 0) if n_chunks else None
-    for chunk in range(1, n_chunks + 1):
-        buf = pending.result()
-        if chunk < n_chunks:
-            pending = drawer.submit(fill, chunk)
-        yield from buf
+    pending = None
+    for start in range(0, n_steps, rows):
+        chunk = drawer.submit(rng.standard_normal, (min(rows, n_steps - start), n_block))
+        if pending is not None:
+            yield from pending.result()
+        pending = chunk
+    if pending is not None:
+        yield from pending.result()
 
 
 def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
@@ -279,31 +264,30 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     m0 = d.theta * -math.expm1(-cfg.dt)
     s1 = 0.5 * d.beta**2 * e * -math.expm1(-cfg.dt)
     s0 = 0.25 * d.theta * d.beta**2 * math.expm1(-cfg.dt)**2
-    # on the atom v = 0 every path has the same q, so one threshold screens them
+    coef = (e, m0, s1, s0)
+    # on the atom v = 0 every path has q = q0, and only Z < ndtri(q0) gives v' > 0
     k0 = m0 * m0 / s0
     z_atom = ndtri(2.0 * k0 / (2.0 + k0)) + 1e-9
-    coef = (e, m0, s1, s0, z_atom)
     parkable = k0 < _K_SWITCH
     half_dt = 0.5 * cfg.dt
     v_next = np.empty(n_block)
     scratch = (np.empty(n_block), np.empty(n_block), np.empty(n_block),
-               np.empty(n_block, dtype=bool), np.empty(n_block, dtype=bool))
-    far, hit = scratch[3:]
+               np.empty(n_block, dtype=bool))
+    moving, lifts = scratch[3], np.empty(n_block, dtype=bool)
     clock = np.zeros(n_block)
     sums = np.empty((len(steps), z_grid.size, 2))
     done = 0
-    # the drawer's first fill starts after the Gamma start draw above, so the
+    # the drawer's first chunk is drawn after the Gamma start draw above, so the
     # stream order is that of drawing every step's normals inline
     with ThreadPoolExecutor(max_workers=1) as drawer, np.errstate(invalid="ignore"):
         normals = _normals(rng, n_block, int(steps[-1]), drawer)
         for rec, stop in enumerate(steps.tolist()):
             for normal in itertools.islice(normals, stop - done):
                 live = None
-                if parkable and 2 * np.count_nonzero(np.equal(v, 0.0, out=far)) > n_block:
-                    np.not_equal(v, 0.0, out=far)
-                    np.less(normal, z_atom, out=hit)
-                    far |= hit
-                    live = np.flatnonzero(far)
+                if parkable and 2 * np.count_nonzero(np.not_equal(v, 0.0, out=moving)) < n_block:
+                    np.less(normal, z_atom, out=lifts)
+                    moving |= lifts
+                    live = np.flatnonzero(moving)
                     n = live.size
                     v_in, z_in, out = v[live], normal[live], v_next[:n]
                     _qe_step(v_in, z_in, out, tuple(a[:n] for a in scratch), coef)
@@ -331,6 +315,10 @@ def _run_blocks(z_grid, steps, v0, d, cfg: McConfig, workers: int):
     """Run every block (possibly concurrently); merge their sums in block
     order.  Returns the mean and CI half-width, shape ``(len(steps),
     z_grid.size)``, and the total path-steps and variates drawn."""
+    if z_grid.size == 0 or not np.all((z_grid > 0.0) & (z_grid < math.inf)):
+        raise ConfigError(f"z must be nonempty, finite and > 0, got {z_grid.tolist()!r}")
+    if v0 is not None and not 0.0 <= v0 < math.inf:
+        raise ConfigError(f"v0 must be finite and >= 0, got {v0!r}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers!r}")
     _positive_arrays(nu=d.nu, beta_squared=d.beta * d.beta)
@@ -358,8 +346,6 @@ def _run_blocks(z_grid, steps, v0, d, cfg: McConfig, workers: int):
 
 def _curve(d: Dimensionless, z0: float, v0: float | None, cfg: McConfig,
            workers: int) -> McEstimate:
-    if not 0.0 < z0 < math.inf:
-        raise ConfigError(f"z0 must be finite and > 0, got {z0!r}")
     mean, ci, path_steps, draws = _run_blocks(np.array([float(z0)]), cfg.record_steps(),
                                               v0, d, cfg, workers)
     return McEstimate(grid=cfg.record_grid, survival=mean[:, 0], ci_halfwidth=ci[:, 0],
@@ -374,8 +360,6 @@ def estimate_survival(d: Dimensionless, z0: float, v0: float, cfg: McConfig,
     ``z0`` must be strictly positive (starting on the barrier is absorption
     at time zero, not a simulation).
     """
-    if not 0.0 <= v0 < math.inf:
-        raise ConfigError(f"v0 must be finite and >= 0, got {v0!r}")
     return _curve(d, z0, v0, cfg, workers)
 
 
@@ -410,10 +394,6 @@ def survival_profile(d: Dimensionless, z_grid, cfg: McConfig,
     individual estimate carries a valid confidence interval.
     """
     z_grid = np.sort(np.asarray(z_grid, dtype=float))
-    if z_grid.size == 0 or not np.all((z_grid > 0.0) & (z_grid < math.inf)):
-        raise ConfigError("z_grid must be nonempty with all entries finite and > 0")
-    if v0 is not None and not 0.0 <= v0 < math.inf:
-        raise ConfigError(f"v0 must be finite and >= 0, got {v0!r}")
     mean, ci, path_steps, draws = _run_blocks(z_grid, np.array([cfg.n_steps]), v0, d, cfg,
                                               workers)
     return ProfileEstimate(z_grid=z_grid, tau=cfg.horizon, survival=mean[0],

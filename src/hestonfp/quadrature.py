@@ -32,7 +32,9 @@ sums agree, and reports the finer sum.  Its ``err_estimate`` is their
 difference plus a rounding floor from the sum of the absolute terms and the
 finer level's dropped mass, and the point stops once that is within
 ``abs_tol + rel_tol*|S|``; ``panels_used`` counts the nodes evaluated.  A
-point still open at the finest step raises :class:`NonConvergence`.
+point still open at the finest step raises :class:`NonConvergence`.  At a
+subnormal ``z``, ``u/z`` passes the largest float; the log factors hold
+``beta*omega`` at that float, where ``F`` is 0, so such a point gives 0.
 
 The batch entry points (``survival_exact_batch``,
 ``survival_averaged_batch``) take many points of one integrand family, with
@@ -163,7 +165,10 @@ def _level(F, u, w, z, points):
         own = points[r:r + rows, None]
         f = np.empty((own.size, n))
         for c in range(0, n, cols):
-            f[:, c:c + cols] = F(u[c:c + cols] / z[own], own)
+            # at a subnormal z, u / z (and then terms of -log F) may pass the
+            # largest float; F is 0 there
+            with np.errstate(over="ignore"):
+                f[:, c:c + cols] = F(u[c:c + cols] / z[own], own)
         f *= w
         sums[r:r + rows] = f.sum(axis=1)
         mags[r:r + rows] = np.abs(f).sum(axis=1)

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import erf
+from scipy.special import erf, ndtri
 
 import hestonfp as h
 from hestonfp import montecarlo
@@ -388,8 +388,8 @@ class TestNormalStream:
         want = montecarlo._block_rng(99, montecarlo._PURPOSE_PATHS, 3)
         rng = montecarlo._block_rng(99, montecarlo._PURPOSE_PATHS, 3)
         with ThreadPoolExecutor(max_workers=1) as drawer:
-            # copy each step: a yielded array is reused two chunks later
-            got = [z.copy() for z in montecarlo._normals(rng, n_block, n_steps, drawer)]
+            # kept uncopied: a yielded step stays valid after later draws
+            got = list(montecarlo._normals(rng, n_block, n_steps, drawer))
         assert len(got) == n_steps
         for z in got:
             assert np.array_equal(z, want.standard_normal(n_block))
@@ -430,32 +430,41 @@ class TestDrawerThreads:
 
 
 class TestPinnedKernel:
-    """Exact survival, CI, path-step and draw counts of four small runs,
-    recorded from the kernel before it stepped in place and parked paths on
-    the atom.  Two blocks, the second of 17 paths.  ``parks`` says whether
-    the run takes steps on the live paths only: at beta = 1 more than half of
-    the block sits at v = 0 from the second step on (stationary starts) or
-    from the eighth (v0 = theta); at beta = 0.01, 2 nu >= _K_SWITCH, so paths
-    on the atom take the quadratic branch and nothing parks."""
+    """Exact survival, CI, path-step and draw counts of six small runs.  The
+    first four were recorded from the kernel before it stepped in place and
+    parked paths on the atom, the last two before it dropped its screen of
+    the exponential branch.  Two blocks, the second of 17 paths.
+    ``parks_from`` is the first step taken on the live paths only, or None:
+    at beta = 1 more than half of the block sits at v = 0 from the second
+    step on (stationary starts) or from the eighth (v0 = theta), and at
+    beta = 10 from the first; at beta = 0.01, 2 nu >= _K_SWITCH, so paths on
+    the atom take the quadratic branch and nothing parks; at beta = 0.3
+    paths reach the atom, but never half of the block."""
 
     CASES = {
-        "beta0.1-v0theta": (0.1, TH, 0.01, False, (
+        "beta0.1-v0theta": (0.1, TH, 0.01, None, (
             ["0x1.dffeb4ce064b9p-1", "0x1.81ba4e1e1492ap-1"],
             ["0x1.4a034b61c03f6p-13", "0x1.e73c7c8096a6ap-12"], 2622120, 2622120)),
-        "beta1-stationary": (1.0, None, 2e-3, True, (
+        "beta1-stationary": (1.0, None, 2e-3, 1, (
             ["0x1.f3754bdc4765bp-1", "0x1.eb6326c6f0192p-1"],
             ["0x1.093973d907934p-10", "0x1.42a2693fc62a9p-10"], 2622120, 2687673)),
-        "beta1-v0theta": (1.0, TH, 5e-3, True, (
+        "beta1-v0theta": (1.0, TH, 5e-3, 7, (
             ["0x1.98b4a3027196dp-1", "0x1.88d5ea89e631ep-1"],
             ["0x1.d5266db40972dp-10", "0x1.191edb5aea6abp-9"], 2622120, 2622120)),
-        "beta0.01-v0zero": (0.01, 0.0, 1e-3, False, (
+        "beta0.01-v0zero": (0.01, 0.0, 1e-3, None, (
             ["0x1.efee95614c889p-1", "0x1.2c3a1d7c9cca3p-1"],
             ["0x1.61c841d932f21p-14", "0x1.ebedebf73c84ap-13"], 2622120, 2622120)),
+        "beta0.3-v0theta": (0.3, TH, 5e-3, None, (
+            ["0x1.5a82479263307p-1", "0x1.073a0eeec2f47p-1"],
+            ["0x1.d05287453086ap-11", "0x1.66c71e5b391a7p-10"], 2622120, 2622120)),
+        "beta10-stationary": (10.0, None, 2e-3, 0, (
+            ["0x1.ff84137bef32bp-1", "0x1.fed5c95639badp-1"],
+            ["0x1.b701ee629248ap-13", "0x1.4bac83b14e72ep-12"], 2622120, 2687673)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_bit_identical(self, case, monkeypatch):
-        beta, v0, z, parks, (survival, ci, path_steps, draws) = self.CASES[case]
+        beta, v0, z, parks_from, (survival, ci, path_steps, draws) = self.CASES[case]
         d = h.Dimensionless(theta=TH, beta=beta)
         cfg = h.McConfig(dt=1e-3, n_paths=2**16 + 17, seed=7, record_grid=(0.015, 0.04))
         widths = []
@@ -471,5 +480,53 @@ class TestPinnedKernel:
         assert [x.hex() for x in est.survival.tolist()] == survival
         assert [x.hex() for x in est.ci_halfwidth.tolist()] == ci
         assert (est.path_steps, est.rng_draws) == (path_steps, draws)
-        assert widths[0] == 2**16
-        assert any(w not in (2**16, 17) for w in widths) == parks
+        assert len(widths) == 2 * 40  # 40 steps in each block
+        parked = [i for i, w in enumerate(widths) if w not in (2**16, 17)]
+        assert (parked[0] if parked else None) == parks_from
+
+
+class TestQeStep:
+    """The facts that let the exponential branch run on every path that takes
+    it: a path on the atom with ``Z >= z_atom`` stays there and one with
+    ``Z < ndtri(q0)`` leaves it, and off the atom (where q < 0.8) no path
+    with ``Z >= ndtri(0.8)`` moves."""
+
+    @staticmethod
+    def coef(beta, dt):
+        e = math.exp(-dt)
+        return (e, TH * -math.expm1(-dt), 0.5 * beta**2 * e * -math.expm1(-dt),
+                0.25 * TH * beta**2 * math.expm1(-dt)**2)
+
+    @staticmethod
+    def step(v, normal, coef):
+        """``v'`` and the mask of paths on the exponential branch."""
+        n = v.size
+        out = np.empty(n)
+        scratch = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+        with np.errstate(invalid="ignore"):
+            montecarlo._qe_step(v, normal, out, scratch, coef)
+        return out, scratch[3]
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
+    def test_atom_threshold(self, beta, dt):
+        coef = self.coef(beta, dt)
+        k0 = coef[1] ** 2 / coef[3]
+        assert k0 < montecarlo._K_SWITCH
+        z_q = ndtri(2.0 * k0 / (2.0 + k0))
+        z_atom = z_q + 1e-9  # as _block computes it
+        near = [np.nextafter(z_q, -np.inf), z_q, np.nextafter(z_atom, -np.inf), z_atom]
+        normal = np.concatenate([np.linspace(-8.0, 8.0, 16001),
+                                 z_q + np.linspace(-1e-8, 1e-8, 2001), near])
+        out, _ = self.step(np.zeros(normal.size), normal, coef)
+        assert np.all(out[normal >= z_atom] == 0.0)
+        assert np.all(out[normal < z_q] > 0.0)
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
+    def test_far_paths_above_the_quantile_stay_put(self, beta, dt):
+        v, normal = (a.ravel() for a in np.meshgrid(
+            np.logspace(-14.0, 0.0, 300), np.linspace(ndtri(0.8) + 1e-9, 9.0, 300)))
+        out, far = self.step(v, normal, self.coef(beta, dt))
+        assert far.sum() > v.size // 2
+        assert np.all(out[far] == 0.0)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,20 @@ class TestSurvivalExact:
         # the nodes reach omega = u/z ~ 1e303, where (beta*omega)**2 overflows
         for sp in (h.survival_exact(h.State(z, fig1_d.theta, 0.5), fig1_d),
                    h.survival_averaged(z, 0.5, fig1_d)):
+            assert 0.0 <= sp.value <= 1e-9 and sp.err_estimate <= 1e-9
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+    def test_subnormal_distance_converges_silently(self, fig1_d, beta):
+        # u/z passes the largest float, and so does beta*omega at beta > 1;
+        # these gave NaN (NonConvergence) and RuntimeWarnings
+        d = h.Dimensionless(theta=fig1_d.theta, beta=beta)
+        z, tau = [1e-306, 1e-310, 5e-324], [[0.5], [5.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = (h.survival_exact_batch(z, d.theta, tau, d)
+                       + h.survival_averaged_batch(z, tau, d))
+        assert len(results) == 12
+        for sp in results:
             assert 0.0 <= sp.value <= 1e-9 and sp.err_estimate <= 1e-9
 
     def test_monotone_in_distance(self, fig1_d):
