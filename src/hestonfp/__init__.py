@@ -61,14 +61,6 @@ from .asymptotics import (
     tail_gaussian_hitting,
     tail_powerlaw_hitting,
 )
-from .montecarlo import (
-    McConfig,
-    McEstimate,
-    ProfileEstimate,
-    estimate_survival,
-    estimate_survival_averaged,
-    sample_stationary_volatility,
-    survival_profile,
-)
+from .montecarlo import McConfig, McEstimate, estimate_survival
 
 __version__ = "0.1.0"

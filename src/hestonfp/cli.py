@@ -41,8 +41,7 @@ from .errors import (ConfigError, DivisionDomain, HestonFPError, NoRoot,
 from .quadrature import (QuadConfig, survival_averaged_batch, survival_exact_batch,
                          survival_wiener)
 from . import asymptotics as asy
-from .montecarlo import (McConfig, estimate_survival, estimate_survival_averaged,
-                         survival_profile)
+from .montecarlo import McConfig, estimate_survival
 
 __all__ = ["RunSpec", "load_config", "run", "main"]
 
@@ -393,10 +392,8 @@ def _cmd_simulate(spec: RunSpec):
         raise ParameterError("--v: simulate takes one starting variance, none with --stationary")
     cfg = McConfig(dt=spec.dt, n_paths=spec.paths, seed=spec.seed,
                    record_grid=tuple(sorted(spec.tau or (0.5,))))
-    if spec.stationary:
-        est = estimate_survival_averaged(d, zs[0], cfg)
-    else:
-        est = estimate_survival(d, zs[0], spec.v[0] if spec.v else d.theta, cfg)
+    v0 = None if spec.stationary else (spec.v[0] if spec.v else d.theta)
+    est = estimate_survival(d, zs[0], v0, cfg)
     rows = [(t, s, c) for t, s, c in zip(est.grid, est.survival, est.ci_halfwidth)]
     return ["tau", "S", "ci"], rows, _mc_work(est)
 
@@ -472,13 +469,13 @@ def _curve(beta, axis, grid, columns, hitting, spec: RunSpec):
 
 def _figure_fig1(spec: RunSpec):
     d = spec.dimensionless
-    zs = tuple(np.logspace(math.log10(2e-3), math.log10(2e-1), 16))
+    zs = np.logspace(math.log10(2e-3), math.log10(2e-1), 16)
     mc_cfg = McConfig(dt=spec.dt, n_paths=spec.paths, seed=spec.seed, horizon=0.5)
-    prof = survival_profile(d, zs, mc_cfg, v0=d.theta)
-    exact = survival_exact_batch(prof.z_grid, d.theta, 0.5, d, _QUAD_CONFIG)
+    est = estimate_survival(d, zs, d.theta, mc_cfg)
+    exact = survival_exact_batch(zs, d.theta, 0.5, d, _QUAD_CONFIG)
     rows = [(z, ex.value, ex.err_estimate, s_mc, ci)
-            for z, ex, s_mc, ci in zip(prof.z_grid, exact, prof.survival, prof.ci_halfwidth)]
-    return ["z", "S_exact", "err_estimate", "S_mc", "ci"], rows, _mc_work(prof)
+            for z, ex, s_mc, ci in zip(zs, exact, est.survival[0], est.ci_halfwidth[0])]
+    return ["z", "S_exact", "err_estimate", "S_mc", "ci"], rows, _mc_work(est)
 
 
 def _figure_fig6(spec: RunSpec):

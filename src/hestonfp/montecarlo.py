@@ -11,22 +11,27 @@ zero (``psi <= 1.5``), and a point mass at zero plus an exponential tail on
 the paths near zero.  ``I`` accumulates by the trapezoid rule, and every
 estimate is the path mean of ``erf(z / sqrt(2 I))`` with the CLT interval
 ``1.96 * sd / sqrt(n)``.  No barrier is monitored, so there is no
-discrete-monitoring bias to correct, and one simulation serves any number of
-starting distances.
+discrete-monitoring bias to correct, and one simulation serves every record
+time and any number of starting distances.
+
+One call, :func:`estimate_survival`, runs it: a scalar ``z0`` or a 1-D grid
+of them, a fixed starting variance ``v0`` or (``v0 = None``) starts drawn
+from the stationary Gamma law, and one :class:`McEstimate` over the
+``(record time x z)`` grid.
 
 Cost: a block's normals are drawn in chunks of about ``2**16`` on one
 helper thread per block, one chunk ahead of the steps that use them, so the
 Philox draws (which release the GIL) overlap the step arithmetic when a
-core is free; with ``workers`` blocks at once that is up to
-``2 * workers`` threads.  The stream, and so every output bit, is the same as drawing each step's normals
-inline.  Each step runs in-place ufuncs on scratch buffers allocated once
-per block, and evaluates the exponential branch only on the paths that
-take it.  At large vol-of-vol (``2 nu < 4/3``, so ``psi > 1.5`` at
-``v = 0``) paths on the atom take the exponential branch and mostly stay
-there; once more than half of a block sits on the atom, a step runs only
-on the paths off it or whose normal can lift them off it.  A parked path
-gets ``v' = 0`` and a clock increment of ``(0 + 0) dt / 2 = 0``, exactly
-what the full step gives it, and every path's arithmetic runs in the same
+core is free; with ``workers`` blocks at once that is up to ``2 * workers``
+threads.  The stream, and so every output bit, is the same as drawing each
+step's normals inline.  Each step runs in-place ufuncs on scratch buffers
+allocated once per block, and evaluates the exponential branch only on the
+paths that take it.  At large vol-of-vol (``2 nu < 4/3``, so ``psi > 1.5``
+at ``v = 0``) paths on the atom take the exponential branch and mostly stay
+there; once more than half of a block sits on the atom, a step runs only on
+the paths off it or whose normal can lift them off it.  A parked path gets
+``v' = 0`` and a clock increment of ``(0 + 0) dt / 2 = 0``, exactly what
+the full step gives it, and every path's arithmetic runs in the same
 operation order either way, so parking changes no bit of the output.
 
 Reproducibility: one master seed, an integer in ``[0, 2**64)``, counter-based
@@ -41,7 +46,7 @@ import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf, log_ndtr, ndtri
@@ -49,20 +54,9 @@ from scipy.special import erf, log_ndtr, ndtri
 from .core import Dimensionless, _positive_arrays
 from .errors import ConfigError
 
-__all__ = [
-    "McConfig",
-    "McEstimate",
-    "ProfileEstimate",
-    "estimate_survival",
-    "estimate_survival_averaged",
-    "sample_stationary_volatility",
-    "survival_profile",
-]
+__all__ = ["McConfig", "McEstimate", "estimate_survival"]
 
 _BLOCK = 2**16
-
-_PURPOSE_PATHS = 0
-_PURPOSE_GAMMA = 1
 
 _K_SWITCH = 2.0 / 1.5  # 2/psi at Andersen's switch psi_c = 1.5 between the QE branches
 
@@ -113,10 +107,16 @@ class McConfig:
         object.__setattr__(self, "horizon", horizon)
         if not grid:
             object.__setattr__(self, "record_grid", (horizon,))
+        if not horizon / self.dt < math.inf:
+            raise ConfigError("horizon / dt overflows a float")
+        if self.n_steps == 0 or any(t > 0.0 and n == 0
+                                    for t, n in zip(self.record_grid, self.record_steps())):
+            raise ConfigError(f"dt = {self.dt!r} rounds the horizon or a record time > 0 "
+                              "to 0 steps")
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.horizon / self.dt)))
+        return int(round(self.horizon / self.dt))
 
     def record_steps(self) -> np.ndarray:
         steps = np.minimum(np.round(np.asarray(self.record_grid) / self.dt), self.n_steps)
@@ -125,8 +125,11 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Survival curve estimate with CLT confidence half-widths.
+    """Survival estimate with CLT confidence half-widths, read at each time
+    of ``grid``.
 
+    ``survival`` and ``ci_halfwidth`` have shape ``(len(grid),)`` for a
+    scalar ``z0`` and ``(len(grid), len(z0))`` for a grid of them.
     ``path_steps`` and ``rng_draws`` count the variance steps taken and the
     random variates drawn (one normal per path-step, plus one Gamma start
     per path for stationary starts)."""
@@ -140,24 +143,8 @@ class McEstimate:
     rng_draws: int
 
 
-@dataclass(frozen=True)
-class ProfileEstimate:
-    """Survival at one horizon, simultaneously for a whole grid of starting
-    distances, from a single simulation (see :func:`survival_profile`)."""
-
-    z_grid: np.ndarray
-    tau: float
-    survival: np.ndarray
-    ci_halfwidth: np.ndarray
-    n_paths: int
-    seed: int
-    path_steps: int
-    rng_draws: int
-
-
-def _block_rng(seed: int, purpose: int, block: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed), np.uint64((purpose << 32) | block)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
 def _blocks(n_paths: int) -> list[tuple[int, int]]:
@@ -252,7 +239,7 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     its ``v'`` is 0 and its clock gains ``(0 + 0) dt / 2 = 0``, exactly what
     the full-width step gives it.
     """
-    rng = _block_rng(cfg.seed, _PURPOSE_PATHS, block)
+    rng = _block_rng(cfg.seed, block)
     draws = 0
     if v0 is None:
         v = rng.gamma(shape=d.nu, scale=d.beta**2 / 2.0, size=n_block)
@@ -311,10 +298,23 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     return sums, n_block * done, draws
 
 
-def _run_blocks(z_grid, steps, v0, d, cfg: McConfig, workers: int):
-    """Run every block (possibly concurrently); merge their sums in block
-    order.  Returns the mean and CI half-width, shape ``(len(steps),
-    z_grid.size)``, and the total path-steps and variates drawn."""
+def estimate_survival(d: Dimensionless, z0: float | np.ndarray, v0: float | None,
+                      cfg: McConfig, workers: int = 1) -> McEstimate:
+    """Survival at every record time of ``cfg`` for each starting distance
+    ``z0``, out of one simulation of ``cfg.n_paths`` variance paths.
+
+    ``z0`` is a scalar or a 1-D grid, kept in the caller's order; every
+    entry must be strictly positive (starting on the barrier is absorption
+    at time zero, not a simulation).  ``v0 = None`` draws each path's
+    starting variance from the stationary Gamma law.  The ``z``s share
+    paths, so their estimates are correlated, but each carries a valid
+    CLT interval.  ``workers`` blocks run at once; merged in block order,
+    the result does not depend on it.
+    """
+    z = np.asarray(z0, dtype=float)
+    if z.ndim > 1:
+        raise ConfigError(f"z0 must be a scalar or a 1-D grid, got shape {z.shape}")
+    z_grid = z.reshape(-1)
     if z_grid.size == 0 or not np.all((z_grid > 0.0) & (z_grid < math.inf)):
         raise ConfigError(f"z must be nonempty, finite and > 0, got {z_grid.tolist()!r}")
     if v0 is not None and not 0.0 <= v0 < math.inf:
@@ -322,6 +322,7 @@ def _run_blocks(z_grid, steps, v0, d, cfg: McConfig, workers: int):
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers!r}")
     _positive_arrays(nu=d.nu, beta_squared=d.beta * d.beta)
+    steps = cfg.record_steps()
 
     def run(block):
         return _block(*block, z_grid, steps, v0, d, cfg)
@@ -340,62 +341,25 @@ def _run_blocks(z_grid, steps, v0, d, cfg: McConfig, workers: int):
     # pooled sum of squared deviations: within blocks plus between block means
     m2 = sum(r[0][..., 1] + nb * (r[0][..., 0] / nb - mean) ** 2
              for r, (_, nb) in zip(results, blocks))
-    return (mean, 1.96 * np.sqrt(m2 / n) / math.sqrt(n),
-            sum(r[1] for r in results), sum(r[2] for r in results))
-
-
-def _curve(d: Dimensionless, z0: float, v0: float | None, cfg: McConfig,
-           workers: int) -> McEstimate:
-    mean, ci, path_steps, draws = _run_blocks(np.array([float(z0)]), cfg.record_steps(),
-                                              v0, d, cfg, workers)
-    return McEstimate(grid=cfg.record_grid, survival=mean[:, 0], ci_halfwidth=ci[:, 0],
-                      n_paths=cfg.n_paths, seed=cfg.seed, path_steps=path_steps,
-                      rng_draws=draws)
-
-
-def estimate_survival(d: Dimensionless, z0: float, v0: float, cfg: McConfig,
-                      workers: int = 1) -> McEstimate:
-    """Survival curve for a fixed starting variance ``v0``.
-
-    ``z0`` must be strictly positive (starting on the barrier is absorption
-    at time zero, not a simulation).
-    """
-    return _curve(d, z0, v0, cfg, workers)
+    ci = 1.96 * np.sqrt(m2 / n) / math.sqrt(n)
+    if z.ndim == 0:
+        mean, ci = mean[:, 0], ci[:, 0]
+    return McEstimate(grid=cfg.record_grid, survival=mean, ci_halfwidth=ci, n_paths=n,
+                      seed=cfg.seed, path_steps=sum(r[1] for r in results),
+                      rng_draws=sum(r[2] for r in results))
 
 
 def estimate_survival_averaged(d: Dimensionless, z0: float, cfg: McConfig,
                                workers: int = 1) -> McEstimate:
-    """Survival curve with the starting variance drawn from its stationary
-    Gamma law, path by path."""
-    return _curve(d, z0, None, cfg, workers)
+    """``estimate_survival(d, z0, None, cfg, workers)``.  Kept only because
+    the benchmark's ``mc`` workload calls it by this name."""
+    return estimate_survival(d, z0, None, cfg, workers)
 
 
-def sample_stationary_volatility(d: Dimensionless, n: int, seed: int) -> np.ndarray:
-    """``n`` i.i.d. draws from the stationary variance law,
-    Gamma(shape ``nu``, rate ``2/beta**2``)."""
-    n = _checked_int("n", n, 1)
-    seed = _checked_int("seed", seed, 0, 2**64)
-    _positive_arrays(nu=d.nu, beta_squared=d.beta * d.beta)
-    out = np.empty(n)
-    for b, nb in _blocks(n):
-        rng = _block_rng(seed, _PURPOSE_GAMMA, b)
-        out[b * _BLOCK:b * _BLOCK + nb] = rng.gamma(
-            shape=d.nu, scale=d.beta**2 / 2.0, size=nb)
-    return out
-
-
-def survival_profile(d: Dimensionless, z_grid, cfg: McConfig,
-                     v0: float | None = None, workers: int = 1) -> ProfileEstimate:
-    """Survival at ``cfg.horizon`` for every starting distance in ``z_grid``
-    out of one shared simulation.
-
-    Pass ``v0 = None`` to draw starting variances from the stationary law.
-    Estimates across the grid share paths (they are correlated), but each
-    individual estimate carries a valid confidence interval.
-    """
-    z_grid = np.sort(np.asarray(z_grid, dtype=float))
-    mean, ci, path_steps, draws = _run_blocks(z_grid, np.array([cfg.n_steps]), v0, d, cfg,
-                                              workers)
-    return ProfileEstimate(z_grid=z_grid, tau=cfg.horizon, survival=mean[0],
-                           ci_halfwidth=ci[0], n_paths=cfg.n_paths, seed=cfg.seed,
-                           path_steps=path_steps, rng_draws=draws)
+def survival_profile(d: Dimensionless, z_grid, cfg: McConfig, v0: float | None = None,
+                     workers: int = 1) -> McEstimate:
+    """:func:`estimate_survival` over ``z_grid``, with ``survival`` and
+    ``ci_halfwidth`` 1-D at the last record time.  Kept only because the
+    benchmark's ``mc`` workload calls it by this name."""
+    est = estimate_survival(d, z_grid, v0, cfg, workers)
+    return replace(est, survival=est.survival[-1], ci_halfwidth=est.ci_halfwidth[-1])

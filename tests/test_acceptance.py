@@ -34,9 +34,9 @@ def test_c01_fig1_mc_quadrature_agreement():
     start = time.time()
     zs = np.logspace(math.log10(2e-3), math.log10(2e-1), 16)
     cfg = h.McConfig(dt=1e-3, n_paths=10**6, seed=0, horizon=0.5)
-    prof = h.survival_profile(D_FIG, zs, cfg, v0=TH)
+    est = h.estimate_survival(D_FIG, zs, TH, cfg)
     misses = []
-    for z, mc, ci in zip(prof.z_grid, prof.survival, prof.ci_halfwidth):
+    for z, mc, ci in zip(zs, est.survival[0], est.ci_halfwidth[0]):
         exact = h.survival_exact(h.State(float(z), TH, 0.5), D_FIG).value
         if abs(mc - exact) > ci:
             misses.append((float(z), mc, exact, ci))

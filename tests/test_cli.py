@@ -353,6 +353,13 @@ class TestExitCodes:
         assert rc == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["simulate", "--tau", "0.5"], ["figure", "fig1"]])
+    def test_record_time_under_half_a_step_is_rejected(self, argv, capsys):
+        # simulate printed S = 1 with a CI of 0 at tau = 0.5 (no step taken),
+        # and fig1 simulated to tau = 1 under a tau = 0.5 label; both exit 0
+        assert cli.main([*argv, "--dt", "1", "--paths", "64"]) == 2
+        assert "dt" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_the_key_range_is_rejected(self, seed, capsys):
         # raised OverflowError from the Philox key, exit 1

@@ -45,6 +45,9 @@ class TestConfig:
         {"seed": True, "horizon": 0.5},
         {"n_paths": 2.5, "horizon": 0.5},
         {"n_paths": True, "horizon": 0.5},
+        {"dt": 1.0, "horizon": 0.5},  # the horizon rounds to 0 steps
+        {"dt": 0.3, "record_grid": (0.1, 1.0)},  # so does a record time > 0
+        {"dt": 1e-300, "horizon": 1e300},  # the step count overflows a float
     ])
     def test_rejected(self, kw):
         with pytest.raises(h.ConfigError):
@@ -55,19 +58,22 @@ class TestConfig:
         pytest.param(lambda d, cfg: h.estimate_survival(d, 0.01, math.inf, cfg), id="v0-inf"),
         pytest.param(lambda d, cfg: h.estimate_survival(d, math.nan, TH, cfg), id="z0-nan"),
         pytest.param(lambda d, cfg: h.estimate_survival(d, math.inf, TH, cfg), id="z0-inf"),
-        pytest.param(lambda d, cfg: h.estimate_survival_averaged(d, math.inf, cfg),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, math.inf, None, cfg),
                      id="averaged-z0-inf"),
-        pytest.param(lambda d, cfg: h.survival_profile(d, (0.01, 0.02), cfg, v0=math.nan),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, (0.01, 0.02), math.nan, cfg),
                      id="profile-v0-nan"),
-        pytest.param(lambda d, cfg: h.survival_profile(d, (0.01, math.nan, 0.02), cfg),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, (0.01, math.nan, 0.02), None, cfg),
                      id="profile-z-nan"),
-        pytest.param(lambda d, cfg: h.survival_profile(d, (0.01, math.inf), cfg),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, (0.01, math.inf), None, cfg),
                      id="profile-z-inf"),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, (), TH, cfg), id="z0-empty"),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, [[0.01, 0.02]], TH, cfg),
+                     id="z0-2d"),
         pytest.param(lambda d, cfg: h.estimate_survival(d, 0.01, TH, cfg, workers=0),
                      id="workers-0"),
-        pytest.param(lambda d, cfg: h.estimate_survival_averaged(d, 0.01, cfg, workers=0),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, 0.01, None, cfg, workers=0),
                      id="averaged-workers-0"),
-        pytest.param(lambda d, cfg: h.survival_profile(d, (0.01,), cfg, workers=0),
+        pytest.param(lambda d, cfg: h.estimate_survival(d, (0.01,), None, cfg, workers=0),
                      id="profile-workers-0"),
     ])
     def test_rejected_inputs(self, dfig, call):
@@ -84,9 +90,8 @@ class TestConfig:
         assert d.nu in (0.0, math.inf)
         cfg = h.McConfig(n_paths=8, horizon=0.01)
         for call in (lambda: h.estimate_survival(d, 0.01, TH, cfg),
-                     lambda: h.estimate_survival_averaged(d, 0.01, cfg),
-                     lambda: h.survival_profile(d, (0.01,), cfg),
-                     lambda: h.sample_stationary_volatility(d, 8, 0)):
+                     lambda: h.estimate_survival(d, 0.01, None, cfg),
+                     lambda: h.estimate_survival(d, (0.01,), None, cfg)):
             with pytest.raises(h.ParameterError):
                 call()
 
@@ -112,12 +117,12 @@ class TestDegenerateDynamics:
 
     def test_unreachable_barrier(self, dfig):
         cfg = h.McConfig(dt=1e-3, n_paths=10**4, seed=2, record_grid=(1.0,))
-        est = h.estimate_survival_averaged(dfig, 10.0, cfg)
+        est = h.estimate_survival(dfig, 10.0, None, cfg)
         assert est.survival[0] == 1.0
 
     def test_single_path_in_unit_interval(self, dfig):
         cfg = h.McConfig(dt=1e-3, n_paths=1, seed=3, record_grid=(1.0,))
-        est = h.estimate_survival_averaged(dfig, 0.001, cfg)
+        est = h.estimate_survival(dfig, 0.001, None, cfg)
         assert 0.0 <= est.survival[0] <= 1.0
         assert est.ci_halfwidth[0] == 0.0
 
@@ -155,24 +160,25 @@ class TestEstimator:
         # two blocks (workers=1 reduces them in block order), stationary starts
         z_grid = np.array([0.002, 0.01, 0.05])
         cfg = h.McConfig(dt=1e-3, n_paths=70_000, seed=31, horizon=0.05)
-        prof, per_path = _with_per_path_values(
-            monkeypatch, lambda: h.survival_profile(dfig, z_grid, cfg))
+        est, per_path = _with_per_path_values(
+            monkeypatch, lambda: h.estimate_survival(dfig, z_grid, None, cfg))
         values = np.concatenate(per_path, axis=1)
         assert values.shape == (3, cfg.n_paths)
-        np.testing.assert_allclose(prof.survival, values.mean(axis=1), rtol=1e-12)
+        assert est.survival.shape == est.ci_halfwidth.shape == (1, 3)
+        np.testing.assert_allclose(est.survival[0], values.mean(axis=1), rtol=1e-12)
         np.testing.assert_allclose(
-            prof.ci_halfwidth, 1.96 * values.std(axis=1) / math.sqrt(cfg.n_paths),
+            est.ci_halfwidth[0], 1.96 * values.std(axis=1) / math.sqrt(cfg.n_paths),
             rtol=1e-9)
 
     def test_work_counts(self, dfig):
         cfg = h.McConfig(dt=1e-3, n_paths=70_000, seed=1, record_grid=(0.01, 0.02))
         fixed = h.estimate_survival(dfig, 0.01, TH, cfg)
         assert fixed.path_steps == fixed.rng_draws == 70_000 * 20
-        averaged = h.estimate_survival_averaged(dfig, 0.01, cfg, workers=2)
+        averaged = h.estimate_survival(dfig, 0.01, None, cfg, workers=2)
         assert averaged.path_steps == 70_000 * 20
         assert averaged.rng_draws == 70_000 * 21  # plus one Gamma start per path
-        prof = h.survival_profile(dfig, (0.01, 0.02), cfg, v0=TH)
-        assert prof.path_steps == prof.rng_draws == 70_000 * 20
+        grid = h.estimate_survival(dfig, (0.01, 0.02), TH, cfg)
+        assert grid.path_steps == grid.rng_draws == 70_000 * 20
 
 
 def _euler_bridge_alive(d, z, tau, dt, n, v0, seed):
@@ -210,24 +216,24 @@ class TestIndependentSimulation:
         alive = _euler_bridge_alive(d, z, tau, euler_dt, n, v0, seed=41)
         p = alive.mean()
         cfg = h.McConfig(dt=1e-3, n_paths=n, seed=42, record_grid=(tau,))
-        est = (h.estimate_survival(d, z, v0, cfg) if v0 is not None
-               else h.estimate_survival_averaged(d, z, cfg))
+        est = h.estimate_survival(d, z, v0, cfg)
         sigma = math.hypot(est.ci_halfwidth[0] / 1.96, math.sqrt(p * (1.0 - p) / n))
         assert abs(est.survival[0] - p) <= 3.0 * sigma
 
 
 @pytest.fixture(scope="module")
 def leg(dfig):
-    # one profile over every bracketed level per dt; each level's survival
-    # and CI have the bits of its own estimate_survival run
+    # one simulation over every bracketed level per dt; each level's survival
+    # and CI have the bits of its own scalar-z run
     cache = {}
 
     def run(z, dt):
         if dt not in cache:
+            zs = (0.005, 0.01, 0.05)
             cfg = h.McConfig(dt=dt, n_paths=10**6, seed=12345, horizon=0.5)
-            prof = h.survival_profile(dfig, (0.005, 0.01, 0.05), cfg, v0=TH)
-            cache[dt] = dict(zip(prof.z_grid.tolist(),
-                                 zip(prof.survival.tolist(), prof.ci_halfwidth.tolist())))
+            est = h.estimate_survival(dfig, zs, TH, cfg)
+            cache[dt] = dict(zip(zs, zip(est.survival[0].tolist(),
+                                         est.ci_halfwidth[0].tolist())))
         return cache[dt][z]
     return run
 
@@ -250,7 +256,7 @@ class TestQuadratureBrackets:
         d1 = h.Dimensionless(theta=1.92e-3, beta=1.0)
         target = h.survival_averaged(0.01, 1.0, d1).value
         cfg = h.McConfig(dt=5e-5, n_paths=10**4, seed=777, record_grid=(1.0,))
-        est = h.estimate_survival_averaged(d1, 0.01, cfg)
+        est = h.estimate_survival(d1, 0.01, None, cfg)
         assert abs(est.survival[0] - target) <= est.ci_halfwidth[0]
 
 
@@ -271,49 +277,88 @@ class TestCoverage:
 
 
 class TestProfile:
+    """A grid ``z0``: one simulation, one column per ``z``."""
+
     def test_consistent_with_single_level_runs(self, dfig):
         z_grid = np.array([0.005, 0.02, 0.08])
         cp = h.McConfig(dt=1e-3, n_paths=5 * 10**4, seed=21, horizon=0.5)
-        prof = h.survival_profile(dfig, z_grid, cp, v0=TH)
-        assert np.all(np.diff(prof.survival) > 0.0)  # farther start, safer
+        prof = h.estimate_survival(dfig, z_grid, TH, cp)
+        survival, ci = prof.survival[0], prof.ci_halfwidth[0]
+        assert np.all(np.diff(survival) > 0.0)  # farther start, safer
         for i, z in enumerate(z_grid):
             cs = h.McConfig(dt=1e-3, n_paths=5 * 10**4, seed=22, record_grid=(0.5,))
             single = h.estimate_survival(dfig, float(z), TH, cs)
-            dev = prof.survival[i] - single.survival[0]
-            lim = 3.0 / 1.96 * math.sqrt(prof.ci_halfwidth[i]**2
-                                         + single.ci_halfwidth[0]**2)
+            dev = survival[i] - single.survival[0]
+            lim = 3.0 / 1.96 * math.sqrt(ci[i]**2 + single.ci_halfwidth[0]**2)
             assert abs(dev) <= lim
+
+    @pytest.mark.parametrize("v0", [TH, None])
+    def test_columns_in_caller_order_match_scalar_runs(self, dfig, v0):
+        # two record times, an unsorted grid: each column has the bits of
+        # the scalar run at its z
+        cfg = h.McConfig(dt=1e-3, n_paths=2**16 + 17, seed=23, record_grid=(0.01, 0.02))
+        zs = (0.05, 0.002, 0.01)
+        est = h.estimate_survival(dfig, zs, v0, cfg)
+        assert est.survival.shape == est.ci_halfwidth.shape == (2, 3)
+        for j, z in enumerate(zs):
+            one = h.estimate_survival(dfig, z, v0, cfg)
+            assert one.survival.shape == (2,)
+            assert np.array_equal(est.survival[:, j], one.survival)
+            assert np.array_equal(est.ci_halfwidth[:, j], one.ci_halfwidth)
+            assert (est.path_steps, est.rng_draws) == (one.path_steps, one.rng_draws)
+
+
+def _stationary_starts(monkeypatch, d, n, seed):
+    """The starting variances that ``estimate_survival(d, z, None, ...)``
+    draws for ``n`` paths: the ``v`` of each block's one ``_qe_step``."""
+    seen = []
+    step = montecarlo._qe_step
+
+    def spy(v, *args):
+        seen.append(v.copy())
+        return step(v, *args)
+
+    monkeypatch.setattr(montecarlo, "_qe_step", spy)
+    cfg = h.McConfig(dt=1e-3, n_paths=n, seed=seed, horizon=1e-3)
+    h.estimate_survival(d, 0.01, None, cfg)
+    # each block's step ran on all of its paths, in block order
+    assert [v.size for v in seen] == [nb for _, nb in montecarlo._blocks(n)]
+    return np.concatenate(seen)
 
 
 class TestStationarySampler:
-    def test_moments(self, dfig):
-        draws = h.sample_stationary_volatility(dfig, 10**6, seed=5)
+    """The stationary Gamma law of the starting variances that the kernel
+    draws when ``v0 = None``."""
+
+    def test_moments(self, dfig, monkeypatch):
+        draws = _stationary_starts(monkeypatch, dfig, 10**6, seed=5)
         mean_se = math.sqrt(TH * 0.1**2 / 2.0 / 10**6)
         assert abs(draws.mean() - TH) <= 3.0 * mean_se
         want_var = TH * 0.1**2 / 2.0
         var_se = want_var * math.sqrt((2.0 + 6.0 / dfig.nu) / 10**6)
         assert abs(draws.var(ddof=1) - want_var) <= 3.0 * var_se
 
-    def test_exponential_special_case(self):
+    def test_exponential_special_case(self, monkeypatch):
         # nu = 1 collapses the Gamma to an exponential with scale beta^2/2
         d = h.Dimensionless(theta=0.5 * 0.1**2, beta=0.1)
         assert math.isclose(d.nu, 1.0, rel_tol=1e-12)
-        draws = h.sample_stationary_volatility(d, 10**5, seed=6)
+        draws = _stationary_starts(monkeypatch, d, 10**5, seed=6)
         ks = stats.kstest(draws, "expon", args=(0.0, 0.1**2 / 2.0)).statistic
         assert ks <= 1.63 / math.sqrt(10**5)  # 1% critical value
 
-    def test_deterministic_for_seed(self, dfig):
-        a = h.sample_stationary_volatility(dfig, 1000, seed=9)
-        b = h.sample_stationary_volatility(dfig, 1000, seed=9)
-        c = h.sample_stationary_volatility(dfig, 1000, seed=10)
+    def test_deterministic_for_seed(self, dfig, monkeypatch):
+        a = _stationary_starts(monkeypatch, dfig, 1000, seed=9)
+        b = _stationary_starts(monkeypatch, dfig, 1000, seed=9)
+        c = _stationary_starts(monkeypatch, dfig, 1000, seed=10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("n,seed", [(0, 1), (2.5, 1), (True, 1), (10, -1),
                                         (10, 2**64), (10, 1.5), (10, False)])
-    def test_rejects_bad_count_or_seed(self, dfig, n, seed):
+    def test_rejects_bad_count_or_seed(self, n, seed):
+        # the start draw takes its count and seed from McConfig
         with pytest.raises(h.ConfigError):
-            h.sample_stationary_volatility(dfig, n, seed=seed)
+            h.McConfig(n_paths=n, seed=seed, horizon=1e-3)
 
 
 class TestWorkerDeterminism:
@@ -327,21 +372,22 @@ class TestWorkerDeterminism:
 
     def test_averaged_and_profile(self, dfig):
         cfg = h.McConfig(dt=1e-3, n_paths=2 * 10**4, seed=11, record_grid=(0.5,))
-        a1 = h.estimate_survival_averaged(dfig, 0.01, cfg, workers=1)
-        a2 = h.estimate_survival_averaged(dfig, 0.01, cfg, workers=4)
+        a1 = h.estimate_survival(dfig, 0.01, None, cfg, workers=1)
+        a2 = h.estimate_survival(dfig, 0.01, None, cfg, workers=4)
         assert np.array_equal(a1.survival, a2.survival)
         z_grid = np.array([0.01, 0.05])
         cp = h.McConfig(dt=1e-3, n_paths=2 * 10**4, seed=12, horizon=0.5)
-        p1 = h.survival_profile(dfig, z_grid, cp, v0=TH, workers=1)
-        p2 = h.survival_profile(dfig, z_grid, cp, v0=TH, workers=3)
+        p1 = h.estimate_survival(dfig, z_grid, TH, cp, workers=1)
+        p2 = h.estimate_survival(dfig, z_grid, TH, cp, workers=3)
         assert np.array_equal(p1.survival, p2.survival)
 
     @pytest.mark.parametrize("call", [
         pytest.param(lambda d, cfg, w: h.estimate_survival(d, 0.01, TH, cfg, workers=w),
                      id="fixed"),
-        pytest.param(lambda d, cfg, w: h.estimate_survival_averaged(d, 0.01, cfg, workers=w),
+        pytest.param(lambda d, cfg, w: h.estimate_survival(d, 0.01, None, cfg, workers=w),
                      id="averaged"),
-        pytest.param(lambda d, cfg, w: h.survival_profile(d, (0.005, 0.05), cfg, workers=w),
+        pytest.param(lambda d, cfg, w: h.estimate_survival(d, (0.005, 0.05), None, cfg,
+                                                           workers=w),
                      id="profile"),
     ])
     def test_every_field_identical(self, dfig, call):
@@ -366,11 +412,11 @@ class TestBlockMerge:
 
         monkeypatch.setattr(montecarlo, "_block", block)
         cfg = h.McConfig(dt=1e-3, n_paths=16 * 2**16 - 5, seed=1, horizon=0.5)
-        one = h.survival_profile(dfig, (0.01,), cfg)
-        three = h.survival_profile(dfig, (0.005, 0.01, 0.05), cfg)
+        one = h.estimate_survival(dfig, 0.01, None, cfg)
+        three = h.estimate_survival(dfig, (0.005, 0.01, 0.05), None, cfg)
         assert len(montecarlo._blocks(cfg.n_paths)) == 16
         for got, want in ((three.survival, one.survival), (three.ci_halfwidth, one.ci_halfwidth)):
-            assert [x.hex() for x in got] == [want[0].hex()] * 3
+            assert [x.hex() for x in got[0]] == [want[0].hex()] * 3
 
 
 class TestNormalStream:
@@ -385,8 +431,8 @@ class TestNormalStream:
         pytest.param(17, 0, id="no-steps"),
     ])
     def test_same_stream_as_inline_draws(self, n_block, n_steps):
-        want = montecarlo._block_rng(99, montecarlo._PURPOSE_PATHS, 3)
-        rng = montecarlo._block_rng(99, montecarlo._PURPOSE_PATHS, 3)
+        want = montecarlo._block_rng(99, 3)
+        rng = montecarlo._block_rng(99, 3)
         with ThreadPoolExecutor(max_workers=1) as drawer:
             # kept uncopied: a yielded step stays valid after later draws
             got = list(montecarlo._normals(rng, n_block, n_steps, drawer))
@@ -405,7 +451,7 @@ class TestDrawerThreads:
     def test_no_thread_outlives_a_call(self, dfig):
         before = threading.active_count()
         cfg = h.McConfig(n_paths=2**16 + 17, seed=2, record_grid=(0.005,))
-        h.estimate_survival_averaged(dfig, 0.01, cfg, workers=2)
+        h.estimate_survival(dfig, 0.01, None, cfg, workers=2)
         assert threading.active_count() == before
 
     def test_step_error_propagates_and_stops_the_drawer(self, dfig, monkeypatch):
@@ -475,8 +521,7 @@ class TestPinnedKernel:
             return step(v, *args)
 
         monkeypatch.setattr(montecarlo, "_qe_step", spy)
-        est = (h.estimate_survival_averaged(d, z, cfg) if v0 is None
-               else h.estimate_survival(d, z, v0, cfg))
+        est = h.estimate_survival(d, z, v0, cfg)
         assert [x.hex() for x in est.survival.tolist()] == survival
         assert [x.hex() for x in est.ci_halfwidth.tolist()] == ci
         assert (est.path_steps, est.rng_draws) == (path_steps, draws)
