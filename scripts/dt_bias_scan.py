@@ -25,7 +25,7 @@ TH = 8.62e-5 / 0.045
 def scan(beta: float, zs, taus, dts, n_paths: int, seed: int):
     d = h.Dimensionless(theta=TH, beta=beta)
     # targets[i][j]: quadrature survival at taus[i], zs[j]
-    targets = [[r.value for r in h.survival_averaged_batch(zs, tau, d)] for tau in taus]
+    targets = h.survival(zs, [[tau] for tau in taus], d).value
     print(f"\nbeta={beta}: quadrature " + ", ".join(
         f"S(tau={t:g}, z={z:g}) = {s:.6f}"
         for t, row in zip(taus, targets) for z, s in zip(zs, row)))

@@ -57,13 +57,8 @@ def named_points() -> dict[str, dict]:
 def run(kind: str, p: dict, config=None):
     d = [h.Dimensionless(TH, float(b)) for b in p["beta"]]
     start = time.perf_counter()
-    if kind == "exact":
-        res = h.survival_exact_batch(p["z"], p["v"], p["tau"], d, config)
-    else:
-        res = h.survival_averaged_batch(p["z"], p["tau"], d, config)
-    secs = time.perf_counter() - start
-    return (np.array([r.value for r in res]), np.array([r.err_estimate for r in res]),
-            np.array([r.panels_used for r in res]), secs)
+    res = h.survival(p["z"], p["tau"], d, p["v"] if kind == "exact" else None, config)
+    return res.value, res.err_estimate, res.panels_used, time.perf_counter() - start
 
 
 def report(group: str, p: dict) -> None:

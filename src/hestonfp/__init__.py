@@ -37,10 +37,9 @@ from .quadrature import (
     SPResult,
     hitting,
     sine_transform,
+    survival,
     survival_averaged,
-    survival_averaged_batch,
     survival_exact,
-    survival_exact_batch,
     survival_wiener,
 )
 from .asymptotics import (

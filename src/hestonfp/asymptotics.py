@@ -17,7 +17,6 @@ comparison plots need).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from scipy.special import erf, erfc
 from .core import (Dimensionless, _float_or_array, _nonnegative_arrays, _positive_arrays,
                    _with_boundaries, variance_scale)
 from .errors import DivisionDomain, InsufficientData, NoRoot
-from .quadrature import QuadConfig, survival_averaged_batch, survival_wiener
+from .quadrature import QuadConfig, survival, survival_wiener
 
 __all__ = [
     "Regime",
@@ -189,7 +188,7 @@ def risk_ratio(z, tau, d: Dimensionless, config: QuadConfig | None = None):
         denom = erfc(zf / np.sqrt(2.0 * d.theta * tf))
     bad = np.flatnonzero(~((zf > 0.0) & (tf > 0.0) & (denom > 0.0)))
     n = int(bad[0]) if bad.size else zf.size
-    num = 1.0 - np.array([r.value for r in survival_averaged_batch(zf[:n], tf[:n], d, config)])
+    num = 1.0 - survival(zf[:n], tf[:n], d, None, config).value
     if bad.size:
         if not (zf[n] > 0.0 and tf[n] > 0.0):
             raise DivisionDomain("risk_ratio requires z > 0 and tau > 0")
@@ -198,12 +197,19 @@ def risk_ratio(z, tau, d: Dimensionless, config: QuadConfig | None = None):
     return _float_or_array((num / denom).reshape(zs.shape))
 
 
-def ratio_asymptote(z: float, theta_tau: float, beta: float | None = None) -> float:
+def ratio_asymptote(z, theta_tau, beta=None):
     """Large-``z`` growth law of the risk ratio:
     ``sqrt(pi*theta_tau/2) * exp(z**2 / (2*theta_tau))``, divided by ``beta``
-    when one is supplied (the variant the power-law tail actually implies)."""
-    val = math.sqrt(math.pi * theta_tau / 2.0) * math.exp(z * z / (2.0 * theta_tau))
-    return val / beta if beta is not None else val
+    when one is supplied (the variant the power-law tail actually implies).
+
+    ``z`` must be finite and >= 0, ``theta_tau`` and ``beta`` finite and > 0;
+    past the largest float the law is ``inf``."""
+    z, = _nonnegative_arrays(z=z)
+    theta_tau, = _positive_arrays(theta_tau=theta_tau)
+    scale = 1.0 if beta is None else _positive_arrays(beta=beta)[0]
+    with np.errstate(over="ignore"):
+        return _float_or_array(np.sqrt(np.pi * theta_tau / 2.0)
+                               * np.exp(z * z / 2.0 / theta_tau) / scale)
 
 
 def _crossing_gap(l, beta, theta_tau):

@@ -38,8 +38,7 @@ from . import __version__
 from .core import Dimensionless, ModelParams, variance_scale
 from .errors import (ConfigError, DivisionDomain, HestonFPError, NoRoot,
                      NonConvergence, ParameterError)
-from .quadrature import (QuadConfig, survival_averaged_batch, survival_exact_batch,
-                         survival_wiener)
+from .quadrature import QuadConfig, survival, survival_wiener
 from . import asymptotics as asy
 from .montecarlo import McConfig, estimate_survival
 
@@ -312,22 +311,16 @@ def _zvtau(spec: RunSpec, d: Dimensionless, z=(0.01,)) -> list[np.ndarray]:
     return _grid(spec.z or z, spec.v or (d.theta,), spec.tau or (0.5,))
 
 
-def _cmd_exact(spec: RunSpec):
+def _cmd_survival(spec: RunSpec):
+    """``exact`` over the (z, v, tau) grid of ``spec``, ``averaged`` over its (z, tau) grid."""
     d = spec.dimensionless
-    z, v, tau = _zvtau(spec, d)
-    res = survival_exact_batch(z, v, tau, d, _QUAD_CONFIG)
-    return ["z", "v", "tau", "S", "err_estimate", "panels"], _columns(
-        z, v, tau, [r.value for r in res], [r.err_estimate for r in res],
-        [r.panels_used for r in res])
-
-
-def _cmd_averaged(spec: RunSpec):
-    d = spec.dimensionless
-    z, tau = _grid(spec.z or (0.01,), spec.tau or (0.5,))
-    res = survival_averaged_batch(z, tau, d, _QUAD_CONFIG)
-    return ["z", "tau", "S", "err_estimate", "panels"], _columns(
-        z, tau, [r.value for r in res], [r.err_estimate for r in res],
-        [r.panels_used for r in res])
+    if spec.command == "exact":
+        axes = dict(zip(("z", "v", "tau"), _zvtau(spec, d)))
+    else:
+        axes = dict(zip(("z", "tau"), _grid(spec.z or (0.01,), spec.tau or (0.5,))))
+    res = survival(axes["z"], axes["tau"], d, axes.get("v"), _QUAD_CONFIG)
+    return [*axes, "S", "err_estimate", "panels"], _columns(
+        *axes.values(), res.value, res.err_estimate, res.panels_used)
 
 
 # Each method's survival over a flat (z, v, tau) grid as one vectorised
@@ -335,10 +328,8 @@ def _cmd_averaged(spec: RunSpec):
 # looked up when an entry is called, so a module attribute replaced later
 # (a tracer, a test double) still sees it.
 _COLUMNS = {
-    "exact": lambda z, v, tau, d:
-        [r.value for r in survival_exact_batch(z, v, tau, d, _QUAD_CONFIG)],
-    "averaged": lambda z, v, tau, d:
-        [r.value for r in survival_averaged_batch(z, tau, d, _QUAD_CONFIG)],
+    "exact": lambda z, v, tau, d: survival(z, tau, d, v, _QUAD_CONFIG).value,
+    "averaged": lambda z, v, tau, d: survival(z, tau, d, None, _QUAD_CONFIG).value,
     "erf_joint": lambda z, v, tau, d: asy.survival_erf(z, v, tau, d.theta),
     "arctan_joint": lambda z, v, tau, d: asy.survival_arctan(z, v, tau, d.theta, d.beta),
     "pheno": lambda z, v, tau, d: asy.survival_pheno(z, v, tau, d.theta, d.beta),
@@ -472,20 +463,17 @@ def _figure_fig1(spec: RunSpec):
     zs = np.logspace(math.log10(2e-3), math.log10(2e-1), 16)
     mc_cfg = McConfig(dt=spec.dt, n_paths=spec.paths, seed=spec.seed, horizon=0.5)
     est = estimate_survival(d, zs, d.theta, mc_cfg)
-    exact = survival_exact_batch(zs, d.theta, 0.5, d, _QUAD_CONFIG)
-    rows = [(z, ex.value, ex.err_estimate, s_mc, ci)
-            for z, ex, s_mc, ci in zip(zs, exact, est.survival[0], est.ci_halfwidth[0])]
-    return ["z", "S_exact", "err_estimate", "S_mc", "ci"], rows, _mc_work(est)
+    exact = survival(zs, 0.5, d, d.theta, _QUAD_CONFIG)
+    return ["z", "S_exact", "err_estimate", "S_mc", "ci"], _columns(
+        zs, exact.value, exact.err_estimate, est.survival[0], est.ci_halfwidth[0]), _mc_work(est)
 
 
 def _figure_fig6(spec: RunSpec):
     theta = spec.dimensionless.theta
     betas = np.logspace(-2, 2, 64)
-    z, tau = 0.01, 1.0
     ds = [Dimensionless(theta=theta, beta=beta) for beta in betas]
-    rows = [(beta, 1.0 - r.value)
-            for beta, r in zip(betas, survival_averaged_batch(z, tau, ds, _QUAD_CONFIG))]
-    return ["beta", "W_averaged"], rows
+    return ["beta", "W_averaged"], _columns(
+        betas, 1.0 - survival(0.01, 1.0, ds, None, _QUAD_CONFIG).value)
 
 
 def _figure_fig9(spec: RunSpec):
@@ -499,9 +487,8 @@ def _figure_fig10(spec: RunSpec):
     tau = 3.0
     theta_tau = d.theta * tau
     zs = np.logspace(-3, math.log10(0.6), 48)
-    rows = [(z, ratio, asy.ratio_asymptote(z, theta_tau, beta=d.beta))
-            for z, ratio in zip(zs, asy.risk_ratio(zs, tau, d, _QUAD_CONFIG))]
-    return ["z", "ratio", "asymptote"], rows
+    return ["z", "ratio", "asymptote"], _columns(
+        zs, asy.risk_ratio(zs, tau, d, _QUAD_CONFIG), asy.ratio_asymptote(zs, theta_tau, d.beta))
 
 
 _FIGURES = {
@@ -517,8 +504,8 @@ def _cmd_figure(spec: RunSpec):
 
 
 _RUNNERS = {
-    "exact": _cmd_exact,
-    "averaged": _cmd_averaged,
+    "exact": _cmd_survival,
+    "averaged": _cmd_survival,
     "approx": _cmd_approx,
     "simulate": _cmd_simulate,
     "crossing-level": _cmd_crossing_level,

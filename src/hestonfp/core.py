@@ -85,9 +85,10 @@ def _positive_arrays(**named) -> list[np.ndarray]:
 
 
 def _float_or_array(out):
-    """A Python float when ``out`` is 0-d -- every input was a scalar --
-    else ``out``, an ndarray of the inputs' broadcast shape."""
-    return float(out) if np.ndim(out) == 0 else out
+    """A Python float (int or bool, by dtype) when ``out`` is 0-d -- every
+    input was a scalar -- else ``out``, an ndarray of the inputs' broadcast
+    shape."""
+    return np.asarray(out).item() if np.ndim(out) == 0 else out
 
 
 def _with_boundaries(z, scale, form):

@@ -76,7 +76,8 @@ class McConfig:
     """Simulation settings.
 
     ``record_grid`` lists the times at which survival is read off;
-    ``horizon`` defaults to the last record time.
+    ``horizon`` defaults to the last record time.  Every time above 0 must
+    be a positive multiple of ``dt``, to within 1e-9 of a step.
     """
 
     dt: float = 1e-3
@@ -109,10 +110,13 @@ class McConfig:
             object.__setattr__(self, "record_grid", (horizon,))
         if not horizon / self.dt < math.inf:
             raise ConfigError("horizon / dt overflows a float")
-        if self.n_steps == 0 or any(t > 0.0 and n == 0
-                                    for t, n in zip(self.record_grid, self.record_steps())):
-            raise ConfigError(f"dt = {self.dt!r} rounds the horizon or a record time > 0 "
-                              "to 0 steps")
+        times = np.array((horizon, *self.record_grid))
+        steps = np.round(times / self.dt)
+        off = (np.abs(times / self.dt - steps) > 1e-9) | ((steps == 0.0) & (times > 0.0))
+        if off.any():
+            raise ConfigError(f"time {float(times[off][0])!r} is not a positive multiple of "
+                              f"dt = {self.dt!r}; the nearest step time is "
+                              f"{float(steps[off][0]) * self.dt!r}")
 
     @property
     def n_steps(self) -> int:

@@ -36,14 +36,16 @@ point still open at the finest step raises :class:`NonConvergence`.  At a
 subnormal ``z``, ``u/z`` passes the largest float; the log factors hold
 ``beta*omega`` at that float, where ``F`` is 0, so such a point gives 0.
 
-The batch entry points (``survival_exact_batch``,
-``survival_averaged_batch``) take many points of one integrand family, with
-``z``, ``v``, ``tau``, ``theta`` and ``beta`` free to vary per point.  Each
-step level is one pass over the open points' ``(points x nodes)`` array, in
-calls of ``F`` of at most ``_MAX_NODES`` nodes.  Every point's sum is formed
-the same way whatever batch it is in, so a batch gives each point its
-one-point result and fails as a loop over its points would: with the
-``NonConvergence`` of the lowest-numbered failing point.
+One call, :func:`survival`, covers both integrands over a grid: ``z``,
+``tau`` and ``v`` broadcast against each other and against ``theta`` and
+``beta``, which may vary per point, and ``v=None`` selects the averaged
+factor.  It returns one :class:`SPResult` of arrays.  Each step level is one
+pass over the open points' ``(points x nodes)`` array, in calls of ``F`` of
+at most ``_MAX_NODES`` nodes.  Every point's sum is formed the same way
+whatever grid it is in, so a grid gives each point its one-point result and
+fails as a loop over its points would: with the ``NonConvergence`` of the
+first failing point.  ``survival_exact`` and ``survival_averaged`` are its
+one-point calls.
 """
 
 from __future__ import annotations
@@ -55,18 +57,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erf
 
-from .core import (Dimensionless, State, _log_factor_averaged, _log_factor_exact,
-                   _nonnegative_arrays, _with_boundaries)
+from .core import (Dimensionless, State, _float_or_array, _log_factor_averaged,
+                   _log_factor_exact, _nonnegative_arrays, _with_boundaries)
 from .errors import ConfigError, NonConvergence
 
 __all__ = [
     "QuadConfig",
     "SPResult",
     "sine_transform",
+    "survival",
     "survival_exact",
-    "survival_exact_batch",
     "survival_averaged",
-    "survival_averaged_batch",
     "survival_wiener",
     "hitting",
 ]
@@ -95,22 +96,25 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class SPResult:
-    """A survival (or hitting) probability with quadrature diagnostics.
+    """A survival (or hitting) probability with quadrature diagnostics, at
+    one point or over a grid: each field is a scalar or an array of the
+    grid's shape.
 
-    ``value`` is the raw quadrature output -- never clamped.  If it falls
+    ``value`` is the raw quadrature output -- never clamped.  Where it falls
     outside ``[-1e-6, 1 + 1e-6]`` the ``out_of_range`` flag is set and it is
     the caller's job to decide what to do about it.
     """
 
-    value: float
-    err_estimate: float
+    value: float | np.ndarray
+    err_estimate: float | np.ndarray
     method: str
-    panels_used: int
-    out_of_range: bool = False
+    panels_used: int | np.ndarray
+    out_of_range: bool | np.ndarray = False
 
     @staticmethod
-    def make(value: float, err_estimate: float, method: str, panels_used: int) -> "SPResult":
-        out = not (-1e-6 <= value <= 1.0 + 1e-6)
+    def make(value, err_estimate, method: str, panels_used) -> "SPResult":
+        a = np.asarray(value)
+        out = _float_or_array(~((a >= -1e-6) & (a <= 1.0 + 1e-6)))
         return SPResult(value, err_estimate, method, panels_used, out)
 
 
@@ -175,9 +179,9 @@ def _level(F, u, w, z, points):
     return sums, mags
 
 
-def _sine_transforms(F, z, cfg: QuadConfig) -> list[tuple[float, float, int]]:
-    """``(value, err_estimate, panels_used)`` of the sine transform of every
-    point; the kernel behind every public entry point.
+def _sine_transforms(F, z, cfg: QuadConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``value``, ``err_estimate`` and ``panels_used`` of the sine transform
+    of every point, as three arrays; the kernel behind every public entry point.
 
     ``F(omega, point)`` evaluates the frequency factor of the given points
     (an integer array broadcasting against ``omega``).  ``z`` holds each
@@ -191,9 +195,8 @@ def _sine_transforms(F, z, cfg: QuadConfig) -> list[tuple[float, float, int]]:
     bad = np.flatnonzero(~((z >= 0.0) & (z < math.inf)))
     if bad.size:
         raise ConfigError(f"z must be finite and >= 0, got {float(z[bad[0]])!r}")
-    results = [(0.0, 0.0, 0)] * z.size
+    value, err_estimate, nodes = np.zeros(z.size), np.zeros(z.size), np.zeros(z.size, int)
     open_ = np.flatnonzero(z > 0.0)
-    nodes = np.zeros(z.size, dtype=int)
     h = _H_START
     u, w, _ = _rule(h)
     prev, _ = _level(F, u, w, z, open_)
@@ -205,8 +208,7 @@ def _sine_transforms(F, z, cfg: QuadConfig) -> list[tuple[float, float, int]]:
         nodes[open_] += u.size
         err = np.abs(fine - prev) + _ROUNDING * mag + dropped
         done = err <= cfg.abs_tol + cfg.rel_tol * np.abs(fine)
-        for i, val, e in zip(open_[done].tolist(), fine[done].tolist(), err[done].tolist()):
-            results[i] = (val, e, int(nodes[i]))
+        value[open_[done]], err_estimate[open_[done]] = fine[done], err[done]
         if h <= _H_MIN and not done.all():
             k = int(np.argmin(done))
             i = int(open_[k])
@@ -214,7 +216,7 @@ def _sine_transforms(F, z, cfg: QuadConfig) -> list[tuple[float, float, int]]:
                                  partial=float(fine[k]), err_estimate=float(err[k]),
                                  panels_used=int(nodes[i]), point=i)
         open_, prev = open_[~done], fine[~done]
-    return results
+    return value, err_estimate, nodes
 
 
 def sine_transform(F, z: float,
@@ -243,112 +245,72 @@ def sine_transform(F, z: float,
         If two consecutive step levels never agree within tolerance; the
         exception carries the finest sum and its bound.
     """
-    return _sine_transforms(lambda w, i: F(np.ravel(w)).reshape(np.shape(w)), [z],
-                            config or QuadConfig())[0]
+    return tuple(a[0].item() for a in _sine_transforms(
+        lambda w, i: F(np.ravel(w)).reshape(np.shape(w)), [z], config or QuadConfig()))
 
 
-def _per_point(d, *arrays) -> list[np.ndarray]:
-    """Flat per-point arrays of the broadcast ``arrays`` followed by
-    ``theta`` and ``beta``, from one ``Dimensionless`` or one per point."""
+def survival(z, tau, d, v=None, config: QuadConfig | None = None) -> SPResult:
+    """Survival probability by exact inversion, over a broadcast grid.
+
+    ``z``, ``tau`` and the starting variance ``v`` broadcast against each
+    other and against ``d``, one :class:`Dimensionless` or a sequence of
+    them, one per point.  ``v=None`` averages the start over its stationary
+    Gamma law (method ``"averaged"``); else the method is ``"exact"``.  A
+    point with ``z = 0`` gives 0, and else one with ``tau = 0`` gives 1,
+    without quadrature.
+
+    Returns one SPResult whose fields are arrays of the broadcast shape, or
+    a float, int and bool when every input is a scalar.  Each point has the
+    bits of its one-point call.
+
+    Raises
+    ------
+    ParameterError
+        If any ``z``, ``v`` or ``tau`` is negative or not finite, before any
+        evaluation.
+    NonConvergence
+        Of the first failing point in flat order, its flat index in ``point``.
+    """
     if isinstance(d, Dimensionless):
         theta, beta = d.theta, d.beta
     else:
         theta, beta = [x.theta for x in d], [x.beta for x in d]
-    return [a.ravel() for a in np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (*arrays, theta, beta)))]
-
-
-def _survival_batch(method, log_f, z, live, config) -> list[SPResult]:
-    """Run the ``live`` points through one kernel call and wrap every point
-    in an SPResult; the others short-circuit, to 0 at ``z = 0`` and else
-    (at ``tau = 0``) to 1.
-
-    ``log_f(omega, point)`` indexes the live points in order.
-    """
-    live = np.flatnonzero(live)
-    results = [SPResult.make(0.0 if zi == 0.0 else 1.0, 0.0, method, 0) for zi in z.tolist()]
+    averaged = v is None
+    grid = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                 for a in (z, 0.0 if averaged else v, tau, theta, beta)))
+    z, v, tau, theta, beta = (a.ravel() for a in grid)
+    _nonnegative_arrays(z=z, v=v, tau=tau)
+    live = np.flatnonzero((z > 0.0) & (tau > 0.0))
+    v, tau, theta, beta = v[live], tau[live], theta[live], beta[live]
 
     def F(w, i):
-        return np.exp(log_f(w, i))
+        if averaged:
+            return np.exp(_log_factor_averaged(w, tau[i], theta[i], beta[i]))
+        return np.exp(_log_factor_exact(w, tau[i], v[i], theta[i], beta[i]))
 
+    value, err, panels = np.where(z == 0.0, 0.0, 1.0), np.zeros(z.size), np.zeros(z.size, int)
     try:
-        out = _sine_transforms(F, z[live], config or QuadConfig())
+        value[live], err[live], panels[live] = _sine_transforms(F, z[live],
+                                                                 config or QuadConfig())
     except NonConvergence as exc:
         exc.point = int(live[exc.point])
         raise
-    for i, (val, err, n) in zip(live.tolist(), out):
-        results[i] = SPResult.make(val, err, method, n)
-    return results
-
-
-def survival_exact_batch(z, v, tau, d, config: QuadConfig | None = None) -> list[SPResult]:
-    """:func:`survival_exact` at many points, in one batched quadrature.
-
-    ``z``, ``v`` and ``tau`` broadcast against each other and against ``d``,
-    which is one :class:`Dimensionless` or a sequence of them, one per
-    point.  Returns one SPResult per point of the flattened broadcast,
-    each equal to the single-point call.
-
-    Raises
-    ------
-    ParameterError
-        If any ``z``, ``v`` or ``tau`` is negative or not finite.
-    NonConvergence
-        Of the lowest-numbered failing point, its index in ``point``.
-    """
-    z, v, tau, theta, beta = _per_point(d, z, v, tau)
-    _nonnegative_arrays(z=z, v=v, tau=tau)
-    live = (z > 0.0) & (tau > 0.0)
-    tau, v, theta, beta = tau[live], v[live], theta[live], beta[live]
-
-    def log_f(w, i):
-        return _log_factor_exact(w, tau[i], v[i], theta[i], beta[i])
-
-    return _survival_batch("exact", log_f, z, live, config)
+    value, err, panels = (_float_or_array(a.reshape(grid[0].shape)) for a in (value, err, panels))
+    return SPResult.make(value, err, "averaged" if averaged else "exact", panels)
 
 
 def survival_exact(state: State, d: Dimensionless,
                    config: QuadConfig | None = None) -> SPResult:
-    """Survival probability for fixed starting variance, by exact inversion.
-
-    Probability that the return, started a distance ``state.z`` from the
-    barrier with variance ``state.v``, has not touched the barrier up to
-    ``state.tau``.
-    """
-    return survival_exact_batch(state.z, state.v, state.tau, d, config)[0]
-
-
-def survival_averaged_batch(z, tau, d, config: QuadConfig | None = None) -> list[SPResult]:
-    """:func:`survival_averaged` at many points, in one batched quadrature.
-
-    ``z`` and ``tau`` broadcast against each other and against ``d``, one
-    :class:`Dimensionless` or a sequence of them, one per point.  Returns
-    one SPResult per point of the flattened broadcast, each equal to the
-    single-point call.
-
-    Raises
-    ------
-    ParameterError
-        If any ``z`` or ``tau`` is negative or not finite.
-    NonConvergence
-        Of the lowest-numbered failing point, its index in ``point``.
-    """
-    z, tau, theta, beta = _per_point(d, z, tau)
-    _nonnegative_arrays(z=z, tau=tau)
-    live = (z > 0.0) & (tau > 0.0)
-    tau, theta, beta = tau[live], theta[live], beta[live]
-
-    def log_f(w, i):
-        return _log_factor_averaged(w, tau[i], theta[i], beta[i])
-
-    return _survival_batch("averaged", log_f, z, live, config)
+    """Probability that the return, started ``state.z`` from the barrier with
+    variance ``state.v``, has not touched it by ``state.tau``: one point of :func:`survival`."""
+    return survival(state.z, state.tau, d, state.v, config)
 
 
 def survival_averaged(z: float, tau: float, d: Dimensionless,
                       config: QuadConfig | None = None) -> SPResult:
     """Survival probability with the starting variance averaged over its
     stationary Gamma law, by exact inversion of the averaged integrand."""
-    return survival_averaged_batch(z, tau, d, config)[0]
+    return survival(z, tau, d, None, config)
 
 
 def survival_wiener(z, sigma_sq, t):

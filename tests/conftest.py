@@ -53,5 +53,5 @@ def gamma_average_oracle(z: float, tau: float, d: h.Dimensionless,
 
     x, w = roots_genlaguerre(nodes, d.nu - 1.0)
     rate = 2.0 / d.beta**2
-    vals = np.array([sp.value for sp in h.survival_exact_batch(z, x / rate, tau, d)])
+    vals = h.survival(z, tau, d, x / rate).value
     return float(np.dot(w, vals) / np.exp(gammaln(d.nu)))

@@ -5,6 +5,7 @@ that the formulas do not actually attain are kept as strict xfails with the
 measured deviation in the reason string.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,34 @@ class TestRiskRatio:
     def test_array_signals_first_bad_point(self, z, match):
         with pytest.raises(h.DivisionDomain, match=match):
             h.risk_ratio(np.array(z), 3.0, h.Dimensionless(TH, 10.0))
+
+    def test_asymptote_broadcasts(self):
+        z, tt = np.geomspace(1e-3, 0.6, 12), np.array([[TH], [3.0 * TH]])
+        for beta in (None, 10.0):
+            got = h.ratio_asymptote(z, tt, beta)
+            assert got.shape == (2, 12)
+            for (i, j), r in np.ndenumerate(got):
+                one = h.ratio_asymptote(float(z[j]), float(tt[i, 0]), beta)
+                assert type(one) is float and r == one
+                t = float(tt[i, 0])
+                want = math.sqrt(math.pi * t / 2.0) * math.exp(z[j] * z[j] / (2.0 * t))
+                assert math.isclose(r, want / (beta or 1.0), rel_tol=1e-15)
+
+    @pytest.mark.parametrize("args", [(0.1, 0.0), (0.1, -1.0), (0.1, math.nan), (0.1, math.inf),
+                                      (-0.1, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                      (0.1, 1.0, 0.0), (0.1, 1.0, -1.0), (0.1, 1.0, math.nan),
+                                      (np.array([0.1, -0.1]), 1.0)])
+    def test_asymptote_rejects_bad_input(self, args):
+        # gave ZeroDivisionError, a math domain ValueError, or NaN
+        with pytest.raises(h.ParameterError):
+            h.ratio_asymptote(*args)
+
+    def test_asymptote_overflows_to_inf_silently(self):
+        # raised OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert h.ratio_asymptote(1.0, 1e-5) == math.inf
+            assert h.ratio_asymptote(1e200, 1e308, 1e-300) == math.inf
 
 
 class TestCrossingLevel:

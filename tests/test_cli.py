@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import hestonfp.cli as cli
 from hestonfp import (Dimensionless, ModelParams, NonConvergence, ParameterError, QuadConfig,
-                      State, survival_arctan, survival_averaged, survival_averaged_batch,
+                      State, survival, survival_arctan, survival_averaged,
                       survival_avg_arctan, survival_avg_erf, survival_erf, survival_exact,
-                      survival_exact_batch, survival_pheno, survival_wiener,
+                      survival_pheno, survival_wiener,
                       tail_gaussian_hitting, tail_powerlaw_hitting, variance_scale)
 
 DEFAULT_D = cli.DEFAULT_PARAMS.dimensionless()
@@ -276,10 +276,6 @@ class TestCommands:
         assert meta["theta"] == 1.92e-3
 
 
-def _values(results):
-    return [r.value for r in results]
-
-
 def _figure_columns(name):
     """Figure ``name``'s columns by name, each from a direct library call."""
     th = DEFAULT_D.theta
@@ -287,26 +283,26 @@ def _figure_columns(name):
     zs = np.logspace(-3, -1, 64)
     if name == "fig2":
         taus = np.logspace(math.log10(0.1), 2, 64)
-        return {"tau": taus, "exact": _values(survival_exact_batch(0.01, 1e3 * th, taus, d1)),
+        return {"tau": taus, "exact": survival(0.01, taus, d1, 1e3 * th).value,
                 "erf": survival_erf(0.01, 1e3 * th, taus, th)}
     if name == "fig3":
         vs = np.logspace(math.log10(1e3 * th), math.log10(1e5 * th), 64)
-        return {"v": vs, "exact": _values(survival_exact_batch(0.01, vs, 0.1, d1)),
+        return {"v": vs, "exact": survival(0.01, 0.1, d1, vs).value,
                 "erf": survival_erf(0.01, vs, 0.1, th)}
     if name == "fig4":
-        return {"z": zs, "exact": _values(survival_exact_batch(zs, th, 0.5, d10)),
+        return {"z": zs, "exact": survival(zs, 0.5, d10, th).value,
                 "arctan": survival_arctan(zs, th, 0.5, th, 10.0),
                 "erf": survival_erf(zs, th, 0.5, th)}
     if name == "fig5":
-        return {"z": zs, "exact": _values(survival_exact_batch(zs, th, 0.5, d10)),
+        return {"z": zs, "exact": survival(zs, 0.5, d10, th).value,
                 "pheno": survival_pheno(zs, th, 0.5, th, 10.0),
                 "pheno_beta": survival_pheno(zs, th, 0.5, th, 10.0, use_beta_factor=True)}
     if name == "fig7":
-        return {"z": zs, "averaged": _values(survival_averaged_batch(zs, 0.5, d10)),
+        return {"z": zs, "averaged": survival(zs, 0.5, d10).value,
                 "arctan_averaged": survival_avg_arctan(zs, 0.5, th, 10.0)}
     zs = np.logspace(-3, 0, 64)
     return {"z": zs,
-            "W_averaged": [1.0 - s for s in _values(survival_averaged_batch(zs, 3.0, d10))],
+            "W_averaged": 1.0 - survival(zs, 3.0, d10).value,
             "W_wiener": 1.0 - survival_wiener(zs, th, 3.0)}
 
 
@@ -359,6 +355,13 @@ class TestExitCodes:
         # and fig1 simulated to tau = 1 under a tau = 0.5 label; both exit 0
         assert cli.main([*argv, "--dt", "1", "--paths", "64"]) == 2
         assert "dt" in capsys.readouterr().err
+
+    def test_record_time_off_the_step_grid_is_rejected(self, capsys):
+        # printed the S and CI of tau = 0.3 under the label tau = 0.4, exit 0
+        argv = ["simulate", "--dt", "0.3", "--tau", "0.4", "--paths", "2000", "--seed", "1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "dt = 0.3" in err and "nearest step time is 0.3" in err
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_the_key_range_is_rejected(self, seed, capsys):

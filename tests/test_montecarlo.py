@@ -48,6 +48,8 @@ class TestConfig:
         {"dt": 1.0, "horizon": 0.5},  # the horizon rounds to 0 steps
         {"dt": 0.3, "record_grid": (0.1, 1.0)},  # so does a record time > 0
         {"dt": 1e-300, "horizon": 1e300},  # the step count overflows a float
+        {"dt": 0.3, "horizon": 0.45},  # ran 2 steps, to tau = 0.6
+        {"dt": 0.3, "record_grid": (0.3, 0.4)},  # read tau = 0.4 at the step of 0.3
     ])
     def test_rejected(self, kw):
         with pytest.raises(h.ConfigError):
@@ -106,6 +108,13 @@ class TestConfig:
     def test_step_count(self):
         cfg = h.McConfig(dt=1e-3, horizon=0.5)
         assert cfg.n_steps == 500
+
+    def test_times_off_the_step_grid_name_the_nearest_step(self):
+        with pytest.raises(h.ConfigError, match="nearest step time is 0.6"):
+            h.McConfig(dt=0.3, horizon=0.45)
+        # times within rounding of a step are on it
+        cfg = h.McConfig(dt=1e-3, record_grid=(0.0, 0.1, 0.25, 0.7))
+        assert cfg.record_steps().tolist() == [0, 100, 250, 700]
 
 
 class TestDegenerateDynamics:

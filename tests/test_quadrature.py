@@ -39,6 +39,45 @@ PINNED = [
 ]
 
 
+# float.hex of value and err_estimate, and panels_used, of each point of three
+# grids, recorded from the per-point results of the calls survival replaced.
+# A grid is (z, tau, v, beta per point) at theta = fig1_d.theta.
+PINNED_GRIDS = {
+    # the PINNED cases (the exact ones; the averaged one is the second point below)
+    "pinned": lambda d: ([0.1, 0.01, 1e-3, 2e-3], [1.0, 0.5, 0.5, 0.5],
+                         [1.0, d.theta, d.theta, d.theta], [0.1, 0.1, 10.0, 10.0]),
+    # z = 0 and tau = 0 short-circuits among quadrature points
+    "mixed": lambda d: ([0.01, 0.0, 0.02, 0.01, 0.0, 1e-3], [0.5, 0.5, 0.0, 0.0, 0.0, 2.0],
+                        d.theta, [d.beta]),
+    # theta and beta given per point
+    "perpoint": lambda d: ([1e-3, 0.01, 0.03, 0.1, 0.0, 0.3], [0.5, 1.0, 3.0, 0.1, 1.0, 8.0],
+                           np.array([1.0, 3.0, 0.1, 100.0, 1.0, 0.0]) * d.theta,
+                           [0.1, 1.0, 10.0, 30.0, 0.01, 3.0]),
+}
+_Z = ("0x0.0p+0", "0x0.0p+0", 0)
+_ONE = ("0x1.0000000000000p+0", "0x0.0p+0", 0)
+PINNED_BITS = {
+    "pinned-exact": [("0x1.9a3cbdee3f4b1p-4", "0x1.0e835a47224cdp-38", 398),
+                     ("0x1.3f54ee8308fc6p-2", "0x1.933dcffacba42p-31", 166),
+                     ("0x1.a4d2f01232208p-1", "0x1.9a4c5b5327473p-34", 166),
+                     ("0x1.d1841239054d1p-1", "0x1.22210fd951b1ap-37", 166)],
+    "mixed-exact": [("0x1.3f54ee8308fc6p-2", "0x1.933dcffacba42p-31", 166), _Z, _ONE, _ONE, _Z,
+                    ("0x1.1a0478c560756p-6", "0x1.a0f1a2e0a3fb6p-44", 398)],
+    "mixed-averaged": [("0x1.c2fd691796b76p-2", "0x1.579d86b87607fp-36", 166), _Z, _ONE, _ONE,
+                       _Z, ("0x1.3e7041783dc82p-6", "0x1.4757d33a5e528p-45", 398)],
+    "perpoint-exact": [("0x1.0ad018b8be6d3p-5", "0x1.e272b9385d7a6p-45", 398),
+                       ("0x1.2de1e74d9b2c7p-1", "0x1.544a1f77d0781p-31", 166),
+                       ("0x1.f9978b8c35feep-1", "0x1.5ee1060bb80c2p-41", 166),
+                       ("0x1.eb557cd218861p-1", "0x1.035455915a3e6p-36", 166), _Z,
+                       ("0x1.fb50b54c1e692p-1", "0x1.602e00c944017p-42", 166)],
+    "perpoint-averaged": [("0x1.ae88a3af8e384p-5", "0x1.a7ba75b1b2e4ep-49", 398),
+                          ("0x1.be8158df55dd3p-1", "0x1.95dda18a56917p-34", 166),
+                          ("0x1.f9b5f99043902p-1", "0x1.1c6046712c343p-38", 166),
+                          ("0x1.fff89a4f193e4p-1", "0x1.4ace4c556cfbcp-43", 166), _Z,
+                          ("0x1.fb0807f5c403ep-1", "0x1.7c6d6832ca94ap-42", 166)],
+}
+
+
 class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"abs_tol": 0.0},
@@ -225,10 +264,10 @@ class TestTrimmedRule:
         z, v, tau, theta, beta = _seeded_points()
         d = [h.Dimensionless(t, b) for t, b in zip(theta, beta)]
         nodes = np.cumsum([quad._rule(hs)[0].size for hs in _LEVELS])
-        for sp in (h.survival_exact_batch(z, v, tau, d)
-                   + h.survival_averaged_batch(z, tau, d)):
-            last = int(np.flatnonzero(nodes == sp.panels_used)[0])
-            assert last >= 1 and sp.err_estimate >= quad._rule(_LEVELS[last])[2]
+        for grid in (h.survival(z, tau, d, v), h.survival(z, tau, d)):
+            for panels, err in zip(grid.panels_used, grid.err_estimate, strict=True):
+                last = int(np.flatnonzero(nodes == panels)[0])
+                assert last >= 1 and err >= quad._rule(_LEVELS[last])[2]
 
     @pytest.mark.parametrize("z", [1e-50, 1e-200])
     def test_err_estimate_covers_survival_below_budget(self, fig1_d, z):
@@ -242,22 +281,24 @@ class TestTrimmedRule:
             assert abs(sp.value - slope * z) <= sp.err_estimate
 
 
-def _same_as_single_calls(kind, batch, args, d):
-    """Every point of a batch call equals its one-point call."""
-    if isinstance(d, h.Dimensionless):
-        d = [d]
-    *grid, thetas = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args),
-                                         np.arange(len(d)))
-    points = zip(*(a.ravel().tolist() for a in grid), thetas.ravel().tolist())
-    for sp, (*p, j) in zip(batch, points, strict=True):
-        if kind == "exact":
-            one = h.survival_exact(h.State(*p), d[j])
+def _same_as_single_calls(grid, z, tau, d, v=None):
+    """Every point of the grid call ``survival(z, tau, d, v)``, in flat
+    order, equals its one-point call."""
+    ds = [d] if isinstance(d, h.Dimensionless) else list(d)
+    *axes, j = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                     for a in (z, tau, 0.0 if v is None else v)),
+                                   np.arange(len(ds)))
+    fields = (grid.value, grid.err_estimate, grid.panels_used, grid.out_of_range)
+    points = zip(*(np.ravel(a).tolist() for a in (*fields, *axes, j)), strict=True)
+    for value, err, panels, out, zi, ti, vi, ji in points:
+        if v is None:
+            one = h.survival_averaged(zi, ti, ds[ji])
         else:
-            one = h.survival_averaged(*p, d[j])
-        assert sp.panels_used == one.panels_used
-        assert abs(sp.value - one.value) <= 1e-14
-        assert abs(sp.err_estimate - one.err_estimate) <= 1e-14
-        assert sp.method == one.method and sp.out_of_range == one.out_of_range
+            one = h.survival_exact(h.State(zi, vi, ti), ds[ji])
+        assert panels == one.panels_used
+        assert abs(value - one.value) <= 1e-14
+        assert abs(err - one.err_estimate) <= 1e-14
+        assert grid.method == one.method and out == one.out_of_range
 
 
 def _exp_family(nan_points=()):
@@ -283,61 +324,79 @@ def _failure(e):
 
 
 class TestBatch:
-    """A batch changes nothing per point: equal ``panels_used``, value and
+    """A grid changes nothing per point: equal ``panels_used``, value and
     error bound within 1e-14 of the one-point call, and the failure of the
     first point a loop over the points would meet."""
 
     @pytest.mark.parametrize("argv", [["figure", f"fig{i}"] for i in (2, 3, 4, 5, 6, 7, 8, 10)]
                              + [["sweep"]], ids=lambda a: a[-1])
     def test_cli_batches_match_single_calls(self, argv, monkeypatch, capsys):
-        batches = []
+        calls = []
 
-        def recording(kind, fn):
-            def call(*args):
-                batches.append((kind, fn(*args), args))
-                return batches[-1][1]
-            return call
+        def recording(*args):
+            calls.append((quad.survival(*args), args))
+            return calls[-1][0]
 
-        monkeypatch.setattr(cli, "survival_exact_batch",
-                            recording("exact", quad.survival_exact_batch))
-        monkeypatch.setattr(cli, "survival_averaged_batch",
-                            recording("averaged", quad.survival_averaged_batch))
-        monkeypatch.setattr(asy, "survival_averaged_batch",
-                            recording("averaged", quad.survival_averaged_batch))
+        monkeypatch.setattr(cli, "survival", recording)
+        monkeypatch.setattr(asy, "survival", recording)
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert sum(len(b) for _, b, _ in batches) >= 48
-        for kind, batch, (*args, d, _) in batches:
-            _same_as_single_calls(kind, batch, args, d)
+        assert sum(np.size(grid.value) for grid, _ in calls) >= 48
+        for grid, (z, tau, d, v, _) in calls:
+            _same_as_single_calls(grid, z, tau, d, v)
 
     def test_pinned_cases_in_one_batch(self, fig1_d):
         for kind in ("exact", "averaged"):
             cases = [c for c in PINNED if c[0] == kind]
             z, v, tau, beta, _, value, err = (np.array(x, dtype=float)
                                               for x in list(zip(*cases))[1:])
-            v = np.where(np.isnan(v), fig1_d.theta, v)
+            v = np.where(np.isnan(v), fig1_d.theta, v) if kind == "exact" else None
             d = [h.Dimensionless(fig1_d.theta, b) for b in beta]
-            if kind == "exact":
-                batch = h.survival_exact_batch(z, v, tau, d)
-            else:
-                batch = h.survival_averaged_batch(z, tau, d)
-            new_err = np.array([sp.err_estimate for sp in batch])
-            assert np.all(np.abs([sp.value for sp in batch] - value) <= err + new_err)
-            _same_as_single_calls(kind, batch, (z, v, tau) if kind == "exact" else (z, tau), d)
+            grid = h.survival(z, tau, d, v)
+            assert np.all(np.abs(grid.value - value) <= err + grid.err_estimate)
+            _same_as_single_calls(grid, z, tau, d, v)
 
     def test_short_circuits_mixed_in(self, fig1_d):
         z = [0.01, 0.0, 0.02, 0.01, 0.0, 1e-3]
         tau = [0.5, 0.5, 0.0, 0.0, 0.0, 2.0]
-        exact = h.survival_exact_batch(z, fig1_d.theta, tau, fig1_d)
-        averaged = h.survival_averaged_batch(z, tau, fig1_d)
-        assert [sp.value for sp in exact[1:5]] == [0.0, 1.0, 1.0, 0.0]
-        assert all(sp.panels_used == 0 for sp in exact[1:5] + averaged[1:5])
-        _same_as_single_calls("exact", exact, (z, fig1_d.theta, tau), fig1_d)
-        _same_as_single_calls("averaged", averaged, (z, tau), fig1_d)
+        exact = h.survival(z, tau, fig1_d, fig1_d.theta)
+        averaged = h.survival(z, tau, fig1_d)
+        assert exact.value[1:5].tolist() == [0.0, 1.0, 1.0, 0.0]
+        assert not exact.panels_used[1:5].any() and not averaged.panels_used[1:5].any()
+        _same_as_single_calls(exact, z, tau, fig1_d, fig1_d.theta)
+        _same_as_single_calls(averaged, z, tau, fig1_d)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_BITS))
+    def test_pinned_bits(self, fig1_d, name):
+        # each point's value and err_estimate to the bit, and its panels_used
+        grid, kind = name.split("-")
+        z, tau, v, betas = PINNED_GRIDS[grid](fig1_d)
+        d = [h.Dimensionless(fig1_d.theta, b) for b in betas]
+        res = h.survival(z, tau, d, v if kind == "exact" else None)
+        got = [(a.hex(), b.hex(), n) for a, b, n in
+               zip(res.value.tolist(), res.err_estimate.tolist(), res.panels_used.tolist())]
+        assert got == PINNED_BITS[name]
+
+    def test_fields_take_the_broadcast_shape(self, fig1_d):
+        d = [fig1_d, h.Dimensionless(fig1_d.theta, 1.0), h.Dimensionless(fig1_d.theta, 10.0)]
+        for v in (fig1_d.theta, None):
+            grid = h.survival([[0.01], [0.02]], 0.5, d, v)
+            for field in (grid.value, grid.err_estimate, grid.panels_used, grid.out_of_range):
+                assert isinstance(field, np.ndarray) and field.shape == (2, 3)
+            _same_as_single_calls(grid, [[0.01], [0.02]], 0.5, d, v)
+
+    def test_scalar_call_gives_python_scalars(self, fig1_d):
+        one = h.survival_exact(h.State(0.01, fig1_d.theta, 0.5), fig1_d)
+        assert one == h.survival(0.01, 0.5, fig1_d, fig1_d.theta)
+        for sp in (one, h.survival_averaged(0.01, 0.5, fig1_d), h.survival(0.0, 0.5, fig1_d)):
+            assert [type(x) for x in (sp.value, sp.err_estimate, sp.panels_used,
+                                      sp.out_of_range)] == [float, float, int, bool]
 
     def test_empty_batch(self, fig1_d):
-        assert h.survival_exact_batch([], fig1_d.theta, 0.5, fig1_d) == []
-        assert h.survival_averaged_batch([], 0.5, fig1_d) == []
+        for v in (fig1_d.theta, None):
+            grid = h.survival([], 0.5, fig1_d, v)
+            for field in (grid.value, grid.err_estimate, grid.panels_used, grid.out_of_range):
+                assert field.shape == (0,)
 
     @pytest.mark.parametrize("nan_points", [(5,), (6, 2), tuple(range(8))])
     def test_nan_point_fails_as_the_loop_would(self, nan_points):
@@ -355,7 +414,7 @@ class TestBatch:
         # first failure a loop meets is point 1's
         z = [0.0, 1e-3, 3e-3, 0.0, 0.1]
         with pytest.raises(h.NonConvergence) as batch:
-            h.survival_exact_batch(z, fig1_d.theta, 0.5, fig1_d, UNREACHABLE)
+            h.survival(z, 0.5, fig1_d, fig1_d.theta, UNREACHABLE)
         first = _first_raised(
             (lambda zi=zi: h.survival_exact(h.State(zi, fig1_d.theta, 0.5), fig1_d,
                                             UNREACHABLE))
@@ -380,7 +439,7 @@ class TestBatch:
         assert exc.value.point == 0
         assert max(sizes) <= quad._MAX_NODES
 
-    def test_rejects_bad_distance_before_evaluating(self, fig1_d):
+    def test_rejects_bad_distance_before_evaluating(self, fig1_d, monkeypatch):
         F = _exp_family()
         calls = []
 
@@ -392,12 +451,12 @@ class TestBatch:
             with pytest.raises(h.ConfigError):
                 quad._sine_transforms(counted, z, h.QuadConfig())
         assert not calls
-        with pytest.raises(h.ParameterError):
-            h.survival_exact_batch([0.1, -1.0], fig1_d.theta, 0.5, fig1_d)
-        with pytest.raises(h.ParameterError):
-            h.survival_exact_batch(0.1, [fig1_d.theta, math.nan], 0.5, fig1_d)
-        with pytest.raises(h.ParameterError):
-            h.survival_averaged_batch([0.1, -1.0], 0.5, fig1_d)
+        monkeypatch.setattr(quad, "_sine_transforms", lambda *args: calls.append(args))
+        for z, tau, v in (([0.1, -1.0], 0.5, fig1_d.theta), (0.1, 0.5, [fig1_d.theta, math.nan]),
+                          ([0.1, -1.0], 0.5, None), (0.1, [0.5, math.inf], None)):
+            with pytest.raises(h.ParameterError):
+                h.survival(z, tau, fig1_d, v)
+        assert not calls
 
 
 class TestSurvivalExact:
@@ -442,11 +501,10 @@ class TestSurvivalExact:
         z, tau = [1e-306, 1e-310, 5e-324], [[0.5], [5.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = (h.survival_exact_batch(z, d.theta, tau, d)
-                       + h.survival_averaged_batch(z, tau, d))
-        assert len(results) == 12
+            results = (h.survival(z, tau, d, d.theta), h.survival(z, tau, d))
+        assert sum(sp.value.size for sp in results) == 12
         for sp in results:
-            assert 0.0 <= sp.value <= 1e-9 and sp.err_estimate <= 1e-9
+            assert np.all((0.0 <= sp.value) & (sp.value <= 1e-9) & (sp.err_estimate <= 1e-9))
 
     def test_monotone_in_distance(self, fig1_d):
         vals = [h.survival_exact(h.State(z, fig1_d.theta, 0.5), fig1_d).value
@@ -542,6 +600,12 @@ class TestResultType:
         assert not h.SPResult.make(1.0 + 1e-6, 0.0, "exact", 1).out_of_range
         assert h.SPResult.make(1.0 + 1e-5, 0.0, "exact", 1).out_of_range
         assert h.SPResult.make(-1e-5, 0.0, "exact", 1).out_of_range
+
+    def test_flag_is_elementwise(self):
+        sp = h.SPResult.make(np.array([0.5, 1.0 + 1e-5, -1e-5, math.nan]), np.zeros(4), "exact",
+                             np.ones(4, dtype=int))
+        assert sp.out_of_range.tolist() == [False, True, True, True]
+        assert type(h.SPResult.make(0.5, 0.0, "exact", 1).out_of_range) is bool
 
     def test_value_never_clamped(self):
         sp = h.SPResult.make(1.000002, 1e-9, "exact", 1)

@@ -8,7 +8,7 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_quick_start_runs_as_written():
-    # the first python block: exact, averaged and batch quadrature, and the
+    # the first python block: exact, averaged and grid quadrature, and the
     # Monte Carlo cross-check by keyword (z0, v0, cfg)
     block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
     out = io.StringIO()
