@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
@@ -244,62 +243,59 @@ def _build_spec(command: str, config: dict[str, str], flags: dict[str, str],
 
 
 # ---------------------------------------------------------------------------
-# output formatting
+# output formatting: a table is its column names and one 1-D float or integer
+# array per column, and each emitter fills one row template per table
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
-
-
-def emit_csv(columns, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(x) for x in row) + "\n")
-    return buf.getvalue()
+def emit_csv(names, columns) -> str:
+    """A header line, then one line per row: ``str`` of an integer and 17
+    significant digits of a float (``"{:.17g}".format``)."""
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in cols)
+    return "\n".join([",".join(names), *map(row.__mod__, zip(*(c.tolist() for c in cols)))]) + "\n"
 
 
 def _meta(spec: RunSpec) -> dict:
-    meta = asdict(spec)
-    if isinstance(spec.params, ModelParams):
-        d = spec.params.dimensionless()
-        meta["params"] = {"alpha": spec.params.alpha, "m2": spec.params.m_sq,
-                          "k": spec.params.k}
-    else:
-        d = spec.params
-        meta["params"] = {"theta": spec.params.theta, "beta": spec.params.beta}
-    meta["theta"] = d.theta
-    meta["beta"] = d.beta
-    meta.update(asdict(_QUAD_CONFIG))
-    meta["version"] = __version__
-    return meta
+    p, d = spec.params, spec.dimensionless
+    params = ({"alpha": p.alpha, "m2": p.m_sq, "k": p.k} if isinstance(p, ModelParams)
+              else {"theta": p.theta, "beta": p.beta})
+    return {**asdict(spec), "params": params, "theta": d.theta, "beta": d.beta,
+            **asdict(_QUAD_CONFIG), "version": __version__}
 
 
-def emit_json(spec: RunSpec, columns, rows, work: dict | None = None) -> str:
-    payload = {
-        "meta": {**_meta(spec), **(work or {})},
-        "rows": [dict(zip(columns, [x if isinstance(x, (int, str)) else float(x) for x in row]))
-                 for row in rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+# The texts json writes for a float that repr writes otherwise
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_column(col) -> tuple[str, list]:
+    """The row-template conversion and the cells of one column: ``%r`` of
+    its numbers, which is the text json writes, or ``%s`` of the texts when
+    a float column holds NaN or an infinity."""
+    col = np.asarray(col)
+    if col.dtype.kind != "f" or np.isfinite(col).all():
+        return "%r", col.tolist()
+    return "%s", [_NONFINITE.get(t, t) for t in map(repr, col.tolist())]
+
+
+def emit_json(spec: RunSpec, names, columns, work: dict | None = None) -> str:
+    """The text ``json.dumps(payload, indent=2) + "\\n"`` of the payload
+    ``{"meta": ..., "rows": [{name: cell, ...}, ...]}``, its rows filled into
+    one template after the dumped ``meta``."""
+    head = json.dumps({"meta": {**_meta(spec), **(work or {})}}, indent=2)[:-2]
+    cols = [_json_column(c) for c in columns]
+    row = "\n    {" + ",".join(f"\n      {json.dumps(n).replace('%', '%%')}: {conv}"
+                                for n, (conv, _) in zip(names, cols)) + "\n    }"
+    rows = ",".join(map(row.__mod__, zip(*(cells for _, cells in cols))))
+    return head + (f',\n  "rows": [{rows}\n  ]' if rows else ',\n  "rows": []') + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
-# command implementations (each returns columns, rows)
+# command implementations (each returns column names, columns)
 
 
 def _grid(*axes) -> list[np.ndarray]:
     """The product grid of ``axes``, first axis slowest, one flat array per axis."""
     return [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
-
-
-def _columns(*cols) -> list[tuple]:
-    """Rows of Python numbers from equal-length columns."""
-    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols)))
 
 
 # Tolerances of every quadrature the CLI runs.
@@ -315,12 +311,16 @@ def _cmd_survival(spec: RunSpec):
     """``exact`` over the (z, v, tau) grid of ``spec``, ``averaged`` over its (z, tau) grid."""
     d = spec.dimensionless
     if spec.command == "exact":
+        if spec.stationary:
+            raise ParameterError("--stationary: exact starts at a given v; use averaged")
         axes = dict(zip(("z", "v", "tau"), _zvtau(spec, d)))
+    elif spec.v:
+        raise ParameterError("--v: averaged starts from the stationary law of v; use exact")
     else:
         axes = dict(zip(("z", "tau"), _grid(spec.z or (0.01,), spec.tau or (0.5,))))
     res = survival(axes["z"], axes["tau"], d, axes.get("v"), _QUAD_CONFIG)
-    return [*axes, "S", "err_estimate", "panels"], _columns(
-        *axes.values(), res.value, res.err_estimate, res.panels_used)
+    return [*axes, "S", "err_estimate", "panels"], [*axes.values(), res.value,
+                                                    res.err_estimate, res.panels_used]
 
 
 # Each method's survival over a flat (z, v, tau) grid as one vectorised
@@ -371,7 +371,7 @@ def _cmd_approx(spec: RunSpec):
         raise ParameterError("--method is required for the approx command")
     d = spec.dimensionless
     z, v, tau = _zvtau(spec, d)
-    return ["z", "v", "tau", "S"], _columns(z, v, tau, *_table(d, z, v, tau, [spec.method]))
+    return ["z", "v", "tau", "S"], [z, v, tau, *_table(d, z, v, tau, [spec.method])]
 
 
 def _cmd_simulate(spec: RunSpec):
@@ -385,8 +385,7 @@ def _cmd_simulate(spec: RunSpec):
                    record_grid=tuple(sorted(spec.tau or (0.5,))))
     v0 = None if spec.stationary else (spec.v[0] if spec.v else d.theta)
     est = estimate_survival(d, zs[0], v0, cfg)
-    rows = [(t, s, c) for t, s, c in zip(est.grid, est.survival, est.ci_halfwidth)]
-    return ["tau", "S", "ci"], rows, _mc_work(est)
+    return ["tau", "S", "ci"], [np.array(est.grid), est.survival, est.ci_halfwidth], _mc_work(est)
 
 
 def _mc_work(est) -> dict:
@@ -402,7 +401,7 @@ def _cmd_crossing_level(spec: RunSpec):
         raise ParameterError("--theta-tau is required for crossing-level")
     beta, tt = _grid(betas, tts)
     res = asy.crossing_level(beta, tt)
-    return ["beta", "theta_tau", "l_c", "residual"], _columns(beta, tt, res.l_c, res.residual)
+    return ["beta", "theta_tau", "l_c", "residual"], [beta, tt, res.l_c, res.residual]
 
 
 def _cmd_ratio(spec: RunSpec):
@@ -412,7 +411,7 @@ def _cmd_ratio(spec: RunSpec):
     d = spec.dimensionless
     tau, z = _grid(spec.tau or (3.0,),
                    spec.z or tuple(np.logspace(-3, math.log10(0.6), 48)))
-    return ["z", "tau", "ratio"], _columns(z, tau, asy.risk_ratio(z, tau, d, _QUAD_CONFIG))
+    return ["z", "tau", "ratio"], [z, tau, asy.risk_ratio(z, tau, d, _QUAD_CONFIG)]
 
 
 _SWEEP = ("exact", "averaged", "erf_joint", "arctan_joint", "pheno", "erf_averaged",
@@ -422,7 +421,7 @@ _SWEEP = ("exact", "averaged", "erf_joint", "arctan_joint", "pheno", "erf_averag
 def _cmd_sweep(spec: RunSpec):
     d = spec.dimensionless
     z, v, tau = _zvtau(spec, d, z=tuple(np.logspace(-3, -1, 64)))
-    return ["z", "v", "tau", *_SWEEP], _columns(z, v, tau, *_table(d, z, v, tau, _SWEEP))
+    return ["z", "v", "tau", *_SWEEP], [z, v, tau, *_table(d, z, v, tau, _SWEEP)]
 
 
 def _log_z(theta):
@@ -455,7 +454,7 @@ def _curve(beta, axis, grid, columns, hitting, spec: RunSpec):
     cols = _table(d, z, v, tau, columns.values())
     if hitting:
         cols = [1.0 - np.asarray(c) for c in cols]
-    return [axis, *columns], _columns({"z": z, "v": v, "tau": tau}[axis], *cols)
+    return [axis, *columns], [{"z": z, "v": v, "tau": tau}[axis], *cols]
 
 
 def _figure_fig1(spec: RunSpec):
@@ -464,22 +463,21 @@ def _figure_fig1(spec: RunSpec):
     mc_cfg = McConfig(dt=spec.dt, n_paths=spec.paths, seed=spec.seed, horizon=0.5)
     est = estimate_survival(d, zs, d.theta, mc_cfg)
     exact = survival(zs, 0.5, d, d.theta, _QUAD_CONFIG)
-    return ["z", "S_exact", "err_estimate", "S_mc", "ci"], _columns(
-        zs, exact.value, exact.err_estimate, est.survival[0], est.ci_halfwidth[0]), _mc_work(est)
+    return ["z", "S_exact", "err_estimate", "S_mc", "ci"], [
+        zs, exact.value, exact.err_estimate, est.survival[0], est.ci_halfwidth[0]], _mc_work(est)
 
 
 def _figure_fig6(spec: RunSpec):
     theta = spec.dimensionless.theta
     betas = np.logspace(-2, 2, 64)
     ds = [Dimensionless(theta=theta, beta=beta) for beta in betas]
-    return ["beta", "W_averaged"], _columns(
-        betas, 1.0 - survival(0.01, 1.0, ds, None, _QUAD_CONFIG).value)
+    return ["beta", "W_averaged"], [betas, 1.0 - survival(0.01, 1.0, ds, None, _QUAD_CONFIG).value]
 
 
 def _figure_fig9(spec: RunSpec):
     betas = np.logspace(0, 2, 32)
     l_c = asy.crossing_level(betas, 3.0 * spec.dimensionless.theta).l_c
-    return ["beta", "l_c"], _columns(betas, l_c)
+    return ["beta", "l_c"], [betas, l_c]
 
 
 def _figure_fig10(spec: RunSpec):
@@ -487,8 +485,8 @@ def _figure_fig10(spec: RunSpec):
     tau = 3.0
     theta_tau = d.theta * tau
     zs = np.logspace(-3, math.log10(0.6), 48)
-    return ["z", "ratio", "asymptote"], _columns(
-        zs, asy.risk_ratio(zs, tau, d, _QUAD_CONFIG), asy.ratio_asymptote(zs, theta_tau, d.beta))
+    return ["z", "ratio", "asymptote"], [
+        zs, asy.risk_ratio(zs, tau, d, _QUAD_CONFIG), asy.ratio_asymptote(zs, theta_tau, d.beta)]
 
 
 _FIGURES = {
@@ -518,13 +516,13 @@ _RUNNERS = {
 def run(spec: RunSpec) -> str:
     """Execute a RunSpec and return the rendered table (also written to
     ``spec.output_path`` when one is set)."""
-    # a runner returns (columns, rows), plus a dict of work counts for meta
+    # a runner returns (names, columns), plus a dict of work counts for meta
     # when Monte Carlo made the table
-    columns, rows, *work = _RUNNERS[spec.command](spec)
+    names, columns, *work = _RUNNERS[spec.command](spec)
     if spec.output_format == "json":
-        text = emit_json(spec, columns, rows, *work)
+        text = emit_json(spec, names, columns, *work)
     else:
-        text = emit_csv(columns, rows)
+        text = emit_csv(names, columns)
     if spec.output_path:
         with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

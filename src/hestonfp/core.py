@@ -19,7 +19,7 @@ in, arrays out.  They are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -89,6 +89,16 @@ def _float_or_array(out):
     input was a scalar -- else ``out``, an ndarray of the inputs' broadcast
     shape."""
     return np.asarray(out).item() if np.ndim(out) == 0 else out
+
+
+def _fields_equal(a, b):
+    """``a == b`` for results whose fields may be arrays: the same class, and
+    each pair of fields the same object or equal by ``np.array_equal`` (same
+    shape, equal elements, so NaN is unequal)."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(x is y or np.array_equal(x, y) for x, y in pairs)
 
 
 def _with_boundaries(z, scale, form):

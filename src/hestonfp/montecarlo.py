@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erf, log_ndtr, ndtri
 
-from .core import Dimensionless, _positive_arrays
+from .core import Dimensionless, _fields_equal, _positive_arrays
 from .errors import ConfigError
 
 __all__ = ["McConfig", "McEstimate", "estimate_survival"]
@@ -145,6 +145,8 @@ class McEstimate:
     seed: int
     path_steps: int
     rng_draws: int
+
+    __eq__ = _fields_equal
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erf
 
-from .core import (Dimensionless, State, _float_or_array, _log_factor_averaged,
+from .core import (Dimensionless, State, _fields_equal, _float_or_array, _log_factor_averaged,
                    _log_factor_exact, _nonnegative_arrays, _with_boundaries)
 from .errors import ConfigError, NonConvergence
 
@@ -110,6 +110,8 @@ class SPResult:
     method: str
     panels_used: int | np.ndarray
     out_of_range: bool | np.ndarray = False
+
+    __eq__ = _fields_equal
 
     @staticmethod
     def make(value, err_estimate, method: str, panels_used) -> "SPResult":

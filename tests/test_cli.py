@@ -82,14 +82,11 @@ class TestOutputFormats:
         original = open(out, encoding="utf-8", newline="").read()
         header, rows = _read_rows(out)
 
-        def cell(text):
-            try:
-                return int(text)
-            except ValueError:
-                return float(text)
+        def column(name):
+            texts = [row[name] for row in rows]
+            return np.array(texts, dtype=int if name == "panels" else float)
 
-        re_emitted = cli.emit_csv(
-            header, [[cell(row[c]) for c in header] for row in rows])
+        re_emitted = cli.emit_csv(header, [column(c) for c in header])
         assert re_emitted == original
         assert original.endswith("\n") and "\r" not in original
 
@@ -115,6 +112,67 @@ class TestOutputFormats:
         assert cli.main(args + ["--output", a]) == 0
         assert cli.main(args + ["--output", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def _fmt(x) -> str:
+    """The CSV text of one cell as it was written cell by cell."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+# zeros of both signs, a subnormal, the smallest normal, the largest float,
+# short and 17-digit reprs, and the non-finite values
+_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, -2.5, 1e16,
+          1.7976931348623157e308, math.nan, math.inf, -math.inf]
+
+
+class TestEmitters:
+    """emit_csv and emit_json format each column in one pass; the text is the
+    one a cell-by-cell CSV writer and ``json.dumps(indent=2)`` give."""
+
+    SPEC = cli.RunSpec(command="exact", params=DEFAULT_D, z=(0.01, 0.02))
+    TABLES = {
+        "edges": (["x", "n"], [np.array(_EDGES), np.arange(len(_EDGES)) - 3]),
+        "one_row": (["z", "S", "panels"], [np.array([0.01]), np.array([0.5]), np.array([42])]),
+        "finite": (["z", "v", "S"], [np.logspace(-3, 0, 7), np.full(7, 2e-3),
+                                     np.linspace(0.0, 1.0, 7) ** 3]),
+        "non_finite_only": (["S"], [np.array([math.nan, -math.inf, math.inf])]),
+    }
+
+    @staticmethod
+    def _rows(columns):
+        return list(zip(*(c.tolist() for c in columns)))
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_csv_is_the_cell_by_cell_text(self, table):
+        names, columns = self.TABLES[table]
+        want = ",".join(names) + "\n" + "".join(
+            ",".join(_fmt(x) for x in row) + "\n" for row in self._rows(columns))
+        assert cli.emit_csv(names, columns) == want
+
+    @pytest.mark.parametrize("work", [None, {"path_steps": 123, "rng_draws": 4567}])
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_json_is_the_dumps_text(self, table, work):
+        names, columns = self.TABLES[table]
+        payload = {"meta": {**cli._meta(self.SPEC), **(work or {})},
+                   "rows": [dict(zip(names, row)) for row in self._rows(columns)]}
+        assert cli.emit_json(self.SPEC, names, columns, work) == \
+            json.dumps(payload, indent=2) + "\n"
+
+    def test_json_cells_parse_back(self):
+        names, columns = self.TABLES["edges"]
+        rows = json.loads(cli.emit_json(self.SPEC, names, columns))["rows"]
+        assert [r["n"] for r in rows] == columns[1].tolist()
+        got = np.array([r["x"] for r in rows])
+        assert np.array_equal(got, columns[0], equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(columns[0]))
+
+    def test_empty_table(self):
+        names, columns = ["z", "S"], [np.empty(0), np.empty(0)]
+        assert cli.emit_csv(names, columns) == "z,S\n"
+        assert cli.emit_json(self.SPEC, names, columns) == json.dumps(
+            {"meta": cli._meta(self.SPEC), "rows": []}, indent=2) + "\n"
 
 
 class TestCommands:
@@ -331,6 +389,14 @@ class TestExitCodes:
         rc = cli.main(["approx", "--method", "parabola"])
         assert rc == 2
         assert "--method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["averaged", "--v", "0.5"], "--v"), (["exact", "--stationary"], "--stationary")])
+    def test_survival_rejects_a_flag_it_cannot_use(self, argv, flag, capsys):
+        # averaged printed the S without --v, exact the S at v = theta; both exit 0
+        assert cli.main([*argv, "--z", "0.01"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith(f"hestonfp: error: {flag}:")
 
     def test_malformed_grid(self, capsys):
         rc = cli.main(["exact", "--z", "1:2"])

@@ -8,6 +8,7 @@ was verified once against the quadrature before being frozen.
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,6 +316,15 @@ class TestProfile:
             assert np.array_equal(est.survival[:, j], one.survival)
             assert np.array_equal(est.ci_halfwidth[:, j], one.ci_halfwidth)
             assert (est.path_steps, est.rng_draws) == (one.path_steps, one.rng_draws)
+
+    def test_grid_estimates_compare_field_by_field(self, dfig):
+        # == raised "The truth value of an array ... is ambiguous"
+        cfg = h.McConfig(dt=1e-2, n_paths=500, seed=5, record_grid=(0.1, 0.2))
+        est = h.estimate_survival(dfig, (0.01, 0.02), TH, cfg)
+        assert est == h.estimate_survival(dfig, (0.01, 0.02), TH, cfg)
+        assert est != h.estimate_survival(dfig, (0.01, 0.02), TH, replace(cfg, seed=6))
+        assert est != h.estimate_survival(dfig, (0.01, 0.03), TH, cfg)
+        assert est != h.estimate_survival(dfig, 0.01, TH, cfg)
 
 
 def _stationary_starts(monkeypatch, d, n, seed):

@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -606,6 +607,16 @@ class TestResultType:
                              np.ones(4, dtype=int))
         assert sp.out_of_range.tolist() == [False, True, True, True]
         assert type(h.SPResult.make(0.5, 0.0, "exact", 1).out_of_range) is bool
+
+    def test_grid_results_compare_field_by_field(self, fig1_d):
+        # == raised "The truth value of an array ... is ambiguous"
+        grid = h.survival([0.01, 0.02], 0.5, fig1_d)
+        assert grid == h.survival([0.01, 0.02], 0.5, fig1_d)
+        assert grid != h.survival([0.01, 0.03], 0.5, fig1_d)
+        assert grid != h.survival([0.01], 0.5, fig1_d)
+        assert grid != h.survival([0.01, 0.02], 0.5, fig1_d, fig1_d.theta)
+        nan = h.SPResult.make(np.array([math.nan]), np.zeros(1), "exact", np.ones(1, dtype=int))
+        assert nan == nan and nan != replace(nan, value=np.array([math.nan]))
 
     def test_value_never_clamped(self):
         sp = h.SPResult.make(1.000002, 1e-9, "exact", 1)

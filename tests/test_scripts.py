@@ -9,6 +9,14 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _run(argv):
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.mark.parametrize("argv,header", [
     (["quad_accuracy.py", "--points", "16"],
      ["group", "kind", "n", "max", "|dev|", "max", "rel", "dishonest", "nodes", "max", "secs"]),
@@ -16,10 +24,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
      ["dt", "tau", "z", "S_mc", "bias", "ci", "bias/ci", "secs"]),
 ], ids=["quad_accuracy", "dt_bias_scan"])
 def test_script_runs(argv, header):
-    src = str(ROOT / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = _run(argv)
     assert proc.returncode == 0, proc.stderr
     assert header in [line.split() for line in proc.stdout.splitlines()]
+
+
+def test_run_figures_writes_the_figure_tables(tmp_path):
+    proc = _run(["run_figures.py", str(tmp_path), "--only", "fig2,fig9"])
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.csv", "fig9.csv"]
+    for name, header, rows in (("fig2", "tau,exact,erf", 64), ("fig9", "beta,l_c", 32)):
+        lines = (tmp_path / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == header and len(lines) == 1 + rows
