@@ -138,6 +138,7 @@ class TestEmitters:
         "finite": (["z", "v", "S"], [np.logspace(-3, 0, 7), np.full(7, 2e-3),
                                      np.linspace(0.0, 1.0, 7) ** 3]),
         "non_finite_only": (["S"], [np.array([math.nan, -math.inf, math.inf])]),
+        "empty": (["z", "S"], [np.empty(0), np.empty(0)]),
     }
 
     @staticmethod
@@ -159,20 +160,6 @@ class TestEmitters:
                    "rows": [dict(zip(names, row)) for row in self._rows(columns)]}
         assert cli.emit_json(self.SPEC, names, columns, work) == \
             json.dumps(payload, indent=2) + "\n"
-
-    def test_json_cells_parse_back(self):
-        names, columns = self.TABLES["edges"]
-        rows = json.loads(cli.emit_json(self.SPEC, names, columns))["rows"]
-        assert [r["n"] for r in rows] == columns[1].tolist()
-        got = np.array([r["x"] for r in rows])
-        assert np.array_equal(got, columns[0], equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(columns[0]))
-
-    def test_empty_table(self):
-        names, columns = ["z", "S"], [np.empty(0), np.empty(0)]
-        assert cli.emit_csv(names, columns) == "z,S\n"
-        assert cli.emit_json(self.SPEC, names, columns) == json.dumps(
-            {"meta": cli._meta(self.SPEC), "rows": []}, indent=2) + "\n"
 
 
 class TestCommands:
