@@ -175,6 +175,17 @@ _OPTIONS = {
 }
 # RunSpec's field of an option, where it is not the key (``beta`` here is a scan)
 _FIELDS = {"output": "output_path", "format": "output_format", "beta": "beta_grid"}
+# The options a command cannot use, by key, with the reason: ``run`` rejects
+# them, given as a flag or a config value, rather than quietly ignore them
+_UNUSABLE = {
+    "exact": {"stationary": "exact starts at a given v; use averaged"},
+    "averaged": {"v": "averaged starts from the stationary law of v; use exact"},
+    "ratio": {"v": "ratio averages over the stationary law of v",
+              "stationary": "ratio always starts from the stationary law of v"},
+    "crossing-level": {"z": "crossing-level takes --beta and --theta-tau"},
+    "sweep": {"stationary": "sweep starts at a given v; its averaged column is stationary"},
+    "figure": {"z": "each figure has its own z", "stationary": "each figure sets its own starts"},
+}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -311,11 +322,7 @@ def _cmd_survival(spec: RunSpec):
     """``exact`` over the (z, v, tau) grid of ``spec``, ``averaged`` over its (z, tau) grid."""
     d = spec.dimensionless
     if spec.command == "exact":
-        if spec.stationary:
-            raise ParameterError("--stationary: exact starts at a given v; use averaged")
         axes = dict(zip(("z", "v", "tau"), _zvtau(spec, d)))
-    elif spec.v:
-        raise ParameterError("--v: averaged starts from the stationary law of v; use exact")
     else:
         axes = dict(zip(("z", "tau"), _grid(spec.z or (0.01,), spec.tau or (0.5,))))
     res = survival(axes["z"], axes["tau"], d, axes.get("v"), _QUAD_CONFIG)
@@ -516,6 +523,9 @@ _RUNNERS = {
 def run(spec: RunSpec) -> str:
     """Execute a RunSpec and return the rendered table (also written to
     ``spec.output_path`` when one is set)."""
+    for key, why in _UNUSABLE.get(spec.command, {}).items():
+        if getattr(spec, key):
+            raise ParameterError(f"{_flag(key)}: {why}")
     # a runner returns (names, columns), plus a dict of work counts for meta
     # when Monte Carlo made the table
     names, columns, *work = _RUNNERS[spec.command](spec)

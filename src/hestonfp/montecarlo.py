@@ -8,11 +8,13 @@ exponential (QE) scheme ("Efficient simulation of the Heston stochastic
 volatility model", J. Comput. Finance 11(3), 2008): one standard normal per
 path-step, a moment-matched quadratic in it where the variance is far from
 zero (``psi <= 1.5``), and a point mass at zero plus an exponential tail on
-the paths near zero.  ``I`` accumulates by the trapezoid rule, and every
-estimate is the path mean of ``erf(z / sqrt(2 I))`` with the CLT interval
-``1.96 * sd / sqrt(n)``.  No barrier is monitored, so there is no
-discrete-monitoring bias to correct, and one simulation serves every record
-time and any number of starting distances.
+the paths near zero.  ``I`` is the trapezoid rule, kept as a running sum
+``S`` of the stepped variances and read at a record step as
+``dt S - (dt/2) v + (dt/2) v0``; every estimate is the path mean of
+``erf(z / sqrt(2 I))`` with the CLT interval ``1.96 * sd / sqrt(n)``.  No
+barrier is monitored, so there is no discrete-monitoring bias to correct,
+and one simulation serves every record time and any number of starting
+distances.
 
 One call, :func:`estimate_survival`, runs it: a scalar ``z0`` or a 1-D grid
 of them, a fixed starting variance ``v0`` or (``v0 = None``) starts drawn
@@ -21,8 +23,8 @@ from the stationary Gamma law, and one :class:`McEstimate` over the
 
 Cost: a block's normals are drawn in chunks of about ``2**16`` on one
 helper thread per block, one chunk ahead of the steps that use them, so the
-Philox draws (which release the GIL) overlap the step arithmetic when a
-core is free; with ``workers`` blocks at once that is up to ``2 * workers``
+draws (which release the GIL) overlap the step arithmetic when a core is
+free; with ``workers`` blocks at once that is up to ``2 * workers``
 threads.  The stream, and so every output bit, is the same as drawing each
 step's normals inline.  Each step runs in-place ufuncs on scratch buffers
 allocated once per block, and evaluates the exponential branch only on the
@@ -30,14 +32,13 @@ paths that take it.  At large vol-of-vol (``2 nu < 4/3``, so ``psi > 1.5``
 at ``v = 0``) paths on the atom take the exponential branch and mostly stay
 there; once more than half of a block sits on the atom, a step runs only on
 the paths off it or whose normal can lift them off it.  A parked path gets
-``v' = 0`` and a clock increment of ``(0 + 0) dt / 2 = 0``, exactly what
-the full step gives it, and every path's arithmetic runs in the same
-operation order either way, so parking changes no bit of the output.
+``v' = 0``, exactly what the full step gives it, and adds 0 to its running
+sum, so parking changes no bit of the output.
 
-Reproducibility: one master seed, an integer in ``[0, 2**64)``, counter-based
-(Philox) substreams per path block, and per-block float sums merged in
-block order -- the estimate is bit-identical no matter how many worker
-threads run the blocks.
+Reproducibility: one master seed, an integer in ``[0, 2**64)``; path block
+``b`` draws from its own SFC64 stream, seeded by ``SeedSequence([seed, b])``,
+and per-block float sums are merged in block order -- the estimate is
+bit-identical no matter how many worker threads run the blocks.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class McEstimate:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
 
 
 def _blocks(n_paths: int) -> list[tuple[int, int]]:
@@ -191,10 +192,9 @@ def _qe_step(v: np.ndarray, normal: np.ndarray, out: np.ndarray, scratch, coef) 
     k /= tmp
     # quadratic branch: b^2 = k - 1 + sqrt(k (k - 1)), NaN where k < 1, and
     # v' = m / (1 + b^2) * (b + Z)^2
-    np.subtract(k, 1.0, out=tmp)
-    tmp *= k
-    np.sqrt(tmp, out=tmp)
     np.subtract(k, 1.0, out=out)
+    np.multiply(out, k, out=tmp)
+    np.sqrt(tmp, out=tmp)
     out += tmp
     np.sqrt(out, out=tmp)
     tmp += normal
@@ -242,8 +242,8 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     When paths on the atom ``v = 0`` take the exponential branch and more
     than half of the block sits there, a step runs only on the paths off the
     atom or whose normal can lift them off it; every other path is parked:
-    its ``v'`` is 0 and its clock gains ``(0 + 0) dt / 2 = 0``, exactly what
-    the full-width step gives it.
+    its ``v'`` is 0 and its running sum gains 0, exactly what the full-width
+    step gives it.
     """
     rng = _block_rng(cfg.seed, block)
     draws = 0
@@ -267,7 +267,8 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     scratch = (np.empty(n_block), np.empty(n_block), np.empty(n_block),
                np.empty(n_block, dtype=bool))
     moving, lifts = scratch[3], np.empty(n_block, dtype=bool)
-    clock = np.zeros(n_block)
+    # the trapezoid clock I = dt S - (dt/2) v + (dt/2) v0, from the running sum S of v'
+    total, base = np.zeros(n_block), half_dt * (v if v0 is None else float(v0))
     sums = np.empty((len(steps), z_grid.size, 2))
     done = 0
     # the drawer's first chunk is drawn after the Gamma start draw above, so the
@@ -276,30 +277,24 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
         normals = _normals(rng, n_block, int(steps[-1]), drawer)
         for rec, stop in enumerate(steps.tolist()):
             for normal in itertools.islice(normals, stop - done):
-                live = None
                 if parkable and 2 * np.count_nonzero(np.not_equal(v, 0.0, out=moving)) < n_block:
-                    np.less(normal, z_atom, out=lifts)
-                    moving |= lifts
+                    moving |= np.less(normal, z_atom, out=lifts)
                     live = np.flatnonzero(moving)
-                    n = live.size
-                    v_in, z_in, out = v[live], normal[live], v_next[:n]
-                    _qe_step(v_in, z_in, out, tuple(a[:n] for a in scratch), coef)
+                    out = v_next[:live.size]
+                    _qe_step(v[live], normal[live], out, tuple(a[:live.size] for a in scratch),
+                             coef)
+                    total[live] += out
+                    v[live] = out  # a parked path's v is 0 already
                 else:
-                    v_in, out = v, v_next
-                    _qe_step(v, normal, out, scratch, coef)
-                # trapezoid clock: I += (v + v') dt / 2
-                inc = scratch[2][:out.size]
-                np.add(v_in, out, out=inc)
-                inc *= half_dt
-                if live is None:
-                    clock += inc
+                    _qe_step(v, normal, v_next, scratch, coef)
+                    total += v_next
                     v, v_next = v_next, v
-                else:
-                    clock[live] += inc
-                    v.fill(0.0)
-                    v[live] = out
             draws += n_block * (stop - done)
             done = stop
+            clock = np.multiply(total, cfg.dt, out=scratch[0])
+            clock -= np.multiply(v, half_dt, out=scratch[2])
+            clock += base
+            np.maximum(clock, 0.0, out=clock)  # rounding may leave it a little below 0
             sums[rec] = _erf_sums(clock, z_grid)
     return sums, n_block * done, draws
 

@@ -378,12 +378,31 @@ class TestExitCodes:
         assert "--method" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,flag", [
-        (["averaged", "--v", "0.5"], "--v"), (["exact", "--stationary"], "--stationary")])
+        (["averaged", "--v", "0.5", "--z", "0.01"], "--v"),
+        (["exact", "--stationary", "--z", "0.01"], "--stationary"),
+        (["ratio", "--v", "0.5", "--z", "0.01", "--tau", "1"], "--v"),
+        (["ratio", "--stationary", "--z", "0.01", "--tau", "1"], "--stationary"),
+        (["crossing-level", "--z", "0.5", "--beta", "1", "--theta-tau", "0.01"], "--z"),
+        (["figure", "fig2", "--z", "0.5"], "--z"),
+        (["figure", "fig9", "--stationary"], "--stationary"),
+        (["sweep", "--stationary", "--z", "0.01"], "--stationary"),
+    ])
     def test_survival_rejects_a_flag_it_cannot_use(self, argv, flag, capsys):
-        # averaged printed the S without --v, exact the S at v = theta; both exit 0
-        assert cli.main([*argv, "--z", "0.01"]) == 2
+        # every command printed its table as if the flag were not there, exit 0
+        assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert not out and err.startswith(f"hestonfp: error: {flag}:")
+
+    def test_config_value_a_command_would_ignore_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("z = 0.5\n")
+        assert cli.main(["crossing-level", "--config", str(cfg), "--theta-tau", "0.01"]) == 2
+        assert capsys.readouterr().err.startswith("hestonfp: error: --z:")
+
+    def test_approx_takes_every_flag(self, capsys):
+        argv = ["approx", "--method", "erf", "--z", "0.01", "--v", "0.5", "--stationary"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("z,v,tau,S\n")
 
     def test_malformed_grid(self, capsys):
         rc = cli.main(["exact", "--z", "1:2"])

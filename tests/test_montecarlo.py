@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import erf, ndtri
+from scipy.special import erf, log_ndtr, ndtri
 
 import hestonfp as h
 from hestonfp import montecarlo
@@ -495,10 +495,9 @@ class TestDrawerThreads:
 
 
 class TestPinnedKernel:
-    """Exact survival, CI, path-step and draw counts of six small runs.  The
-    first four were recorded from the kernel before it stepped in place and
-    parked paths on the atom, the last two before it dropped its screen of
-    the exponential branch.  Two blocks, the second of 17 paths.
+    """Exact survival, CI, path-step and draw counts of six small runs,
+    recorded from the kernel with SFC64 block streams and the running-sum
+    clock.  Two blocks, the second of 17 paths.
     ``parks_from`` is the first step taken on the live paths only, or None:
     at beta = 1 more than half of the block sits at v = 0 from the second
     step on (stationary starts) or from the eighth (v0 = theta), and at
@@ -508,23 +507,23 @@ class TestPinnedKernel:
 
     CASES = {
         "beta0.1-v0theta": (0.1, TH, 0.01, None, (
-            ["0x1.dffeb4ce064b9p-1", "0x1.81ba4e1e1492ap-1"],
-            ["0x1.4a034b61c03f6p-13", "0x1.e73c7c8096a6ap-12"], 2622120, 2622120)),
+            ["0x1.dff546403e415p-1", "0x1.818ecae51845bp-1"],
+            ["0x1.499fe0f40c6f6p-13", "0x1.e5ebed3e8485ap-12"], 2622120, 2622120)),
         "beta1-stationary": (1.0, None, 2e-3, 1, (
-            ["0x1.f3754bdc4765bp-1", "0x1.eb6326c6f0192p-1"],
-            ["0x1.093973d907934p-10", "0x1.42a2693fc62a9p-10"], 2622120, 2687673)),
+            ["0x1.f2be22a57853ap-1", "0x1.eaa505afe507fp-1"],
+            ["0x1.1298f542c8160p-10", "0x1.4a944b83a93efp-10"], 2622120, 2687673)),
         "beta1-v0theta": (1.0, TH, 5e-3, 7, (
-            ["0x1.98b4a3027196dp-1", "0x1.88d5ea89e631ep-1"],
-            ["0x1.d5266db40972dp-10", "0x1.191edb5aea6abp-9"], 2622120, 2622120)),
+            ["0x1.9832f83c1dd21p-1", "0x1.88337c6d30331p-1"],
+            ["0x1.d53be7e75b41bp-10", "0x1.1923fa66ea366p-9"], 2622120, 2622120)),
         "beta0.01-v0zero": (0.01, 0.0, 1e-3, None, (
-            ["0x1.efee95614c889p-1", "0x1.2c3a1d7c9cca3p-1"],
-            ["0x1.61c841d932f21p-14", "0x1.ebedebf73c84ap-13"], 2622120, 2622120)),
+            ["0x1.efe82e4a868eep-1", "0x1.2c1cea8ed38adp-1"],
+            ["0x1.615fcd49dad02p-14", "0x1.ea15c867964cap-13"], 2622120, 2622120)),
         "beta0.3-v0theta": (0.3, TH, 5e-3, None, (
-            ["0x1.5a82479263307p-1", "0x1.073a0eeec2f47p-1"],
-            ["0x1.d05287453086ap-11", "0x1.66c71e5b391a7p-10"], 2622120, 2622120)),
+            ["0x1.5a4492d9923aep-1", "0x1.06d0b1e00267bp-1"],
+            ["0x1.d05a8592281d6p-11", "0x1.66c86df706f24p-10"], 2622120, 2622120)),
         "beta10-stationary": (10.0, None, 2e-3, 0, (
-            ["0x1.ff84137bef32bp-1", "0x1.fed5c95639badp-1"],
-            ["0x1.b701ee629248ap-13", "0x1.4bac83b14e72ep-12"], 2622120, 2687673)),
+            ["0x1.ff8b15f87cc65p-1", "0x1.fef82b7d3b439p-1"],
+            ["0x1.a85b426bb32cdp-13", "0x1.3583ab78173e2p-12"], 2622120, 2687673)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -549,32 +548,152 @@ class TestPinnedKernel:
         assert (parked[0] if parked else None) == parks_from
 
 
+class TestBlockStream:
+    """Path block ``b`` of seed ``s`` draws from
+    ``Generator(SFC64(SeedSequence([s, b])))``."""
+
+    @pytest.mark.parametrize("seed, block", [(0, 0), (7, 1), (2**64 - 1, 3)])
+    def test_definition(self, seed, block):
+        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
+        got = montecarlo._block_rng(seed, block)
+        assert np.array_equal(got.standard_normal(1000), want.standard_normal(1000))
+        assert np.array_equal(got.gamma(0.4, 2.0, 100), want.gamma(0.4, 2.0, 100))
+
+    def test_neighbours_differ(self):
+        keys = [(7, 1), (7, 2), (8, 1), (1, 7), (0, 0), (0, 1), (1, 0)]
+        draws = {key: montecarlo._block_rng(*key).standard_normal(64) for key in keys}
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                assert not np.any(draws[a] == draws[b]), (a, b)
+
+    def test_largest_seed(self, dfig):
+        cfg = h.McConfig(n_paths=2**16 + 3, seed=2**64 - 1, record_grid=(0.005,))
+        est = h.estimate_survival(dfig, 0.01, None, cfg)
+        assert est.seed == 2**64 - 1 and 0.0 < est.survival[0] < 1.0
+
+
+def _reference_qe_step(v, normal, coef):
+    """``v'`` by the QE step as the kernel wrote it before its passes were
+    trimmed: every branch evaluated in its original order."""
+    e, m0, s1, s0 = coef
+    m = v * e
+    m += m0
+    tmp = v * s1
+    tmp += s0
+    k = m * m
+    k /= tmp
+    with np.errstate(invalid="ignore"):
+        tmp = k - 1.0
+        tmp *= k
+        np.sqrt(tmp, out=tmp)
+        out = k - 1.0
+        out += tmp
+        np.sqrt(out, out=tmp)
+    tmp += normal
+    tmp *= tmp
+    out += 1.0
+    np.divide(m, out, out=out)
+    out *= tmp
+    idx = np.flatnonzero(k < montecarlo._K_SWITCH)
+    if idx.size:
+        q = 2.0 * k[idx] / (2.0 + k[idx])
+        out[idx] = m[idx] / q * np.maximum(np.log(q) - log_ndtr(normal[idx]), 0.0)
+    return out
+
+
+def _coef(beta, dt):
+    e = math.exp(-dt)
+    return (e, TH * -math.expm1(-dt), 0.5 * beta**2 * e * -math.expm1(-dt),
+            0.25 * TH * beta**2 * math.expm1(-dt)**2)
+
+
+def _step(v, normal, coef):
+    """``v'`` of ``montecarlo._qe_step`` and its mask of paths on the
+    exponential branch."""
+    n = v.size
+    out = np.empty(n)
+    scratch = (np.empty(n), np.empty(n), np.empty(n), np.zeros(n, dtype=bool))
+    with np.errstate(invalid="ignore"):
+        montecarlo._qe_step(v, normal, out, scratch, coef)
+    return out, scratch[3]
+
+
+class TestTrimmedStep:
+    """The step with fewer full-width passes gives the reference step's bits."""
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
+    def test_same_bits_as_reference(self, beta, dt):
+        rng = np.random.default_rng(int(beta * 100) + int(dt * 1e4))
+        n = 20_000
+        v = TH * 10.0 ** rng.uniform(-12.0, 3.0, n)
+        v[rng.random(n) < 0.3] = 0.0  # the atom
+        normal = rng.standard_normal(n) * 3.0
+        coef = _coef(beta, dt)
+        got, _ = _step(v, normal, coef)
+        want = _reference_qe_step(v, normal, coef)
+        k = (coef[0] * v + coef[1]) ** 2 / (coef[2] * v + coef[3])
+        assert np.any(k < montecarlo._K_SWITCH) and np.any(k >= montecarlo._K_SWITCH)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("v", [np.full(50, 1e3 * TH), np.empty(0)],
+                             ids=["quadratic-only", "empty"])
+    def test_no_path_on_the_exponential_branch(self, v):
+        normal = np.linspace(-4.0, 4.0, v.size)
+        coef = _coef(0.01, 1e-3)
+        got, _ = _step(v, normal, coef)
+        assert np.array_equal(got.view(np.int64),
+                              _reference_qe_step(v, normal, coef).view(np.int64))
+
+
+class TestClock:
+    """The running-sum clock ``dt S - (dt/2) v + (dt/2) v0`` read at record
+    steps, against the trapezoid sum of the same variance paths stepped
+    inline by the reference step at full width (no parking)."""
+
+    @pytest.mark.parametrize("beta, v0", [(0.1, TH), (1.0, TH), (10.0, None), (1.0, 0.0)],
+                             ids=["beta0.1", "beta1", "beta10-stationary", "beta1-atom"])
+    def test_against_the_trapezoid_sum(self, beta, v0, monkeypatch):
+        d = h.Dimensionless(theta=TH, beta=beta)
+        cfg = h.McConfig(dt=1e-3, n_paths=3000, seed=5, record_grid=(0.0, 0.05, 0.2))
+        clocks = []
+        sums = montecarlo._erf_sums
+
+        def spy(clock, z_grid):
+            clocks.append(clock.copy())
+            return sums(clock, z_grid)
+
+        monkeypatch.setattr(montecarlo, "_erf_sums", spy)
+        h.estimate_survival(d, 0.01, v0, cfg)
+        rng = montecarlo._block_rng(cfg.seed, 0)
+        v = (rng.gamma(shape=d.nu, scale=beta**2 / 2.0, size=cfg.n_paths) if v0 is None
+             else np.full(cfg.n_paths, v0))
+        coef = _coef(beta, cfg.dt)
+        trapezoid, want = np.zeros(cfg.n_paths), []
+        for n in range(cfg.n_steps + 1):
+            if n in (0, 50, 200):
+                want.append(trapezoid.copy())
+            if n < cfg.n_steps:
+                v_next = _reference_qe_step(v, rng.standard_normal(cfg.n_paths), coef)
+                trapezoid += (v + v_next) * (0.5 * cfg.dt)
+                v = v_next
+        assert len(clocks) == 3
+        assert np.all(clocks[0] == 0.0)  # a zero-step record reads I = 0
+        for got, exp, n in zip(clocks, want, (0, 50, 200)):
+            assert np.all(got >= 0.0)
+            assert np.all(np.abs(got - exp) <= 4 * n * np.spacing(exp))
+
+
 class TestQeStep:
     """The facts that let the exponential branch run on every path that takes
     it: a path on the atom with ``Z >= z_atom`` stays there and one with
     ``Z < ndtri(q0)`` leaves it, and off the atom (where q < 0.8) no path
     with ``Z >= ndtri(0.8)`` moves."""
 
-    @staticmethod
-    def coef(beta, dt):
-        e = math.exp(-dt)
-        return (e, TH * -math.expm1(-dt), 0.5 * beta**2 * e * -math.expm1(-dt),
-                0.25 * TH * beta**2 * math.expm1(-dt)**2)
-
-    @staticmethod
-    def step(v, normal, coef):
-        """``v'`` and the mask of paths on the exponential branch."""
-        n = v.size
-        out = np.empty(n)
-        scratch = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
-        with np.errstate(invalid="ignore"):
-            montecarlo._qe_step(v, normal, out, scratch, coef)
-        return out, scratch[3]
-
     @pytest.mark.parametrize("beta", [0.3, 1.0, 10.0])
     @pytest.mark.parametrize("dt", [1e-3, 1e-2])
     def test_atom_threshold(self, beta, dt):
-        coef = self.coef(beta, dt)
+        coef = _coef(beta, dt)
         k0 = coef[1] ** 2 / coef[3]
         assert k0 < montecarlo._K_SWITCH
         z_q = ndtri(2.0 * k0 / (2.0 + k0))
@@ -582,7 +701,7 @@ class TestQeStep:
         near = [np.nextafter(z_q, -np.inf), z_q, np.nextafter(z_atom, -np.inf), z_atom]
         normal = np.concatenate([np.linspace(-8.0, 8.0, 16001),
                                  z_q + np.linspace(-1e-8, 1e-8, 2001), near])
-        out, _ = self.step(np.zeros(normal.size), normal, coef)
+        out, _ = _step(np.zeros(normal.size), normal, coef)
         assert np.all(out[normal >= z_atom] == 0.0)
         assert np.all(out[normal < z_q] > 0.0)
 
@@ -591,6 +710,6 @@ class TestQeStep:
     def test_far_paths_above_the_quantile_stay_put(self, beta, dt):
         v, normal = (a.ravel() for a in np.meshgrid(
             np.logspace(-14.0, 0.0, 300), np.linspace(ndtri(0.8) + 1e-9, 9.0, 300)))
-        out, far = self.step(v, normal, self.coef(beta, dt))
+        out, far = _step(v, normal, _coef(beta, dt))
         assert far.sum() > v.size // 2
         assert np.all(out[far] == 0.0)
