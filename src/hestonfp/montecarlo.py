@@ -267,7 +267,8 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     scratch = (np.empty(n_block), np.empty(n_block), np.empty(n_block),
                np.empty(n_block, dtype=bool))
     moving, lifts = scratch[3], np.empty(n_block, dtype=bool)
-    # the trapezoid clock I = dt S - (dt/2) v + (dt/2) v0, from the running sum S of v'
+    # the trapezoid clock I = dt S - (dt/2) v + (dt/2) v0, from the running sum S of v';
+    # it needs no clamp at 0: S >= v after rounding, so fl(dt S) >= fl(dt v / 2)
     total, base = np.zeros(n_block), half_dt * (v if v0 is None else float(v0))
     sums = np.empty((len(steps), z_grid.size, 2))
     done = 0
@@ -278,11 +279,12 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
         for rec, stop in enumerate(steps.tolist()):
             for normal in itertools.islice(normals, stop - done):
                 if parkable and 2 * np.count_nonzero(np.not_equal(v, 0.0, out=moving)) < n_block:
-                    moving |= np.less(normal, z_atom, out=lifts)
+                    np.less(normal, z_atom, out=lifts)
+                    moving |= lifts
                     live = np.flatnonzero(moving)
-                    out = v_next[:live.size]
-                    _qe_step(v[live], normal[live], out, tuple(a[:live.size] for a in scratch),
-                             coef)
+                    n = live.size
+                    out = v_next[:n]
+                    _qe_step(v[live], normal[live], out, tuple(a[:n] for a in scratch), coef)
                     total[live] += out
                     v[live] = out  # a parked path's v is 0 already
                 else:
@@ -294,7 +296,6 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
             clock = np.multiply(total, cfg.dt, out=scratch[0])
             clock -= np.multiply(v, half_dt, out=scratch[2])
             clock += base
-            np.maximum(clock, 0.0, out=clock)  # rounding may leave it a little below 0
             sums[rec] = _erf_sums(clock, z_grid)
     return sums, n_block * done, draws
 

@@ -612,7 +612,7 @@ def _step(v, normal, coef):
     exponential branch."""
     n = v.size
     out = np.empty(n)
-    scratch = (np.empty(n), np.empty(n), np.empty(n), np.zeros(n, dtype=bool))
+    scratch = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
     with np.errstate(invalid="ignore"):
         montecarlo._qe_step(v, normal, out, scratch, coef)
     return out, scratch[3]
