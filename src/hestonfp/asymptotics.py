@@ -216,17 +216,19 @@ def _crossing_gap(l, beta, theta_tau):
     return erf(l / np.sqrt(2.0 * theta_tau)) - (2.0 / np.pi) * np.arctan(beta * l / theta_tau)
 
 
-# the scan grid of crossing_level: 200 log-spaced levels from 1e-4 to 10
+# the scan grid of crossing_level: 200 log-spaced levels from 1e-4 to 10, and
+# the |gap| at or below which a leading level counts as the trivial root l = 0
 _SCAN = np.logspace(-4.0, 1.0, 200)
+_GAP_FLOOR = 1e-9
 
 
-def crossing_level(beta, theta_tau, tol: float = 1e-10) -> CrossingResult:
+def crossing_level(beta, theta_tau) -> CrossingResult:
     """Level beyond which heavy-tail hitting overtakes the Gaussian hitting.
 
     Solves ``erf(l/sqrt(2*theta_tau)) = (2/pi)*arctan(beta*l/theta_tau)`` for
     the nontrivial root.  Both sides vanish at ``l = 0``, so the scan for a
     sign change discards leading grid points where the gap is still within
-    ``10*tol`` of zero before bracketing.  The bracket is then bisected down
+    ``_GAP_FLOOR`` of zero before bracketing.  The bracket is then bisected down
     to adjacent floats (or an exact zero of the gap), and ``l_c`` is the end
     with the smaller ``|gap|``, reported as ``residual``.
 
@@ -242,7 +244,7 @@ def crossing_level(beta, theta_tau, tol: float = 1e-10) -> CrossingResult:
     bf, tf = b.ravel(), tt.ravel()
     with np.errstate(invalid="ignore", divide="ignore"):
         gaps = _crossing_gap(_SCAN, bf[:, None], tf[:, None])
-    alive = np.abs(gaps) > 10.0 * tol
+    alive = np.abs(gaps) > _GAP_FLOOR
     start = np.argmax(alive, axis=1)
     change = ((gaps[:, :-1] * gaps[:, 1:] < 0.0)
               & (np.arange(_SCAN.size - 1) >= start[:, None]))

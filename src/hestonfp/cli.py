@@ -18,8 +18,11 @@ Parameters come either as physical rates (--alpha --m2 --k, units 1/day) or
 directly as dimensionless (--theta --beta) -- never both.  Grid-valued flags
 accept a scalar or ``start:stop:count`` (log-spaced).  Every flag --x-y is
 also the --config file key x_y, parsed the same way; a flag wins over the
-file.  Output is CSV (17 significant digits, LF line endings) or JSON; exit
-codes: 0 ok, 2 parameter or usage error, 3 numerical non-convergence.
+file.  A command reads the model parameters, --output, --format and its
+own options (README lists them); any other option that differs from its
+default is an error, not a value dropped.  Output is CSV (17 significant
+digits, LF line endings) or JSON; exit codes: 0 ok, 2 parameter or usage
+error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -67,7 +70,7 @@ class RunSpec:
     figure: str | None = None
 
     def __post_init__(self):
-        if self.command not in _RUNNERS:
+        if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"--format: must be csv or json, got {self.output_format!r}")
@@ -175,17 +178,7 @@ _OPTIONS = {
 }
 # RunSpec's field of an option, where it is not the key (``beta`` here is a scan)
 _FIELDS = {"output": "output_path", "format": "output_format", "beta": "beta_grid"}
-# The options a command cannot use, by key, with the reason: ``run`` rejects
-# them, given as a flag or a config value, rather than quietly ignore them
-_UNUSABLE = {
-    "exact": {"stationary": "exact starts at a given v; use averaged"},
-    "averaged": {"v": "averaged starts from the stationary law of v; use exact"},
-    "ratio": {"v": "ratio averages over the stationary law of v",
-              "stationary": "ratio always starts from the stationary law of v"},
-    "crossing-level": {"z": "crossing-level takes --beta and --theta-tau"},
-    "sweep": {"stationary": "sweep starts at a given v; its averaged column is stationary"},
-    "figure": {"z": "each figure has its own z", "stationary": "each figure sets its own starts"},
-}
+_KEYS = {field: key for key, field in _FIELDS.items()}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -508,27 +501,33 @@ def _cmd_figure(spec: RunSpec):
     return _FIGURES[spec.figure](spec)
 
 
-_RUNNERS = {
-    "exact": _cmd_survival,
-    "averaged": _cmd_survival,
-    "approx": _cmd_approx,
-    "simulate": _cmd_simulate,
-    "crossing-level": _cmd_crossing_level,
-    "ratio": _cmd_ratio,
-    "sweep": _cmd_sweep,
-    "figure": _cmd_figure,
+# Each command's runner and the RunSpec fields it reads besides those that
+# every command reads: the command, the model parameters, --output and --format
+_COMMANDS = {
+    "exact": (_cmd_survival, {"z", "v", "tau"}),
+    "averaged": (_cmd_survival, {"z", "tau"}),
+    "approx": (_cmd_approx, {"z", "v", "tau", "method"}),
+    "simulate": (_cmd_simulate, {"z", "v", "tau", "paths", "dt", "seed", "stationary"}),
+    "crossing-level": (_cmd_crossing_level, {"theta_tau", "beta_grid"}),
+    "ratio": (_cmd_ratio, {"z", "tau"}),
+    "sweep": (_cmd_sweep, {"z", "v", "tau"}),
+    "figure": (_cmd_figure, {"figure", "paths", "dt", "seed"}),
 }
+_READ_BY_ALL = {"command", "params", "output_path", "output_format"}
 
 
 def run(spec: RunSpec) -> str:
     """Execute a RunSpec and return the rendered table (also written to
-    ``spec.output_path`` when one is set)."""
-    for key, why in _UNUSABLE.get(spec.command, {}).items():
-        if getattr(spec, key):
-            raise ParameterError(f"{_flag(key)}: {why}")
+    ``spec.output_path`` when one is set).  A field that the command does not
+    read must hold its default, or the command would drop its value unseen."""
+    runner, reads = _COMMANDS[spec.command]
+    for field in fields(spec):
+        if field.name not in reads | _READ_BY_ALL and getattr(spec, field.name) != field.default:
+            raise ParameterError(f"{_flag(_KEYS.get(field.name, field.name))}: "
+                                 f"{spec.command} does not read this option")
     # a runner returns (names, columns), plus a dict of work counts for meta
     # when Monte Carlo made the table
-    names, columns, *work = _RUNNERS[spec.command](spec)
+    names, columns, *work = runner(spec)
     if spec.output_format == "json":
         text = emit_json(spec, names, columns, *work)
     else:
@@ -555,7 +554,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hestonfp", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         if name == "figure":
             p.add_argument("figure", choices=sorted(_FIGURES, key=lambda s: int(s[3:])))

@@ -330,11 +330,8 @@ def estimate_survival(d: Dimensionless, z0: float | np.ndarray, v0: float | None
         return _block(*block, z_grid, steps, v0, d, cfg)
 
     blocks = _blocks(cfg.n_paths)
-    if workers == 1:
-        results = [run(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, blocks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run, blocks))
     # each (record, z, 2) block sum is added left to right, in block order:
     # numpy's sum over a block axis may pair them, and pairs them or not
     # depending on the z grid's size

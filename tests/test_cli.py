@@ -4,6 +4,9 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -92,13 +95,11 @@ class TestOutputFormats:
 
     def test_json_envelope(self, tmp_path):
         out = str(tmp_path / "exact.json")
-        rc = cli.main(["exact", "--z", "0.01", "--seed", "5",
-                       "--format", "json", "--output", out])
+        rc = cli.main(["exact", "--z", "0.01", "--format", "json", "--output", out])
         assert rc == 0
         payload = json.loads(open(out, encoding="utf-8").read())
         assert set(payload) == {"meta", "rows"}
         meta = payload["meta"]
-        assert meta["seed"] == 5
         assert meta["version"] == cli.__version__
         assert math.isclose(meta["theta"], 1.9156e-3, rel_tol=1e-4)
         assert math.isclose(meta["beta"], 0.1, rel_tol=1e-12)
@@ -366,6 +367,39 @@ class TestFigures:
             assert [float(row[column]) for row in rows] == list(values), column
 
 
+# The options each command reads besides the model parameters, --output and
+# --format, written out here rather than taken from the table under test
+_READS = {
+    "exact": ("z", "v", "tau"),
+    "averaged": ("z", "tau"),
+    "approx": ("z", "v", "tau", "method"),
+    "simulate": ("z", "v", "tau", "paths", "dt", "seed", "stationary"),
+    "crossing-level": ("theta_tau", "beta"),
+    "ratio": ("z", "tau"),
+    "sweep": ("z", "v", "tau"),
+    "figure": ("paths", "dt", "seed"),
+}
+# a text other than the default of every option that some command does not
+# read; beta is a scan, as a scalar beta is a model parameter
+_UNREAD_TEXTS = {"z": "0.01", "v": "1e-3", "tau": "0.5", "method": "erf", "paths": "64",
+                 "dt": "5e-3", "seed": "5", "theta_tau": "0.01", "beta": "1:10:3",
+                 "stationary": "true"}
+# every (command, option) pair that the command does not read
+_UNREAD = [(command, key) for command, reads in _READS.items()
+           for key in _UNREAD_TEXTS if key not in reads]
+
+
+def _command(command):
+    return ["figure", "fig9"] if command == "figure" else [command]
+
+
+def _unread_flag(command, key):
+    """``pytest.param`` of the argv giving ``command`` the option ``key``, and its flag."""
+    flag = "--" + key.replace("_", "-")
+    value = [] if key == "stationary" else [_UNREAD_TEXTS[key]]
+    return pytest.param([*_command(command), flag, *value], flag, id=f"{command}-{key}")
+
+
 class TestExitCodes:
     def test_conflicting_parameter_groups(self, capsys):
         rc = cli.main(["exact", "--theta", "1.92e-3", "--alpha", "0.045"])
@@ -386,6 +420,9 @@ class TestExitCodes:
         (["figure", "fig2", "--z", "0.5"], "--z"),
         (["figure", "fig9", "--stationary"], "--stationary"),
         (["sweep", "--stationary", "--z", "0.01"], "--stationary"),
+        (["exact", "--beta", "1:10:3", "--z", "0.01"], "--beta"),
+        (["averaged", "--stationary"], "--stationary"),
+        *(_unread_flag(command, key) for command, key in _UNREAD),
     ])
     def test_survival_rejects_a_flag_it_cannot_use(self, argv, flag, capsys):
         # every command printed its table as if the flag were not there, exit 0
@@ -399,8 +436,36 @@ class TestExitCodes:
         assert cli.main(["crossing-level", "--config", str(cfg), "--theta-tau", "0.01"]) == 2
         assert capsys.readouterr().err.startswith("hestonfp: error: --z:")
 
-    def test_approx_takes_every_flag(self, capsys):
-        argv = ["approx", "--method", "erf", "--z", "0.01", "--v", "0.5", "--stationary"]
+    @pytest.mark.parametrize("command,key", _UNREAD, ids=[f"{c}-{k}" for c, k in _UNREAD])
+    def test_config_value_a_command_does_not_read_is_rejected(self, command, key, tmp_path,
+                                                              capsys):
+        cfg = _write(tmp_path, "run.cfg", f"{key} = {_UNREAD_TEXTS[key]}\n")
+        assert cli.main([*_command(command), "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith(f"hestonfp: error: --{key.replace('_', '-')}:")
+
+    def test_the_matrix_covers_every_option_but_the_model_and_output(self):
+        assert len(_UNREAD) == 54
+        assert set(_UNREAD_TEXTS) == set(cli._OPTIONS) - {"alpha", "m2", "k", "theta",
+                                                          "output", "format"}
+
+    def test_run_rejects_a_spec_field_the_command_does_not_read(self):
+        with pytest.raises(ParameterError, match="^--seed: exact "):
+            cli.run(cli.RunSpec(command="exact", params=DEFAULT_D, seed=5))
+
+    @pytest.mark.parametrize("argv,config", [
+        (["exact", "--seed", "0", "--paths", "1000000"], None),
+        (["averaged"], "stationary = false\ndt = 0.001\n"),
+        (["figure", "fig9", "--seed", "0"], "stationary = off\n")])
+    def test_an_unread_option_at_its_default_is_accepted(self, argv, config, tmp_path, capsys):
+        # a default value cannot change any output
+        if config:
+            argv = [*argv, "--config", _write(tmp_path, "default.cfg", config)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+
+    def test_approx_takes_v(self, capsys):
+        argv = ["approx", "--method", "erf", "--z", "0.01", "--v", "0.5"]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.startswith("z,v,tau,S\n")
 
@@ -535,6 +600,39 @@ class TestExitCodes:
         assert err.startswith("hestonfp: error: nu") and "Traceback" not in err
 
 
+# approx --method as the benchmark's approx-scan workload names them
+_BENCH_METHODS = ("erf", "arctan", "pheno", "pheno_beta", "erf_avg", "arctan_avg",
+                  "tail_gaussian", "tail_powerlaw", "wiener")
+# every argv shape that the benchmark workloads pass, at small sizes
+# (tests/test_scripts.py runs scripts/run_figures.py with --paths and --seed)
+_CALLERS = [
+    *(["figure", f"fig{i}", *fmt] for i in range(2, 11) for fmt in ([], ["--format", "json"])),
+    ["sweep"], ["sweep", "--z", "1e-3:1e-1:4", "--format", "csv"],
+    ["averaged", "--z", "1e-3:1e-1:4"],
+    ["crossing-level", "--beta", "1:100:32", "--theta-tau", "1e-4:1e-1:16", "--format", "json"],
+    *(["approx", "--method", m, "--theta", "2e-3", "--beta", "3", "--z", "1e-3:1:2",
+       "--v", "2e-3", "--tau", "0.1:1:2", "--format", "json"] for m in _BENCH_METHODS),
+]
+
+
+def _readme_commands():
+    """The argv of each line of the README's command-line block."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"Command line:\n\n```\n(.*?)```", readme.read_text(encoding="utf-8"),
+                      re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+class TestCallers:
+    """Every argv shape that a caller of the command line passes is accepted."""
+
+    @pytest.mark.parametrize("argv", [*_CALLERS, *_readme_commands()], ids=" ".join)
+    def test_exits_0(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("theta = 1.9156e-3\nbeta = 10\nz = 1e-3:1e-1:4\n")
+        assert cli.main(argv) == 0, capsys.readouterr().err
+
+
 # two valid texts for every option, the first not its default
 _TEXTS = {"alpha": ("0.05", "0.06"), "m2": ("1e-4", "2e-4"), "k": ("0.01", "0.02"),
           "theta": ("2e-3", "3e-3"), "beta": ("1:100:5", "10"), "z": ("1e-3:0.1:4", "0.02"),
@@ -591,7 +689,7 @@ class TestIntakeParity:
         assert capsys.readouterr().out == from_flag
         assert len(from_flag.splitlines()) == 6
 
-    @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_help_lists_every_flag(self, command, capsys):
         argv = [command, "fig1", "--help"] if command == "figure" else [command, "--help"]
         assert cli.main(argv) == 0

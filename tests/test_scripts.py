@@ -36,3 +36,10 @@ def test_run_figures_writes_the_figure_tables(tmp_path):
     for name, header, rows in (("fig2", "tau,exact,erf", 64), ("fig9", "beta,l_c", 32)):
         lines = (tmp_path / f"{name}.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == header and len(lines) == 1 + rows
+
+
+def test_run_figures_passes_paths_and_seed_to_every_figure(tmp_path):
+    proc = _run(["run_figures.py", str(tmp_path), "--paths", "64", "--seed", "3"])
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"fig{i}.csv"
+                                                                for i in range(1, 11))
