@@ -4,8 +4,9 @@
 Usage:
     python3 scripts/run_figures.py [outdir] [--paths N] [--seed S] [--only fig1,fig9]
 
-fig1 is the only one that runs the simulator; pass a smaller --paths for a
-quick look (the default 10^6 takes ~half a minute).
+fig1 is the only one that runs the simulator, so --paths and --seed go to
+it alone; pass a smaller --paths for a quick look (the default 10^6 takes
+~half a minute).
 """
 import argparse
 import sys
@@ -31,9 +32,10 @@ def main() -> int:
 
     for name in wanted:
         argv = ["figure", name, "--output", str(outdir / f"{name}.csv")]
-        if args.paths is not None:
+        # any other figure rejects them
+        if name == "fig1" and args.paths is not None:
             argv += ["--paths", str(args.paths)]
-        if args.seed is not None:
+        if name == "fig1" and args.seed is not None:
             argv += ["--seed", str(args.seed)]
         t0 = time.time()
         rc = cli_main(argv)

@@ -5,9 +5,8 @@ Each closed form is one numpy expression: its inputs broadcast, a Python
 ``float`` comes back when every input is a scalar and an ndarray of the
 broadcast shape otherwise, and each boundary rule (0 at ``z = 0``, 1 where
 the form's scale vanishes) is applied once with ``np.where``.  The survival
-forms reject a negative or non-finite ``z``, ``v`` or ``tau``, and a zero,
-negative or non-finite ``theta`` or ``beta``, with :class:`ParameterError`,
-on scalars and arrays alike.
+forms take ``z``, ``v`` and ``tau`` finite and >= 0, ``theta`` and ``beta``
+finite and > 0.
 
 Each approximation is valid in a particular corner of parameter space; the
 ``REGIMES`` table records those predicates as advisory metadata.  Nothing is
@@ -175,23 +174,21 @@ def risk_ratio(z, tau, d: Dimensionless, config: QuadConfig | None = None):
 
     Numerator: stationary-averaged hitting from the exact quadrature.
     Denominator: ``1 - erf(z / sqrt(2*theta*tau))`` (the baseline whose
-    variance rate equals the long-run level).  A vanishing denominator is
-    signalled with :class:`DivisionDomain`, never masked.
+    variance rate equals the long-run level).  ``z`` and ``tau`` must be
+    finite and > 0; a denominator that underflows to 0 raises
+    :class:`DivisionDomain`, never masked.
 
     ``z`` and ``tau`` broadcast; arrays give an array from one batched
-    quadrature.  The error raised is that of the first failing point in
-    flattened order, as a loop over the points would raise it.
+    quadrature, and fail in the two phases that :mod:`hestonfp.core` states.
     """
-    zs, taus = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(tau, dtype=float))
+    zs, taus = np.broadcast_arrays(*_positive_arrays(z=z, tau=tau))
     zf, tf = zs.ravel(), taus.ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         denom = erfc(zf / np.sqrt(2.0 * d.theta * tf))
-    bad = np.flatnonzero(~((zf > 0.0) & (tf > 0.0) & (denom > 0.0)))
+    bad = np.flatnonzero(denom == 0.0)
     n = int(bad[0]) if bad.size else zf.size
     num = 1.0 - survival(zf[:n], tf[:n], d, None, config).value
     if bad.size:
-        if not (zf[n] > 0.0 and tf[n] > 0.0):
-            raise DivisionDomain("risk_ratio requires z > 0 and tau > 0")
         raise DivisionDomain("baseline hitting probability underflowed at "
                              f"z={float(zf[n])!r}, tau={float(tf[n])!r}")
     return _float_or_array((num / denom).reshape(zs.shape))
@@ -235,12 +232,11 @@ def crossing_level(beta, theta_tau) -> CrossingResult:
     ``beta`` and ``theta_tau`` broadcast, and a whole grid is scanned and
     bisected at once.  Scalar input gives a result of floats; array input
     gives fields of the broadcast shape, ``bracket`` a pair of arrays.  A
-    scalar call equals the matching grid element bit for bit.  The
-    :class:`NoRoot` raised is that of the first failing point in flattened
-    order, as a loop over the points would raise it.
+    scalar call equals the matching grid element bit for bit.  ``beta`` and
+    ``theta_tau`` must be finite and > 0; a grid fails in the two phases that
+    :mod:`hestonfp.core` states, with :class:`NoRoot` as its numerical failure.
     """
-    b, tt = np.broadcast_arrays(np.asarray(beta, dtype=float),
-                                np.asarray(theta_tau, dtype=float))
+    b, tt = np.broadcast_arrays(*_positive_arrays(beta=beta, theta_tau=theta_tau))
     bf, tf = b.ravel(), tt.ravel()
     with np.errstate(invalid="ignore", divide="ignore"):
         gaps = _crossing_gap(_SCAN, bf[:, None], tf[:, None])
@@ -248,12 +244,9 @@ def crossing_level(beta, theta_tau) -> CrossingResult:
     start = np.argmax(alive, axis=1)
     change = ((gaps[:, :-1] * gaps[:, 1:] < 0.0)
               & (np.arange(_SCAN.size - 1) >= start[:, None]))
-    domain = (bf <= 0.0) | (tf <= 0.0)
-    bad = domain | ~change.any(axis=1)
+    bad = ~change.any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        if domain[k]:
-            raise NoRoot("crossing_level requires beta > 0 and theta_tau > 0")
         if not alive[k].any():
             raise NoRoot("gap function indistinguishable from zero on the scan grid")
         raise NoRoot(f"no sign change on the scan grid for beta={float(bf[k])!r}, "
@@ -291,13 +284,14 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> LineFit:
 def fit_crossing_laws(samples) -> CrossingLawFits:
     """Least-squares growth laws from ``(beta, theta_tau, l_c)`` samples.
 
-    Groups needing a fit must contain at least 5 samples spanning at least
-    one decade of the abscissa; anything less raises
-    :class:`InsufficientData`.
+    Every ``beta``, ``theta_tau`` and ``l_c`` must be finite and > 0, and a
+    group needing a fit must hold at least 5 samples spanning at least one
+    decade of the abscissa, or :class:`InsufficientData` is raised.
     """
     rows = [(float(b), float(tt), float(lc)) for b, tt, lc in samples]
     if not rows:
         raise InsufficientData("no samples")
+    _positive_arrays(**dict(zip(("beta", "theta_tau", "l_c"), zip(*rows))))
     fits: list[dict[float, LineFit]] = []
     # (law, name and column of the grouping, transform of l_c); the other of
     # beta and theta_tau is the abscissa

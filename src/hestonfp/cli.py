@@ -18,11 +18,11 @@ Parameters come either as physical rates (--alpha --m2 --k, units 1/day) or
 directly as dimensionless (--theta --beta) -- never both.  Grid-valued flags
 accept a scalar or ``start:stop:count`` (log-spaced).  Every flag --x-y is
 also the --config file key x_y, parsed the same way; a flag wins over the
-file.  A command reads the model parameters, --output, --format and its
-own options (README lists them); any other option that differs from its
-default is an error, not a value dropped.  Output is CSV (17 significant
-digits, LF line endings) or JSON; exit codes: 0 ok, 2 parameter or usage
-error, 3 numerical non-convergence.
+file.  A command reads --output, --format and its own options, theta and
+beta among them (README lists them); any other option, theta or beta that
+differs from its default is an error, not a value dropped.  Output is CSV
+(17 significant digits, LF line endings) or JSON; exit codes: 0 ok, 2
+parameter or usage error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ class RunSpec:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        if self.command == "figure" and self.figure not in _FIGURES:
+            raise ParameterError(f"figure: unknown figure {self.figure!r} (fig1..fig10)")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"--format: must be csv or json, got {self.output_format!r}")
         for name, grid in (("--z", self.z), ("--v", self.v), ("--tau", self.tau),
@@ -489,42 +491,47 @@ def _figure_fig10(spec: RunSpec):
         zs, asy.risk_ratio(zs, tau, d, _QUAD_CONFIG), asy.ratio_asymptote(zs, theta_tau, d.beta)]
 
 
+# Each figure and the fields it reads: fig1 alone simulates; fig2 to fig10 set beta
 _FIGURES = {
-    "fig1": _figure_fig1, "fig6": _figure_fig6, "fig9": _figure_fig9, "fig10": _figure_fig10,
-    **{name: functools.partial(_curve, *curve) for name, curve in _CURVES.items()},
+    "fig1": (_figure_fig1, {"paths", "dt", "seed", "theta", "beta"}),
+    "fig6": (_figure_fig6, {"theta"}), "fig9": (_figure_fig9, {"theta"}),
+    "fig10": (_figure_fig10, {"theta"}),
+    **{name: (functools.partial(_curve, *curve), {"theta"}) for name, curve in _CURVES.items()},
 }
 
-
-def _cmd_figure(spec: RunSpec):
-    if spec.figure not in _FIGURES:
-        raise ParameterError(f"figure: unknown figure {spec.figure!r} (fig1..fig10)")
-    return _FIGURES[spec.figure](spec)
-
-
 # Each command's runner and the RunSpec fields it reads besides those that
-# every command reads: the command, the model parameters, --output and --format
+# every command reads (the command, --output and --format), theta and beta
+# standing for the model parameters; crossing-level takes theta*tau directly
+_MODEL = {"theta", "beta"}
 _COMMANDS = {
-    "exact": (_cmd_survival, {"z", "v", "tau"}),
-    "averaged": (_cmd_survival, {"z", "tau"}),
-    "approx": (_cmd_approx, {"z", "v", "tau", "method"}),
-    "simulate": (_cmd_simulate, {"z", "v", "tau", "paths", "dt", "seed", "stationary"}),
-    "crossing-level": (_cmd_crossing_level, {"theta_tau", "beta_grid"}),
-    "ratio": (_cmd_ratio, {"z", "tau"}),
-    "sweep": (_cmd_sweep, {"z", "v", "tau"}),
-    "figure": (_cmd_figure, {"figure", "paths", "dt", "seed"}),
+    "exact": (_cmd_survival, {"z", "v", "tau", *_MODEL}),
+    "averaged": (_cmd_survival, {"z", "tau", *_MODEL}),
+    "approx": (_cmd_approx, {"z", "v", "tau", "method", *_MODEL}),
+    "simulate": (_cmd_simulate, {"z", "v", "tau", "paths", "dt", "seed", "stationary", *_MODEL}),
+    "crossing-level": (_cmd_crossing_level, {"theta_tau", "beta_grid", "beta"}),
+    "ratio": (_cmd_ratio, {"z", "tau", *_MODEL}),
+    "sweep": (_cmd_sweep, {"z", "v", "tau", *_MODEL}),
+    "figure": (lambda spec: _FIGURES[spec.figure][0](spec), {"figure"}),
 }
 _READ_BY_ALL = {"command", "params", "output_path", "output_format"}
 
 
 def run(spec: RunSpec) -> str:
     """Execute a RunSpec and return the rendered table (also written to
-    ``spec.output_path`` when one is set).  A field that the command does not
-    read must hold its default, or the command would drop its value unseen."""
+    ``spec.output_path`` when one is set).  A field, or a model parameter
+    theta or beta, that the command does not read must hold its default, or
+    the command would drop its value unseen."""
     runner, reads = _COMMANDS[spec.command]
-    for field in fields(spec):
-        if field.name not in reads | _READ_BY_ALL and getattr(spec, field.name) != field.default:
-            raise ParameterError(f"{_flag(_KEYS.get(field.name, field.name))}: "
-                                 f"{spec.command} does not read this option")
+    what = spec.command
+    if spec.command == "figure":
+        reads, what = reads | _FIGURES[spec.figure][1], f"figure {spec.figure}"
+    d, d0 = spec.dimensionless, DEFAULT_PARAMS.dimensionless()
+    given = {**{f.name: (getattr(spec, f.name), f.default) for f in fields(spec)},
+             "theta": (d.theta, d0.theta), "beta": (d.beta, d0.beta)}
+    for name, (value, default) in given.items():
+        if name not in reads | _READ_BY_ALL and value != default:
+            raise ParameterError(f"{_flag(_KEYS.get(name, name))}: "
+                                 f"{what} does not read this option")
     # a runner returns (names, columns), plus a dict of work counts for meta
     # when Monte Carlo made the table
     names, columns, *work = runner(spec)

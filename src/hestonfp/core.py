@@ -14,6 +14,16 @@ Working variables are dimensionless throughout:
 
 All kernel functions are numpy-vectorised: scalars in, scalar out; arrays
 in, arrays out.  They are pure and thread-safe.
+
+Errors, for every public function and model dataclass of the package, come
+in two phases.  First, a numeric argument outside its domain (NaN, an
+infinity, a negative value, or zero where it must be > 0) anywhere in a grid
+raises :class:`ParameterError` before anything is computed; only
+:func:`_nonnegative_arrays` and :func:`_positive_arrays` make that check.
+Then :class:`NonConvergence`, :class:`NoRoot` and :class:`DivisionDomain`
+mean a numerical failure on valid input, the one a loop over the grid's
+points would meet first.  :class:`ConfigError` is kept for malformed config
+objects (``McConfig``, ``QuadConfig``), the ``workers`` count and CLI options.
 """
 
 from __future__ import annotations
@@ -40,42 +50,27 @@ __all__ = [
 ]
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _require_positive(name: str, value: float) -> float:
-    value = _require_finite(name, value)
-    if value <= 0.0:
-        raise ParameterError(f"{name} must be > 0, got {value!r}")
-    return value
-
-
-def _require_nonnegative(name: str, value: float) -> float:
-    value = _require_finite(name, value)
-    if value < 0.0:
-        raise ParameterError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def _checked_arrays(named: dict, positive: bool) -> list[np.ndarray]:
+def _checked_arrays(named: dict, positive: bool) -> list:
     out = []
     for name, value in named.items():
-        a = np.asarray(value, dtype=float)
-        bad = ~(((a > 0.0) if positive else (a >= 0.0)) & (a < math.inf))
-        if bad.any():
+        if isinstance(value, (float, int)):
+            # one number: Python comparisons, several times cheaper than ufuncs on a 0-d array
+            a = np.float64(value)
+            bad = None if (value > 0.0 if positive else value >= 0.0) and value < math.inf else a
+        else:
+            a = np.asarray(value, dtype=float)
+            mask = ~(((a > 0.0) if positive else (a >= 0.0)) & (a < math.inf))
+            bad = a[mask][0] if mask.any() else None
+        if bad is not None:
             raise ParameterError(f"{name} must be finite and {'>' if positive else '>='} 0, "
-                                 f"got {float(a[bad][0])!r}")
+                                 f"got {float(bad)!r}")
         out.append(a)
     return out
 
 
 def _nonnegative_arrays(**named) -> list[np.ndarray]:
-    """The named inputs as float arrays; a negative or non-finite entry
-    raises :class:`ParameterError` naming the first such input."""
+    """The named inputs as float arrays (numpy floats for Python numbers); a
+    negative or non-finite entry raises :class:`ParameterError` naming it."""
     return _checked_arrays(named, positive=False)
 
 
@@ -129,9 +124,7 @@ class ModelParams:
     k: float
 
     def __post_init__(self):
-        _require_positive("alpha", self.alpha)
-        _require_positive("m_sq", self.m_sq)
-        _require_positive("k", self.k)
+        _positive_arrays(alpha=self.alpha, m_sq=self.m_sq, k=self.k)
 
     def dimensionless(self) -> "Dimensionless":
         return Dimensionless(theta=self.m_sq / self.alpha, beta=self.k / self.alpha)
@@ -150,8 +143,7 @@ class Dimensionless:
     beta: float
 
     def __post_init__(self):
-        _require_positive("theta", self.theta)
-        _require_positive("beta", self.beta)
+        _positive_arrays(theta=self.theta, beta=self.beta)
 
     @property
     def nu(self) -> float:
@@ -173,9 +165,7 @@ class State:
     tau: float
 
     def __post_init__(self):
-        _require_nonnegative("z", self.z)
-        _require_nonnegative("v", self.v)
-        _require_nonnegative("tau", self.tau)
+        _nonnegative_arrays(z=self.z, v=self.v, tau=self.tau)
 
 
 def to_dimensionless(params: ModelParams, y: float, t: float,
@@ -195,12 +185,8 @@ def to_dimensionless(params: ModelParams, y: float, t: float,
 
     Returns
     -------
-    (Dimensionless, State)
+    (Dimensionless, State), whose checks reject a bad ``y``, ``t``, ``L`` or ``x``.
     """
-    y = _require_nonnegative("y", y)
-    t = _require_nonnegative("t", t)
-    L = _require_finite("L", L)
-    x = _require_finite("x", x)
     d = params.dimensionless()
     state = State(z=abs(L - x), v=y / params.alpha, tau=params.alpha * t)
     return d, state
@@ -265,6 +251,7 @@ def kernel(omega, beta: float):
     and ``mu_plus * mu_minus == (beta*omega)**2 / 4`` to rounding error.
     """
     omega, = _nonnegative_arrays(omega=omega)
+    _positive_arrays(beta=beta)
     delta, mu_minus = _delta_mu(omega, beta)
     return tuple(_float_or_array(a) for a in (delta, mu_minus + 1.0, mu_minus))
 
@@ -278,6 +265,7 @@ def riccati_B(omega, tau, beta: float):
     exactly the stationary limit.
     """
     omega, tau = _nonnegative_arrays(omega=omega, tau=tau)
+    _positive_arrays(beta=beta)
     return _float_or_array(_riccati(omega, tau, beta)[0])
 
 
@@ -285,6 +273,7 @@ def exponent_A(omega, tau, theta: float, beta: float):
     """Accumulated exponent ``A(omega, tau) = nu * integral of B``, in the
     cancellation-free form of the Riccati helper."""
     omega, tau = _nonnegative_arrays(omega=omega, tau=tau)
+    _positive_arrays(theta=theta, beta=beta)
     out = 2.0 * theta / beta**2 * _riccati(omega, tau, beta)[1]
     # the two terms cancel to O(tau^2) as tau -> 0 and can leave a negative
     # rounding residue; A >= 0 analytically, so pin the floor
@@ -316,11 +305,13 @@ def variance_scale(tau, v, theta: float):
     This is the width parameter that the Gaussian (error-function) survival
     approximations are built on; monotone increasing in both ``tau`` and ``v``.
     """
-    tau = np.asarray(tau, dtype=float)
-    return _float_or_array(2.0 * theta * tau - 2.0 * np.expm1(-tau) * np.asarray(v, dtype=float))
+    tau, v = _nonnegative_arrays(tau=tau, v=v)
+    _positive_arrays(theta=theta)
+    return _float_or_array(2.0 * theta * tau - 2.0 * np.expm1(-tau) * v)
 
 
 def second_moment(tau, v, theta: float):
     """Second moment of the centred return: ``theta*tau + (v - theta)*(1 - exp(-tau))``."""
-    tau = np.asarray(tau, dtype=float)
-    return _float_or_array(theta * tau - (np.asarray(v, dtype=float) - theta) * np.expm1(-tau))
+    tau, v = _nonnegative_arrays(tau=tau, v=v)
+    _positive_arrays(theta=theta)
+    return _float_or_array(theta * tau - (v - theta) * np.expm1(-tau))

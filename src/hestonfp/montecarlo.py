@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erf, log_ndtr, ndtri
 
-from .core import Dimensionless, _fields_equal, _positive_arrays
+from .core import Dimensionless, _fields_equal, _nonnegative_arrays, _positive_arrays
 from .errors import ConfigError
 
 __all__ = ["McConfig", "McEstimate", "estimate_survival"]
@@ -305,25 +305,24 @@ def estimate_survival(d: Dimensionless, z0: float | np.ndarray, v0: float | None
     """Survival at every record time of ``cfg`` for each starting distance
     ``z0``, out of one simulation of ``cfg.n_paths`` variance paths.
 
-    ``z0`` is a scalar or a 1-D grid, kept in the caller's order; every
-    entry must be strictly positive (starting on the barrier is absorption
-    at time zero, not a simulation).  ``v0 = None`` draws each path's
-    starting variance from the stationary Gamma law.  The ``z``s share
-    paths, so their estimates are correlated, but each carries a valid
-    CLT interval.  ``workers`` blocks run at once; merged in block order,
-    the result does not depend on it.
+    ``z0`` is a scalar or a nonempty 1-D grid, kept in the caller's order,
+    of finite and strictly positive distances (starting on the barrier is
+    absorption at time zero, not a simulation).  ``v0`` is finite and >= 0,
+    or ``None`` to draw each path's starting variance from the stationary
+    Gamma law.  The ``z``s share paths, so their estimates are correlated,
+    but each carries a valid CLT interval.  ``workers`` (an integer >= 1)
+    blocks run at once; merged in block order, the result does not depend on it.
     """
     z = np.asarray(z0, dtype=float)
     if z.ndim > 1:
         raise ConfigError(f"z0 must be a scalar or a 1-D grid, got shape {z.shape}")
     z_grid = z.reshape(-1)
-    if z_grid.size == 0 or not np.all((z_grid > 0.0) & (z_grid < math.inf)):
-        raise ConfigError(f"z must be nonempty, finite and > 0, got {z_grid.tolist()!r}")
-    if v0 is not None and not 0.0 <= v0 < math.inf:
-        raise ConfigError(f"v0 must be finite and >= 0, got {v0!r}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers!r}")
-    _positive_arrays(nu=d.nu, beta_squared=d.beta * d.beta)
+    if z_grid.size == 0:
+        raise ConfigError("z0 must be nonempty")
+    _positive_arrays(z0=z_grid, nu=d.nu, beta_squared=d.beta * d.beta)
+    if v0 is not None:
+        _nonnegative_arrays(v0=v0)
+    workers = _checked_int("workers", workers, 1)
     steps = cfg.record_steps()
 
     def run(block):

@@ -40,12 +40,12 @@ One call, :func:`survival`, covers both integrands over a grid: ``z``,
 ``tau`` and ``v`` broadcast against each other and against ``theta`` and
 ``beta``, which may vary per point, and ``v=None`` selects the averaged
 factor.  It returns one :class:`SPResult` of arrays.  Each step level is one
-pass over the open points' ``(points x nodes)`` array, in calls of ``F`` of
-at most ``_MAX_NODES`` nodes.  Every point's sum is formed the same way
-whatever grid it is in, so a grid gives each point its one-point result and
-fails as a loop over its points would: with the ``NonConvergence`` of the
-first failing point.  ``survival_exact`` and ``survival_averaged`` are its
-one-point calls.
+pass over the open points' ``(points x nodes)`` array, in calls of ``F`` on
+whole rows of at most ``_MAX_NODES`` nodes.  Every point's sum is formed the
+same way whatever grid it is in, so a grid gives each point its one-point
+result, and fails in the two phases :mod:`hestonfp.core` states: with the
+``NonConvergence`` of the first failing point on valid input.
+``survival_exact`` and ``survival_averaged`` are its one-point calls.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ import numpy as np
 from scipy.special import erf
 
 from .core import (Dimensionless, State, _fields_equal, _float_or_array, _log_factor_averaged,
-                   _log_factor_exact, _nonnegative_arrays, _with_boundaries)
+                   _log_factor_exact, _nonnegative_arrays, _positive_arrays,
+                   _with_boundaries)
 from .errors import ConfigError, NonConvergence
 
 __all__ = [
@@ -72,8 +73,8 @@ __all__ = [
     "hitting",
 ]
 
-# Nodes one call of ``F`` receives at most; a larger level is split.
-_MAX_NODES = 2**12
+# Nodes one call of ``F`` receives at most, in whole rows; a finest-level row has 4,245
+_MAX_NODES = 2**13
 # First and last step of the halving; a point open at the last one fails.
 _H_START = 0.2
 _H_MIN = 0.2 / 64
@@ -162,20 +163,16 @@ def _rule(h: float) -> tuple[np.ndarray, np.ndarray, float]:
 
 def _level(F, u, w, z, points):
     """``sum(w * F)`` and ``sum(|w * F|)`` of each of ``points``: calls of
-    ``F`` on whole rows of at most ``_MAX_NODES`` nodes, or on slices of one
-    row when a row is longer, so every row is summed alike in any batch."""
-    n = u.size
-    rows, cols = max(1, _MAX_NODES // n), min(n, _MAX_NODES)
+    ``F`` on whole rows of at most ``_MAX_NODES`` nodes, so every row is
+    summed alike in any batch."""
+    rows = max(1, _MAX_NODES // u.size)
     sums, mags = np.empty(points.size), np.empty(points.size)
     for r in range(0, points.size, rows):
         own = points[r:r + rows, None]
-        f = np.empty((own.size, n))
-        for c in range(0, n, cols):
-            # at a subnormal z, u / z (and then terms of -log F) may pass the
-            # largest float; F is 0 there
-            with np.errstate(over="ignore"):
-                f[:, c:c + cols] = F(u[c:c + cols] / z[own], own)
-        f *= w
+        # at a subnormal z, u / z (and then terms of -log F) may pass the
+        # largest float; F is 0 there
+        with np.errstate(over="ignore"):
+            f = w * F(u / z[own], own)
         sums[r:r + rows] = f.sum(axis=1)
         mags[r:r + rows] = np.abs(f).sum(axis=1)
     return sums, mags
@@ -187,16 +184,13 @@ def _sine_transforms(F, z, cfg: QuadConfig) -> tuple[np.ndarray, np.ndarray, np.
 
     ``F(omega, point)`` evaluates the frequency factor of the given points
     (an integer array broadcasting against ``omega``).  ``z`` holds each
-    point's sine scale.  Points with ``z = 0`` short-circuit to 0.
+    point's sine scale, finite and >= 0 (the callers check it).  Points with
+    ``z = 0`` short-circuit to 0.
 
-    Raises ``ConfigError`` for a negative or non-finite ``z`` before any
-    call of ``F``, and otherwise the ``NonConvergence`` of the
-    lowest-numbered failing point, its index in ``point``.
+    Raises the ``NonConvergence`` of the lowest-numbered failing point, its
+    index in ``point``.
     """
     z = np.asarray(z, dtype=float)
-    bad = np.flatnonzero(~((z >= 0.0) & (z < math.inf)))
-    if bad.size:
-        raise ConfigError(f"z must be finite and >= 0, got {float(z[bad[0]])!r}")
     value, err_estimate, nodes = np.zeros(z.size), np.zeros(z.size), np.zeros(z.size, int)
     open_ = np.flatnonzero(z > 0.0)
     h = _H_START
@@ -241,12 +235,13 @@ def sine_transform(F, z: float,
 
     Raises
     ------
-    ConfigError
-        If ``z`` is negative or not finite.
+    ParameterError
+        If ``z`` is negative or not finite, before any call of ``F``.
     NonConvergence
         If two consecutive step levels never agree within tolerance; the
         exception carries the finest sum and its bound.
     """
+    z, = _nonnegative_arrays(z=z)
     return tuple(a[0].item() for a in _sine_transforms(
         lambda w, i: F(np.ravel(w)).reshape(np.shape(w)), [z], config or QuadConfig()))
 
@@ -319,11 +314,10 @@ def survival_wiener(z, sigma_sq, t):
     """Constant-volatility baseline: ``erf(z / sqrt(2 sigma^2 t))``.
 
     The inputs broadcast; a float when all are scalars, else an ndarray.
+    ``z`` and ``t`` must be finite and >= 0, ``sigma_sq`` finite and > 0.
     """
-    z, sigma_sq, t = (np.asarray(a, dtype=float) for a in (z, sigma_sq, t))
-    finite = all(np.isfinite(a).all() for a in (z, sigma_sq, t))
-    if not (finite and np.all(z >= 0.0) and np.all(sigma_sq > 0.0) and np.all(t >= 0.0)):
-        raise ConfigError("require finite z >= 0, sigma_sq > 0, t >= 0")
+    z, t = _nonnegative_arrays(z=z, t=t)
+    sigma_sq, = _positive_arrays(sigma_sq=sigma_sq)
     return _with_boundaries(z, t, lambda z, t: erf(z / np.sqrt(2.0 * sigma_sq * t)))
 
 

@@ -198,7 +198,7 @@ class TestRiskRatio:
 
     def test_division_domain_signalled(self):
         d = h.Dimensionless(TH, 10.0)
-        with pytest.raises(h.DivisionDomain):
+        with pytest.raises(h.ParameterError):
             h.risk_ratio(0.0, 3.0, d)
         with pytest.raises(h.DivisionDomain):
             # erfc underflows: z/sqrt(2 theta tau) ~ 132
@@ -213,10 +213,15 @@ class TestRiskRatio:
         for (i, j), r in np.ndenumerate(got):
             assert r == h.risk_ratio(float(z[j]), float(tau[i, 0]), d)
 
-    @pytest.mark.parametrize("z,match", [([0.005, 0.0, 10.0], "requires"),
-                                         ([0.005, 10.0, 0.0], "underflowed")])
-    def test_array_signals_first_bad_point(self, z, match):
-        with pytest.raises(h.DivisionDomain, match=match):
+    @pytest.mark.parametrize("z,error,match", [
+        ([0.005, 0.0, 10.0], h.ParameterError, "^z must be finite and > 0, got 0.0$"),
+        ([0.005, 10.0, 0.0], h.ParameterError, "^z must be finite and > 0, got 0.0$"),
+        ([0.005, 10.0, 12.0], h.DivisionDomain, "underflowed at z=10.0,")],
+        ids=["z0-requires", "z1-underflowed", "underflow-in-loop-order"])
+    def test_array_signals_first_bad_point(self, z, error, match):
+        # a bad input anywhere in the grid is rejected before the quadrature;
+        # on valid input the first point whose baseline underflows is named
+        with pytest.raises(error, match=match):
             h.risk_ratio(np.array(z), 3.0, h.Dimensionless(TH, 10.0))
 
     def test_asymptote_broadcasts(self):
@@ -283,7 +288,7 @@ class TestCrossingLevel:
     def test_no_root_reported(self):
         with pytest.raises(h.NoRoot):
             h.crossing_level(0.01, 10.0)
-        with pytest.raises(h.NoRoot):
+        with pytest.raises(h.ParameterError):
             h.crossing_level(-1.0, 0.01)
 
     def test_grid_matches_scalar_calls_bit_for_bit(self):
@@ -306,13 +311,18 @@ class TestCrossingLevel:
             assert residual == abs(at) <= 1e-15
             assert at == 0.0 or below * at < 0.0 or at * above < 0.0
 
-    @pytest.mark.parametrize("beta,theta_tau,match", [
-        ([10.0, 0.01, -1.0], 0.01, "no sign change .* beta=0.01, theta_tau=0.01$"),
-        ([10.0, -1.0, 0.01], 0.01, "requires beta > 0"),
-        ([10.0, math.nan, -1.0], 0.01, "indistinguishable"),
-    ])
-    def test_grid_raises_the_first_failing_point(self, beta, theta_tau, match):
-        with pytest.raises(h.NoRoot, match=match):
+    @pytest.mark.parametrize("beta,theta_tau,error,match", [
+        ([10.0, 0.01, -1.0], 0.01, h.ParameterError, "^beta must be finite and > 0, got -1.0$"),
+        ([10.0, -1.0, 0.01], 0.01, h.ParameterError, "^beta must be finite and > 0, got -1.0$"),
+        ([10.0, math.nan, -1.0], 0.01, h.ParameterError, "^beta must be finite and > 0, got nan$"),
+        ([10.0, 0.01, 0.005], 0.01, h.NoRoot, "no sign change .* beta=0.01, theta_tau=0.01$"),
+    ], ids=["beta0-0.01-no sign change .* beta=0.01, theta_tau=0.01$",
+            "beta1-0.01-requires beta > 0", "beta2-0.01-indistinguishable",
+            "no-root-in-loop-order"])
+    def test_grid_raises_the_first_failing_point(self, beta, theta_tau, error, match):
+        # a bad input anywhere in the grid is rejected before the scan; on
+        # valid input the first point without a root is named
+        with pytest.raises(error, match=match):
             h.crossing_level(np.array(beta), theta_tau)
 
 

@@ -311,7 +311,7 @@ class TestCommands:
         assert header == ["tau", "S", "ci"] and len(rows) == 1
 
     def test_flags_override_config(self, tmp_path):
-        cfg = _write(tmp_path, "c.cfg", "theta=1.92e-3\nbeta=0.1\n")
+        cfg = _write(tmp_path, "c.cfg", "beta=0.1\n")
         out = str(tmp_path / "o.json")
         rc = cli.main(["crossing-level", "--config", cfg, "--beta", "1.0",
                        "--theta-tau", "0.03", "--format", "json",
@@ -319,7 +319,7 @@ class TestCommands:
         assert rc == 0
         meta = json.loads(open(out, encoding="utf-8").read())["meta"]
         assert meta["beta"] == 1.0
-        assert meta["theta"] == 1.92e-3
+        assert meta["theta"] == DEFAULT_D.theta
 
 
 def _figure_columns(name):
@@ -368,7 +368,8 @@ class TestFigures:
 
 
 # The options each command reads besides the model parameters, --output and
-# --format, written out here rather than taken from the table under test
+# --format, written out here rather than taken from the table under test;
+# "figure" is fig9, which like fig2 to fig10 reads none of them
 _READS = {
     "exact": ("z", "v", "tau"),
     "averaged": ("z", "tau"),
@@ -377,7 +378,7 @@ _READS = {
     "crossing-level": ("theta_tau", "beta"),
     "ratio": ("z", "tau"),
     "sweep": ("z", "v", "tau"),
-    "figure": ("paths", "dt", "seed"),
+    "figure": (),
 }
 # a text other than the default of every option that some command does not
 # read; beta is a scan, as a scalar beta is a model parameter
@@ -387,17 +388,23 @@ _UNREAD_TEXTS = {"z": "0.01", "v": "1e-3", "tau": "0.5", "method": "erf", "paths
 # every (command, option) pair that the command does not read
 _UNREAD = [(command, key) for command, reads in _READS.items()
            for key in _UNREAD_TEXTS if key not in reads]
+# each model parameter that a command does not read, with a text other than its
+# default: fig2 to fig10 set beta themselves, and crossing-level takes theta*tau
+_UNREAD_MODEL = [("figure", "beta", "3"), ("crossing-level", "theta", "5e-3")]
+# (command, key, text, id) of every pair above
+_UNREAD_CASES = [*((c, k, _UNREAD_TEXTS[k], f"{c}-{k}") for c, k in _UNREAD),
+                 *((c, k, text, f"{c}-{k}={text}") for c, k, text in _UNREAD_MODEL)]
 
 
 def _command(command):
     return ["figure", "fig9"] if command == "figure" else [command]
 
 
-def _unread_flag(command, key):
+def _unread_flag(command, key, text, case_id):
     """``pytest.param`` of the argv giving ``command`` the option ``key``, and its flag."""
     flag = "--" + key.replace("_", "-")
-    value = [] if key == "stationary" else [_UNREAD_TEXTS[key]]
-    return pytest.param([*_command(command), flag, *value], flag, id=f"{command}-{key}")
+    value = [] if key == "stationary" else [text]
+    return pytest.param([*_command(command), flag, *value], flag, id=case_id)
 
 
 class TestExitCodes:
@@ -422,7 +429,10 @@ class TestExitCodes:
         (["sweep", "--stationary", "--z", "0.01"], "--stationary"),
         (["exact", "--beta", "1:10:3", "--z", "0.01"], "--beta"),
         (["averaged", "--stationary"], "--stationary"),
-        *(_unread_flag(command, key) for command, key in _UNREAD),
+        (["figure", "fig2", "--paths", "0"], "--paths"),
+        (["figure", "fig4", "--dt", "0.5", "--seed", "9"], "--seed"),
+        (["crossing-level", "--theta-tau", "0.01", "--beta", "10", "--theta", "5e-3"], "--theta"),
+        *(_unread_flag(*case) for case in _UNREAD_CASES),
     ])
     def test_survival_rejects_a_flag_it_cannot_use(self, argv, flag, capsys):
         # every command printed its table as if the flag were not there, exit 0
@@ -436,18 +446,44 @@ class TestExitCodes:
         assert cli.main(["crossing-level", "--config", str(cfg), "--theta-tau", "0.01"]) == 2
         assert capsys.readouterr().err.startswith("hestonfp: error: --z:")
 
-    @pytest.mark.parametrize("command,key", _UNREAD, ids=[f"{c}-{k}" for c, k in _UNREAD])
-    def test_config_value_a_command_does_not_read_is_rejected(self, command, key, tmp_path,
-                                                              capsys):
-        cfg = _write(tmp_path, "run.cfg", f"{key} = {_UNREAD_TEXTS[key]}\n")
+    @pytest.mark.parametrize("command,key,text", [case[:3] for case in _UNREAD_CASES],
+                             ids=[case[3] for case in _UNREAD_CASES])
+    def test_config_value_a_command_does_not_read_is_rejected(self, command, key, text,
+                                                              tmp_path, capsys):
+        cfg = _write(tmp_path, "run.cfg", f"{key} = {text}\n")
         assert cli.main([*_command(command), "--config", cfg]) == 2
         out, err = capsys.readouterr()
         assert not out and err.startswith(f"hestonfp: error: --{key.replace('_', '-')}:")
 
     def test_the_matrix_covers_every_option_but_the_model_and_output(self):
-        assert len(_UNREAD) == 54
+        assert len(_UNREAD) == 57
         assert set(_UNREAD_TEXTS) == set(cli._OPTIONS) - {"alpha", "m2", "k", "theta",
                                                           "output", "format"}
+
+    @pytest.mark.parametrize("flag,text", [("--paths", "64"), ("--dt", "5e-3"), ("--seed", "5"),
+                                           ("--beta", "3")])
+    @pytest.mark.parametrize("name", [f"fig{i}" for i in range(2, 11)])
+    def test_only_fig1_reads_beta_and_the_simulation_options(self, name, flag, text, capsys):
+        # fig2 to fig10 printed the table they print without the flag, exit 0
+        assert cli.main(["figure", name, flag, text]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"hestonfp: error: {flag}: figure {name} does not read " \
+                                  "this option\n"
+
+    @pytest.mark.parametrize("name", [f"fig{i}" for i in range(2, 11)])
+    def test_fig2_to_fig10_read_theta(self, name, capsys):
+        assert cli.main(["figure", name]) == 0
+        base = capsys.readouterr().out
+        assert cli.main(["figure", name, "--theta", "2e-3"]) == 0
+        assert capsys.readouterr().out not in ("", base)
+
+    def test_fig1_reads_beta_theta_and_the_simulation_options(self, capsys):
+        argv = ["figure", "fig1", "--paths", "64", "--dt", "5e-3", "--seed", "5"]
+        assert cli.main(argv) == 0
+        base = capsys.readouterr().out
+        for extra in (["--beta", "0.2"], ["--theta", "2e-3"]):
+            assert cli.main([*argv, *extra]) == 0
+            assert capsys.readouterr().out not in ("", base)
 
     def test_run_rejects_a_spec_field_the_command_does_not_read(self):
         with pytest.raises(ParameterError, match="^--seed: exact "):

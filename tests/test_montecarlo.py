@@ -56,33 +56,47 @@ class TestConfig:
         with pytest.raises(h.ConfigError):
             h.McConfig(**kw)
 
-    @pytest.mark.parametrize("call", [
-        pytest.param(lambda d, cfg: h.estimate_survival(d, 0.01, math.nan, cfg), id="v0-nan"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, 0.01, math.inf, cfg), id="v0-inf"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, math.nan, TH, cfg), id="z0-nan"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, math.inf, TH, cfg), id="z0-inf"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, math.inf, None, cfg),
+    @pytest.mark.parametrize("error,call", [
+        pytest.param(h.ParameterError, lambda d, cfg: h.estimate_survival(d, 0.01, math.nan, cfg),
+                     id="v0-nan"),
+        pytest.param(h.ParameterError, lambda d, cfg: h.estimate_survival(d, 0.01, math.inf, cfg),
+                     id="v0-inf"),
+        pytest.param(h.ParameterError, lambda d, cfg: h.estimate_survival(d, math.nan, TH, cfg),
+                     id="z0-nan"),
+        pytest.param(h.ParameterError, lambda d, cfg: h.estimate_survival(d, math.inf, TH, cfg),
+                     id="z0-inf"),
+        pytest.param(h.ParameterError, lambda d, cfg: h.estimate_survival(d, math.inf, None, cfg),
                      id="averaged-z0-inf"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, (0.01, 0.02), math.nan, cfg),
+        pytest.param(h.ParameterError,
+                     lambda d, cfg: h.estimate_survival(d, (0.01, 0.02), math.nan, cfg),
                      id="profile-v0-nan"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, (0.01, math.nan, 0.02), None, cfg),
+        pytest.param(h.ParameterError,
+                     lambda d, cfg: h.estimate_survival(d, (0.01, math.nan, 0.02), None, cfg),
                      id="profile-z-nan"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, (0.01, math.inf), None, cfg),
+        pytest.param(h.ParameterError,
+                     lambda d, cfg: h.estimate_survival(d, (0.01, math.inf), None, cfg),
                      id="profile-z-inf"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, (), TH, cfg), id="z0-empty"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, [[0.01, 0.02]], TH, cfg),
+        pytest.param(h.ConfigError, lambda d, cfg: h.estimate_survival(d, (), TH, cfg),
+                     id="z0-empty"),
+        pytest.param(h.ConfigError, lambda d, cfg: h.estimate_survival(d, [[0.01, 0.02]], TH, cfg),
                      id="z0-2d"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, 0.01, TH, cfg, workers=0),
+        pytest.param(h.ConfigError,
+                     lambda d, cfg: h.estimate_survival(d, 0.01, TH, cfg, workers=0),
                      id="workers-0"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, 0.01, None, cfg, workers=0),
+        pytest.param(h.ConfigError,
+                     lambda d, cfg: h.estimate_survival(d, 0.01, None, cfg, workers=0),
                      id="averaged-workers-0"),
-        pytest.param(lambda d, cfg: h.estimate_survival(d, (0.01,), None, cfg, workers=0),
+        pytest.param(h.ConfigError,
+                     lambda d, cfg: h.estimate_survival(d, (0.01,), None, cfg, workers=0),
                      id="profile-workers-0"),
+        *(pytest.param(h.ConfigError,
+                       lambda d, cfg, w=w: h.estimate_survival(d, 0.01, TH, cfg, workers=w),
+                       id=f"workers-{w!r}") for w in (True, 1.5, "2")),
     ])
-    def test_rejected_inputs(self, dfig, call):
-        # each of these used to return a survival value (1.0 or 0.0) or run
-        # with one worker
-        with pytest.raises(h.ConfigError):
+    def test_rejected_inputs(self, dfig, error, call):
+        # each of these used to return a survival value (1.0 or 0.0), run
+        # with one worker, or (workers="2") end in a TypeError
+        with pytest.raises(error):
             call(dfig, h.McConfig(n_paths=8, horizon=0.01))
 
     @pytest.mark.parametrize("beta", [1e200, 1e-200])
