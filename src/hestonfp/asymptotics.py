@@ -22,9 +22,9 @@ import numpy as np
 from scipy.special import erf, erfc
 
 from .core import (Dimensionless, _float_or_array, _nonnegative_arrays, _positive_arrays,
-                   _with_boundaries, variance_scale)
+                   _variance_scale, _with_boundaries)
 from .errors import DivisionDomain, InsufficientData, NoRoot
-from .quadrature import QuadConfig, survival, survival_wiener
+from .quadrature import QuadConfig, _wiener, survival
 
 __all__ = [
     "Regime",
@@ -107,7 +107,7 @@ def survival_erf(z, v, tau, theta):
     """
     z, v, tau = _nonnegative_arrays(z=z, v=v, tau=tau)
     _positive_arrays(theta=theta)
-    return _with_boundaries(z, variance_scale(tau, v, theta), lambda z, lam: erf(z / np.sqrt(lam)))
+    return _with_boundaries(z, _variance_scale(tau, v, theta), lambda z, lam: erf(z / np.sqrt(lam)))
 
 
 def survival_arctan(z, v, tau, theta, beta):
@@ -131,7 +131,7 @@ def survival_pheno(z, v, tau, theta, beta, use_beta_factor: bool = False):
     z, v, tau = _nonnegative_arrays(z=z, v=v, tau=tau)
     _positive_arrays(theta=theta, beta=beta)
     factor = 2.0 * beta if use_beta_factor else 2.0
-    return _with_boundaries(z, variance_scale(tau, v, theta),
+    return _with_boundaries(z, _variance_scale(tau, v, theta),
                             lambda z, lam: (2.0 / np.pi) * np.arctan(factor * z / lam))
 
 
@@ -142,8 +142,8 @@ def survival_avg_erf(z, tau, theta):
     at the long-run variance level.
     """
     z, tau = _nonnegative_arrays(z=z, tau=tau)
-    _positive_arrays(theta=theta)
-    return survival_wiener(z, theta, tau)
+    theta, = _positive_arrays(theta=theta)
+    return _wiener(z, theta, tau)
 
 
 def survival_avg_arctan(z, tau, theta, beta):

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .core import Dimensionless, ModelParams, variance_scale
+from .core import Dimensionless, ModelParams, _variance_scale
 from .errors import (ConfigError, DivisionDomain, HestonFPError, NoRoot,
                      NonConvergence, ParameterError)
 from .quadrature import QuadConfig, survival, survival_wiener
@@ -341,7 +341,7 @@ _COLUMNS = {
     "arctan_averaged": lambda z, v, tau, d: asy.survival_avg_arctan(z, tau, d.theta, d.beta),
     "wiener": lambda z, v, tau, d: survival_wiener(z, d.theta, tau),
     "tail_gaussian": lambda z, v, tau, d:
-        1.0 - asy.tail_gaussian_hitting(z, variance_scale(tau, v, d.theta)),
+        1.0 - asy.tail_gaussian_hitting(z, _variance_scale(tau, v, d.theta)),
     "tail_powerlaw": lambda z, v, tau, d: 1.0 - asy.tail_powerlaw_hitting(z, tau, d.theta, d.beta),
 }
 
@@ -516,6 +516,20 @@ _COMMANDS = {
 _READ_BY_ALL = {"command", "params", "output_path", "output_format"}
 
 
+# theta = m2 / alpha and beta = k / alpha: the ModelParams field of each config
+# key that a physical model derives them from
+_DERIVED = {"theta": {"alpha": "alpha", "m2": "m_sq"}, "beta": {"alpha": "alpha", "k": "k"}}
+
+
+def _passed(spec: RunSpec, name: str) -> str:
+    """The flag that set field ``name``; for a theta or beta derived from a
+    physical model, the flags of its sources that differ from their defaults."""
+    if isinstance(spec.params, ModelParams) and name in _DERIVED:
+        return ", ".join(_flag(key) for key, field in _DERIVED[name].items()
+                         if getattr(spec.params, field) != getattr(DEFAULT_PARAMS, field))
+    return _flag(_KEYS.get(name, name))
+
+
 def run(spec: RunSpec) -> str:
     """Execute a RunSpec and return the rendered table (also written to
     ``spec.output_path`` when one is set).  A field, or a model parameter
@@ -530,8 +544,7 @@ def run(spec: RunSpec) -> str:
              "theta": (d.theta, d0.theta), "beta": (d.beta, d0.beta)}
     for name, (value, default) in given.items():
         if name not in reads | _READ_BY_ALL and value != default:
-            raise ParameterError(f"{_flag(_KEYS.get(name, name))}: "
-                                 f"{what} does not read this option")
+            raise ParameterError(f"{_passed(spec, name)}: {what} does not read this option")
     # a runner returns (names, columns), plus a dict of work counts for meta
     # when Monte Carlo made the table
     names, columns, *work = runner(spec)

@@ -307,7 +307,12 @@ def variance_scale(tau, v, theta: float):
     """
     tau, v = _nonnegative_arrays(tau=tau, v=v)
     _positive_arrays(theta=theta)
-    return _float_or_array(2.0 * theta * tau - 2.0 * np.expm1(-tau) * v)
+    return _float_or_array(_variance_scale(tau, v, theta))
+
+
+def _variance_scale(tau, v, theta):
+    """:func:`variance_scale` of inputs already checked."""
+    return 2.0 * theta * tau - 2.0 * np.expm1(-tau) * v
 
 
 def second_moment(tau, v, theta: float):

@@ -21,19 +21,18 @@ of them, a fixed starting variance ``v0`` or (``v0 = None``) starts drawn
 from the stationary Gamma law, and one :class:`McEstimate` over the
 ``(record time x z)`` grid.
 
-Cost: a block's normals are drawn in chunks of about ``2**16`` on one
-helper thread per block, one chunk ahead of the steps that use them, so the
-draws (which release the GIL) overlap the step arithmetic when a core is
-free; with ``workers`` blocks at once that is up to ``2 * workers``
-threads.  The stream, and so every output bit, is the same as drawing each
-step's normals inline.  Each step runs in-place ufuncs on scratch buffers
-allocated once per block, and evaluates the exponential branch only on the
-paths that take it.  At large vol-of-vol (``2 nu < 4/3``, so ``psi > 1.5``
-at ``v = 0``) paths on the atom take the exponential branch and mostly stay
-there; once more than half of a block sits on the atom, a step runs only on
-the paths off it or whose normal can lift them off it.  A parked path gets
-``v' = 0``, exactly what the full step gives it, and adds 0 to its running
-sum, so parking changes no bit of the output.
+Cost: a step runs only on the live paths and draws one normal for each.
+Where paths on the atom ``v = 0`` take the exponential branch (``2 nu <
+4/3``, so ``psi > 1.5`` at ``v = 0``) and more than half of the live paths
+sit there, those paths are parked: each draws its wait on the atom and,
+when it lifts, its lift value, which is the law of stepping it, so a parked
+path costs one draw per excursion, not one per step (see :func:`_block`).
+The normals come from a FIFO that one helper thread per block fills in
+chunks of ``2**16``, one chunk ahead of the takes, so the draws (which
+release the GIL) overlap the step arithmetic when a core is free; with
+``workers`` blocks at once that is up to ``2 * workers`` threads.  Where
+nothing parks, the stream and every output bit are those of drawing each
+step's normals inline.
 
 Reproducibility: one master seed, an integer in ``[0, 2**64)``; path block
 ``b`` draws from its own SFC64 stream, seeded by ``SeedSequence([seed, b])``,
@@ -43,14 +42,13 @@ bit-identical no matter how many worker threads run the blocks.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf, log_ndtr, ndtri
+from scipy.special import erf, log_ndtr
 
 from .core import Dimensionless, _fields_equal, _nonnegative_arrays, _positive_arrays
 from .errors import ConfigError
@@ -135,9 +133,10 @@ class McEstimate:
 
     ``survival`` and ``ci_halfwidth`` have shape ``(len(grid),)`` for a
     scalar ``z0`` and ``(len(grid), len(z0))`` for a grid of them.
-    ``path_steps`` and ``rng_draws`` count the variance steps taken and the
-    random variates drawn (one normal per path-step, plus one Gamma start
-    per path for stationary starts)."""
+    ``path_steps`` counts the live path-steps, the QE steps actually taken;
+    ``rng_draws`` counts the variates actually drawn: one normal per live
+    path-step, one per parked wait and one per lift, plus one Gamma start
+    per path for stationary starts."""
 
     grid: tuple[float, ...]
     survival: np.ndarray
@@ -211,23 +210,26 @@ def _qe_step(v: np.ndarray, normal: np.ndarray, out: np.ndarray, scratch, coef) 
         out[idx] = m[idx] / q * np.maximum(np.log(q) - log_ndtr(normal[idx]), 0.0)
 
 
-def _normals(rng: np.random.Generator, n_block: int, n_steps: int, drawer):
-    """Yield ``n_steps`` arrays of ``n_block`` standard normals from ``rng``,
-    in the order ``n_steps`` calls of ``rng.standard_normal(n_block)`` give
-    them.
+def _fifo(rng: np.random.Generator, drawer):
+    """``take(n)``: the next ``n`` standard normals of ``rng``, the ones that
+    inline ``rng.standard_normal`` calls of the same counts give, for any
+    sequence of counts.  ``drawer`` (a one-thread executor) draws the stream
+    in chunks of ``_BLOCK``, one chunk ahead of the takes."""
+    pending = drawer.submit(rng.standard_normal, _BLOCK)
+    chunk, at = np.empty(0), 0
 
-    The normals come in chunks of ``rows`` steps: while the caller steps
-    through one chunk, ``drawer`` (a one-thread executor) draws the next.
-    """
-    rows = max(1, _BLOCK // n_block)
-    pending = None
-    for start in range(0, n_steps, rows):
-        chunk = drawer.submit(rng.standard_normal, (min(rows, n_steps - start), n_block))
-        if pending is not None:
-            yield from pending.result()
-        pending = chunk
-    if pending is not None:
-        yield from pending.result()
+    def take(n: int) -> np.ndarray:
+        nonlocal chunk, at, pending
+        parts = []
+        while at + n > chunk.size:
+            if at < chunk.size:
+                parts.append(chunk[at:])
+                n -= chunk.size - at
+            chunk, at = pending.result(), 0
+            pending = drawer.submit(rng.standard_normal, _BLOCK)
+        at += n
+        return np.concatenate([*parts, chunk[at - n:at]]) if parts else chunk[at - n:at]
+    return take
 
 
 def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
@@ -235,15 +237,19 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     """The one simulation kernel: QE variance steps of one path block.
 
     Returns the ``(len(steps), z_grid.size, 2)`` sums of :func:`_erf_sums`
-    at each record step, and the block's path-steps and variates drawn.
+    at each record step, and the block's live path-steps and variates drawn.
     ``v0 = None`` draws the starting variances from the stationary Gamma law
-    on the block's own substream (keeps worker-count invariance intact).
+    on the block's own stream (keeps worker-count invariance intact).
 
-    When paths on the atom ``v = 0`` take the exponential branch and more
-    than half of the block sits there, a step runs only on the paths off the
-    atom or whose normal can lift them off it; every other path is parked:
-    its ``v'`` is 0 and its running sum gains 0, exactly what the full-width
-    step gives it.
+    The live paths sit in the prefix ``[:n]`` of ``v``, ``total`` and
+    ``path``, and a step draws ``n`` normals.  Where paths on the atom
+    ``v = 0`` take the exponential branch and more than half of the live
+    paths sit there, those paths are parked.  From the atom, QE lifts a path
+    with probability ``q0`` a step, to an ``Exp(m0 / q0)`` value; so a parked
+    path draws its lift step (after a ``Geometric(q0)`` wait) and, at that
+    step, its lift value, each from one normal as ``log U = log_ndtr(Z)``.
+    Until it lifts, its ``v`` is 0 and its running sum gains 0.  The parked
+    paths are kept sorted by lift step, so a step pops a contiguous head.
     """
     rng = _block_rng(cfg.seed, block)
     draws = 0
@@ -258,46 +264,60 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     s1 = 0.5 * d.beta**2 * e * -math.expm1(-cfg.dt)
     s0 = 0.25 * d.theta * d.beta**2 * math.expm1(-cfg.dt)**2
     coef = (e, m0, s1, s0)
-    # on the atom v = 0 every path has q = q0, and only Z < ndtri(q0) gives v' > 0
+    # on the atom every path has k = k0; below _K_SWITCH it leaves with probability q0
     k0 = m0 * m0 / s0
-    z_atom = ndtri(2.0 * k0 / (2.0 + k0)) + 1e-9
-    parkable = k0 < _K_SWITCH
-    half_dt = 0.5 * cfg.dt
+    q0 = 2.0 * k0 / (2.0 + k0)
+    parkable = 0.0 < k0 < _K_SWITCH
+    half_dt, n_steps, n = 0.5 * cfg.dt, int(steps[-1]), n_block
     v_next = np.empty(n_block)
     scratch = (np.empty(n_block), np.empty(n_block), np.empty(n_block),
                np.empty(n_block, dtype=bool))
-    moving, lifts = scratch[3], np.empty(n_block, dtype=bool)
-    # the trapezoid clock I = dt S - (dt/2) v + (dt/2) v0, from the running sum S of v';
-    # it needs no clamp at 0: S >= v after rounding, so fl(dt S) >= fl(dt v / 2)
-    total, base = np.zeros(n_block), half_dt * (v if v0 is None else float(v0))
+    # the trapezoid clock I = dt S - (dt/2) v + base, base = (dt/2) v0, from the running
+    # sum S of v'; it needs no clamp at 0: S >= v after rounding, so fl(dt S) >= fl(dt v / 2)
+    total, base, path = np.zeros(n_block), half_dt * v, np.arange(n_block)
+    # live path i is path[i]; parked path p has key lift step * n_block + p and sum parked[p]
+    keys, parked = np.empty(0, dtype=np.int64), np.empty(n_block)
     sums = np.empty((len(steps), z_grid.size, 2))
-    done = 0
-    # the drawer's first chunk is drawn after the Gamma start draw above, so the
-    # stream order is that of drawing every step's normals inline
+    done = path_steps = 0
+    # the drawer's first chunk is drawn after the Gamma start draw above
     with ThreadPoolExecutor(max_workers=1) as drawer, np.errstate(invalid="ignore"):
-        normals = _normals(rng, n_block, int(steps[-1]), drawer)
+        take = _fifo(rng, drawer)
         for rec, stop in enumerate(steps.tolist()):
-            for normal in itertools.islice(normals, stop - done):
-                if parkable and 2 * np.count_nonzero(np.not_equal(v, 0.0, out=moving)) < n_block:
-                    np.less(normal, z_atom, out=lifts)
-                    moving |= lifts
-                    live = np.flatnonzero(moving)
-                    n = live.size
-                    out = v_next[:n]
-                    _qe_step(v[live], normal[live], out, tuple(a[:n] for a in scratch), coef)
-                    total[live] += out
-                    v[live] = out  # a parked path's v is 0 already
-                else:
-                    _qe_step(v, normal, v_next, scratch, coef)
-                    total += v_next
-                    v, v_next = v_next, v
-            draws += n_block * (stop - done)
+            for step in range(done, stop):
+                atom = scratch[3][:n]
+                if parkable and 2 * np.count_nonzero(np.equal(v[:n], 0.0, out=atom)) > n:
+                    p = path[:n][atom]
+                    parked[p] = total[:n][atom]
+                    wait = np.floor(log_ndtr(take(p.size)) / math.log1p(-q0))
+                    lifts = (step + np.minimum(wait, n_steps).astype(np.int64)) * n_block + p
+                    # two sorted runs: the stable sort merges them in one pass
+                    keys = np.concatenate((keys, np.sort(lifts)))
+                    keys.sort(kind="stable")
+                    keep = np.flatnonzero(np.logical_not(atom, out=atom))
+                    n = keep.size
+                    v[:n], total[:n], path[:n] = v[keep], total[keep], path[keep]
+                    draws += p.size
+                _qe_step(v[:n], take(n), v_next[:n], tuple(a[:n] for a in scratch), coef)
+                np.add(total[:n], v_next[:n], out=total[:n])
+                v, v_next = v_next, v
+                path_steps += n
+                if keys.size and keys[0] < (step + 1) * n_block:
+                    up = int(np.searchsorted(keys, (step + 1) * n_block))
+                    p = keys[:up] % n_block
+                    v[n:n + up] = m0 / q0 * -log_ndtr(take(up))
+                    np.add(parked[p], v[n:n + up], out=total[n:n + up])
+                    path[n:n + up], keys, n = p, keys[up:], n + up
+                    draws += up
             done = stop
-            clock = np.multiply(total, cfg.dt, out=scratch[0])
-            clock -= np.multiply(v, half_dt, out=scratch[2])
-            clock += base
+            # a parked path's v is 0, so its clock is dt S + base
+            clock, live, p = scratch[0], scratch[0][:n], keys % n_block
+            np.multiply(total[:n], cfg.dt, out=live)
+            live -= np.multiply(v[:n], half_dt, out=scratch[2][:n])
+            live += base[path[:n]]
+            np.multiply(parked[p], cfg.dt, out=clock[n:])
+            np.add(clock[n:], base[p], out=clock[n:])
             sums[rec] = _erf_sums(clock, z_grid)
-    return sums, n_block * done, draws
+    return sums, path_steps, draws + path_steps
 
 
 def estimate_survival(d: Dimensionless, z0: float | np.ndarray, v0: float | None,

@@ -440,6 +440,20 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert not out and err.startswith(f"hestonfp: error: {flag}:")
 
+    @pytest.mark.parametrize("argv,flags", [
+        (["crossing-level", "--alpha", "0.05", "--theta-tau", "0.01"], "--alpha"),
+        (["crossing-level", "--m2", "1e-4", "--theta-tau", "0.01"], "--m2"),
+        (["crossing-level", "--alpha", "0.05", "--m2", "1e-4", "--theta-tau", "0.01"],
+         "--alpha, --m2"),
+        (["figure", "fig4", "--k", "0.01"], "--k"),
+        (["figure", "fig4", "--alpha", "0.05", "--m2", "9.5e-5"], "--alpha"),
+    ])
+    def test_a_physical_model_names_the_flags_the_user_passed(self, argv, flags, capsys):
+        # the derived --theta or --beta was named, a flag the user did not pass
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith(f"hestonfp: error: {flags}: ")
+
     def test_config_value_a_command_would_ignore_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("z = 0.5\n")

@@ -414,6 +414,16 @@ class TestWorkerDeterminism:
         p2 = h.estimate_survival(dfig, z_grid, TH, cp, workers=3)
         assert np.array_equal(p1.survival, p2.survival)
 
+    def test_parked_runs_identical(self):
+        # beta = 10, stationary starts: most paths park at the first step, and
+        # three blocks, the last one short, draw their waits and lifts
+        d = h.Dimensionless(theta=TH, beta=10.0)
+        cfg = h.McConfig(dt=1e-3, n_paths=140_000, seed=2204, record_grid=(0.05, 0.2))
+        runs = [h.estimate_survival(d, (2e-3, 0.01), None, cfg, workers=w) for w in (1, 2, 4)]
+        assert runs[0].path_steps < cfg.n_paths * cfg.n_steps
+        for other in runs[1:]:
+            assert other == runs[0]
+
     @pytest.mark.parametrize("call", [
         pytest.param(lambda d, cfg, w: h.estimate_survival(d, 0.01, TH, cfg, workers=w),
                      id="fixed"),
@@ -453,25 +463,30 @@ class TestBlockMerge:
 
 
 class TestNormalStream:
-    """The helper thread draws each block's normals one chunk ahead; the
-    stream must be the one the inline draws gave."""
+    """The helper thread fills each block's FIFO of normals one chunk ahead;
+    any sequence of take counts must give the stream that inline draws of
+    the same counts give."""
 
-    @pytest.mark.parametrize("n_block, n_steps", [
-        pytest.param(2**16, 5, id="one-row-chunks"),
-        pytest.param(2**14, 4, id="ends-on-a-chunk"),
-        pytest.param(2**14, 9, id="partial-last-chunk"),
-        pytest.param(17, 1, id="one-step"),
-        pytest.param(17, 0, id="no-steps"),
+    @pytest.mark.parametrize("counts", [
+        pytest.param([2**16] * 5, id="one-row-chunks"),
+        pytest.param([2**14] * 4, id="ends-on-a-chunk"),
+        pytest.param([2**14] * 9, id="partial-last-chunk"),
+        pytest.param([17], id="one-step"),
+        pytest.param([], id="no-steps"),
+        pytest.param([17] * 4000, id="straddles-a-chunk"),
+        pytest.param([0, 5, 2**16 - 5, 0, 2**16 + 3, 1, 3 * 2**16 + 7, 0], id="mixed"),
+        pytest.param(np.random.default_rng(8).integers(0, 3000, 200).tolist(),
+                     id="random-counts"),
     ])
-    def test_same_stream_as_inline_draws(self, n_block, n_steps):
+    def test_same_stream_as_inline_draws(self, counts):
         want = montecarlo._block_rng(99, 3)
         rng = montecarlo._block_rng(99, 3)
         with ThreadPoolExecutor(max_workers=1) as drawer:
-            # kept uncopied: a yielded step stays valid after later draws
-            got = list(montecarlo._normals(rng, n_block, n_steps, drawer))
-        assert len(got) == n_steps
-        for z in got:
-            assert np.array_equal(z, want.standard_normal(n_block))
+            take = montecarlo._fifo(rng, drawer)
+            # kept uncopied: a take stays valid after later ones
+            got = [take(n) for n in counts]
+        for z, n in zip(got, counts):
+            assert np.array_equal(z, want.standard_normal(n))
 
     def test_zero_step_record(self, dfig):
         cfg = h.McConfig(n_paths=17, seed=1, record_grid=(0.0,), horizon=0.01)
@@ -509,57 +524,48 @@ class TestDrawerThreads:
 
 
 class TestPinnedKernel:
-    """Exact survival, CI, path-step and draw counts of six small runs,
-    recorded from the kernel with SFC64 block streams and the running-sum
-    clock.  Two blocks, the second of 17 paths.
-    ``parks_from`` is the first step taken on the live paths only, or None:
-    at beta = 1 more than half of the block sits at v = 0 from the second
-    step on (stationary starts) or from the eighth (v0 = theta), and at
-    beta = 10 from the first; at beta = 0.01, 2 nu >= _K_SWITCH, so paths on
-    the atom take the quadratic branch and nothing parks; at beta = 0.3
-    paths reach the atom, but never half of the block."""
+    """Exact survival, CI, live path-step and draw counts of six small runs,
+    recorded from the kernel with SFC64 block streams, the running-sum clock
+    and parked paths drawing their lift steps and values.  Two blocks, the
+    second of 17 paths; 40 steps, so 2622120 path-steps where nothing parks.
+    At beta = 1 more than half of the live paths sit at v = 0 from the
+    second step on (stationary starts) or from the eighth (v0 = theta), and
+    at beta = 10 from the first, so those runs take fewer live path-steps;
+    at beta = 0.01, 2 nu >= _K_SWITCH, so paths on the atom take the
+    quadratic branch and nothing parks; at beta = 0.3 paths reach the atom,
+    but never half of the block.  So the beta = 0.1, 0.01 and 0.3 runs keep
+    the bits of stepping every path."""
 
     CASES = {
-        "beta0.1-v0theta": (0.1, TH, 0.01, None, (
+        "beta0.1-v0theta": (0.1, TH, 0.01, (
             ["0x1.dff546403e415p-1", "0x1.818ecae51845bp-1"],
             ["0x1.499fe0f40c6f6p-13", "0x1.e5ebed3e8485ap-12"], 2622120, 2622120)),
-        "beta1-stationary": (1.0, None, 2e-3, 1, (
-            ["0x1.f2be22a57853ap-1", "0x1.eaa505afe507fp-1"],
-            ["0x1.1298f542c8160p-10", "0x1.4a944b83a93efp-10"], 2622120, 2687673)),
-        "beta1-v0theta": (1.0, TH, 5e-3, 7, (
-            ["0x1.9832f83c1dd21p-1", "0x1.88337c6d30331p-1"],
-            ["0x1.d53be7e75b41bp-10", "0x1.1923fa66ea366p-9"], 2622120, 2622120)),
-        "beta0.01-v0zero": (0.01, 0.0, 1e-3, None, (
+        "beta1-stationary": (1.0, None, 2e-3, (
+            ["0x1.f2de03303e17bp-1", "0x1.eadf1c2e3555ap-1"],
+            ["0x1.113d2bf53c1f9p-10", "0x1.48a5f1c2b9f71p-10"], 191940, 356325)),
+        "beta1-v0theta": (1.0, TH, 5e-3, (
+            ["0x1.98409317e0cd7p-1", "0x1.883d693df0b22p-1"],
+            ["0x1.d54a6afb1c327p-10", "0x1.190a0d780b105p-9"], 1084531, 1159315)),
+        "beta0.01-v0zero": (0.01, 0.0, 1e-3, (
             ["0x1.efe82e4a868eep-1", "0x1.2c1cea8ed38adp-1"],
             ["0x1.615fcd49dad02p-14", "0x1.ea15c867964cap-13"], 2622120, 2622120)),
-        "beta0.3-v0theta": (0.3, TH, 5e-3, None, (
+        "beta0.3-v0theta": (0.3, TH, 5e-3, (
             ["0x1.5a4492d9923aep-1", "0x1.06d0b1e00267bp-1"],
             ["0x1.d05a8592281d6p-11", "0x1.66c86df706f24p-10"], 2622120, 2622120)),
-        "beta10-stationary": (10.0, None, 2e-3, 0, (
-            ["0x1.ff8b15f87cc65p-1", "0x1.fef82b7d3b439p-1"],
-            ["0x1.a85b426bb32cdp-13", "0x1.3583ab78173e2p-12"], 2622120, 2687673)),
+        "beta10-stationary": (10.0, None, 2e-3, (
+            ["0x1.ff95ded93b60dp-1", "0x1.fefbd3dd941dap-1"],
+            ["0x1.8accbb029ae6dp-13", "0x1.346a9683f2c57p-12"], 2941, 134385)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_bit_identical(self, case, monkeypatch):
-        beta, v0, z, parks_from, (survival, ci, path_steps, draws) = self.CASES[case]
+    def test_bit_identical(self, case):
+        beta, v0, z, (survival, ci, path_steps, draws) = self.CASES[case]
         d = h.Dimensionless(theta=TH, beta=beta)
         cfg = h.McConfig(dt=1e-3, n_paths=2**16 + 17, seed=7, record_grid=(0.015, 0.04))
-        widths = []
-        step = montecarlo._qe_step
-
-        def spy(v, *args):
-            widths.append(v.size)
-            return step(v, *args)
-
-        monkeypatch.setattr(montecarlo, "_qe_step", spy)
         est = h.estimate_survival(d, z, v0, cfg)
         assert [x.hex() for x in est.survival.tolist()] == survival
         assert [x.hex() for x in est.ci_halfwidth.tolist()] == ci
         assert (est.path_steps, est.rng_draws) == (path_steps, draws)
-        assert len(widths) == 2 * 40  # 40 steps in each block
-        parked = [i for i, w in enumerate(widths) if w not in (2**16, 17)]
-        assert (parked[0] if parked else None) == parks_from
 
 
 class TestBlockStream:
@@ -660,10 +666,58 @@ class TestTrimmedStep:
                               _reference_qe_step(v, normal, coef).view(np.int64))
 
 
+def _scheduled_clocks(d, cfg, v0, records):
+    """Trapezoid clocks at the steps ``records`` of one block of
+    ``cfg.n_paths`` paths, in the kernel's path order, and the block's live
+    path-steps and draws, from the kernel's schedule followed path by path.
+
+    Every path keeps its own full-width variance and trapezoid sum.  When
+    more than half of the live paths sit at v = 0, each of them draws its lift
+    step from one normal and holds v = 0 until that step, where it draws its
+    lift value; the live ones are stepped by ``_reference_qe_step``.  The
+    kernel's order is the live paths, then the parked ones by lift step and
+    path."""
+    n, dt = cfg.n_paths, cfg.dt
+    rng = montecarlo._block_rng(cfg.seed, 0)
+    v = (rng.gamma(shape=d.nu, scale=d.beta**2 / 2.0, size=n) if v0 is None
+         else np.full(n, float(v0)))
+    draws = n if v0 is None else 0
+    coef = _coef(d.beta, dt)
+    k0 = coef[1] * coef[1] / coef[3]
+    q0 = 2.0 * k0 / (2.0 + k0)
+    live, lift = np.arange(n), np.full(n, -1)
+    trapezoid, clocks, path_steps = np.zeros(n), [], 0
+    for step in range(cfg.n_steps + 1):
+        if step in records:
+            parked = np.flatnonzero(lift >= 0)
+            clocks.append(trapezoid[np.concatenate((live, parked[np.lexsort((parked,
+                                                                          lift[parked]))]))])
+        if step == cfg.n_steps:
+            break
+        atom = live[v[live] == 0.0]
+        if k0 < montecarlo._K_SWITCH and 2 * atom.size > live.size:
+            wait = np.floor(log_ndtr(rng.standard_normal(atom.size)) / math.log1p(-q0))
+            lift[atom] = step + np.minimum(wait, cfg.n_steps)
+            live = live[v[live] != 0.0]
+            draws += atom.size
+        v_next = v.copy()  # a parked path's v is 0
+        v_next[live] = _reference_qe_step(v[live], rng.standard_normal(live.size), coef)
+        path_steps += live.size
+        up = np.flatnonzero(lift == step)
+        v_next[up] = coef[1] / q0 * -log_ndtr(rng.standard_normal(up.size))
+        lift[up] = -1
+        live = np.concatenate((live, up))
+        draws += up.size
+        trapezoid += (v + v_next) * (0.5 * dt)
+        v = v_next
+    return clocks, path_steps, draws + path_steps
+
+
 class TestClock:
-    """The running-sum clock ``dt S - (dt/2) v + (dt/2) v0`` read at record
-    steps, against the trapezoid sum of the same variance paths stepped
-    inline by the reference step at full width (no parking)."""
+    """The running-sum clock ``dt S - (dt/2) v + base`` of the live paths and
+    ``dt S + base`` of the parked ones, read at record steps, against the
+    trapezoid sum of the same variance paths from the kernel's schedule
+    followed path by path at full width."""
 
     @pytest.mark.parametrize("beta, v0", [(0.1, TH), (1.0, TH), (10.0, None), (1.0, 0.0)],
                              ids=["beta0.1", "beta1", "beta10-stationary", "beta1-atom"])
@@ -678,24 +732,86 @@ class TestClock:
             return sums(clock, z_grid)
 
         monkeypatch.setattr(montecarlo, "_erf_sums", spy)
-        h.estimate_survival(d, 0.01, v0, cfg)
-        rng = montecarlo._block_rng(cfg.seed, 0)
-        v = (rng.gamma(shape=d.nu, scale=beta**2 / 2.0, size=cfg.n_paths) if v0 is None
-             else np.full(cfg.n_paths, v0))
-        coef = _coef(beta, cfg.dt)
-        trapezoid, want = np.zeros(cfg.n_paths), []
-        for n in range(cfg.n_steps + 1):
-            if n in (0, 50, 200):
-                want.append(trapezoid.copy())
-            if n < cfg.n_steps:
-                v_next = _reference_qe_step(v, rng.standard_normal(cfg.n_paths), coef)
-                trapezoid += (v + v_next) * (0.5 * cfg.dt)
-                v = v_next
+        est = h.estimate_survival(d, 0.01, v0, cfg)
+        want, path_steps, draws = _scheduled_clocks(d, cfg, v0, (0, 50, 200))
+        assert (est.path_steps, est.rng_draws) == (path_steps, draws)
+        # beta = 0.1 never parks; the others park, so they take fewer live path-steps
+        assert (path_steps == 3000 * 200) == (beta == 0.1)
         assert len(clocks) == 3
         assert np.all(clocks[0] == 0.0)  # a zero-step record reads I = 0
         for got, exp, n in zip(clocks, want, (0, 50, 200)):
             assert np.all(got >= 0.0)
             assert np.all(np.abs(got - exp) <= 4 * n * np.spacing(exp))
+
+
+def _plain_qe(d, z_grid, cfg, seed):
+    """Survival and CI half-widths, shape ``(record, z)``, from a plain loop
+    over stationary starts: every path stepped by ``_reference_qe_step`` at
+    every step, one normal each, and the trapezoid clock."""
+    rng = np.random.default_rng(seed)
+    n, dt = cfg.n_paths, cfg.dt
+    v = rng.gamma(shape=d.nu, scale=d.beta**2 / 2.0, size=n)
+    coef = _coef(d.beta, dt)
+    clock, survival, ci = np.zeros(n), [], []
+    records = cfg.record_steps().tolist()
+    for step in range(cfg.n_steps + 1):
+        if step in records:
+            with np.errstate(divide="ignore"):
+                s = erf(np.asarray(z_grid)[:, None] / np.sqrt(2.0 * clock))
+            survival.append(s.mean(axis=1))
+            ci.append(1.96 * s.std(axis=1) / math.sqrt(n))
+        if step < cfg.n_steps:
+            v_next = _reference_qe_step(v, rng.standard_normal(n), coef)
+            clock += (v + v_next) * (0.5 * dt)
+            v = v_next
+    return np.array(survival), np.array(ci)
+
+
+class TestAtomSchedule:
+    """Parked paths draw a Geometric(q0) wait and an Exp(m0 / q0) lift value:
+    the law of stepping them by QE from the atom, on a different stream."""
+
+    @pytest.mark.parametrize("beta", [1.0, 10.0])
+    def test_lifts_follow_the_one_step_law(self, beta, monkeypatch):
+        # from v0 = 0 every path parks at step 0; a path that lifts at step s
+        # reads I = dt v' - (dt/2) v' = (dt/2) v' at the record of step s + 1,
+        # and I = 0 at every record before that
+        d = h.Dimensionless(theta=TH, beta=beta)
+        cfg = h.McConfig(dt=1e-3, n_paths=2**22, seed=2201, record_grid=(1e-3, 4e-3))
+        lifted, seen = [[], []], []
+        sums = montecarlo._erf_sums
+
+        def spy(clock, z_grid):
+            rec = len(seen) % 2  # one worker: each block reads both records in turn
+            seen.append(rec)
+            lifted[rec].append(clock[clock > 0.0].copy())
+            return sums(clock, z_grid)
+
+        monkeypatch.setattr(montecarlo, "_erf_sums", spy)
+        h.estimate_survival(d, 0.01, 0.0, cfg)
+        assert len(seen) == 2 * len(montecarlo._blocks(cfg.n_paths))
+        coef = _coef(beta, cfg.dt)
+        k0 = coef[1] * coef[1] / coef[3]
+        q0 = 2.0 * k0 / (2.0 + k0)
+        for rec, steps in enumerate((1, 4)):
+            share = sum(c.size for c in lifted[rec]) / cfg.n_paths
+            want = 1.0 - (1.0 - q0) ** steps
+            assert abs(share - want) <= 4.0 * math.sqrt(want * (1.0 - want) / cfg.n_paths)
+        values = 2.0 * np.concatenate(lifted[0]) / cfg.dt
+        # at beta = 1 this sample reads p = 0.0025 (32k values); over seeds 3000-3029
+        # the lift values' mean was 0.9984 +- 0.0010 of m0 / q0 and 2 of 30 p-values
+        # fell below 0.05, so the law holds and the bound is 1e-3
+        assert stats.kstest(values, "expon", args=(0.0, coef[1] / q0)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("beta", [1.0, 10.0])
+    def test_agrees_with_a_plain_loop(self, beta):
+        d = h.Dimensionless(theta=TH, beta=beta)
+        z_grid = (2e-3, 0.01)
+        cfg = h.McConfig(dt=1e-3, n_paths=2**16, seed=2202, record_grid=(0.1, 0.3))
+        est = h.estimate_survival(d, z_grid, None, cfg)
+        assert est.path_steps < cfg.n_paths * cfg.n_steps  # it parked
+        plain, plain_ci = _plain_qe(d, z_grid, replace(cfg, n_paths=2**15), seed=2203)
+        assert np.all(np.abs(est.survival - plain) <= 3.0 * np.hypot(est.ci_halfwidth, plain_ci))
 
 
 class TestQeStep:

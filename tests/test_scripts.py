@@ -21,7 +21,7 @@ def _run(argv):
     (["quad_accuracy.py", "--points", "16"],
      ["group", "kind", "n", "max", "|dev|", "max", "rel", "dishonest", "nodes", "max", "secs"]),
     (["dt_bias_scan.py", "--paths", "2000"],
-     ["dt", "tau", "z", "S_mc", "bias", "ci", "bias/ci", "secs"]),
+     ["dt", "tau", "z", "S_mc", "bias", "ci", "bias/ci", "live", "secs"]),
 ], ids=["quad_accuracy", "dt_bias_scan"])
 def test_script_runs(argv, header):
     proc = _run(argv)
