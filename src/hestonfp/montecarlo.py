@@ -252,12 +252,10 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     paths are kept sorted by lift step, so a step pops a contiguous head.
     """
     rng = _block_rng(cfg.seed, block)
-    draws = 0
     if v0 is None:
-        v = rng.gamma(shape=d.nu, scale=d.beta**2 / 2.0, size=n_block)
-        draws += n_block
+        v, draws = rng.gamma(shape=d.nu, scale=d.beta**2 / 2.0, size=n_block), n_block
     else:
-        v = np.full(n_block, float(v0))
+        v, draws = np.full(n_block, float(v0)), 0
     # one step's conditional mean m = e v + m0 and half variance s2 / 2 = s1 v + s0
     e = math.exp(-cfg.dt)
     m0 = d.theta * -math.expm1(-cfg.dt)
@@ -274,7 +272,8 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
                np.empty(n_block, dtype=bool))
     # the trapezoid clock I = dt S - (dt/2) v + base, base = (dt/2) v0, from the running
     # sum S of v'; it needs no clamp at 0: S >= v after rounding, so fl(dt S) >= fl(dt v / 2)
-    total, base, path = np.zeros(n_block), half_dt * v, np.arange(n_block)
+    base = half_dt * v if v0 is None else np.broadcast_to(half_dt * float(v0), n_block)
+    total, path = np.zeros(n_block), np.arange(n_block, dtype=np.int32)
     # live path i is path[i]; parked path p has key lift step * n_block + p and sum parked[p]
     keys, parked = np.empty(0, dtype=np.int64), np.empty(n_block)
     sums = np.empty((len(steps), z_grid.size, 2))
@@ -289,9 +288,9 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
                     p = path[:n][atom]
                     parked[p] = total[:n][atom]
                     wait = np.floor(log_ndtr(take(p.size)) / math.log1p(-q0))
-                    lifts = (step + np.minimum(wait, n_steps).astype(np.int64)) * n_block + p
+                    due = (step + np.minimum(wait, n_steps).astype(np.int64)) * n_block + p
                     # two sorted runs: the stable sort merges them in one pass
-                    keys = np.concatenate((keys, np.sort(lifts)))
+                    keys = np.concatenate((keys, np.sort(due)))
                     keys.sort(kind="stable")
                     keep = np.flatnonzero(np.logical_not(atom, out=atom))
                     n = keep.size
@@ -310,13 +309,13 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
                     draws += up
             done = stop
             # a parked path's v is 0, so its clock is dt S + base
-            clock, live, p = scratch[0], scratch[0][:n], keys % n_block
+            live, off, tmp, p = scratch[0][:n], scratch[0][n:], scratch[2], keys % n_block
             np.multiply(total[:n], cfg.dt, out=live)
-            live -= np.multiply(v[:n], half_dt, out=scratch[2][:n])
-            live += base[path[:n]]
-            np.multiply(parked[p], cfg.dt, out=clock[n:])
-            np.add(clock[n:], base[p], out=clock[n:])
-            sums[rec] = _erf_sums(clock, z_grid)
+            live -= np.multiply(v[:n], half_dt, out=tmp[:n])
+            live += np.take(base, path[:n], out=tmp[:n])
+            np.multiply(np.take(parked, p, out=off), cfg.dt, out=off)
+            off += np.take(base, p, out=tmp[n:])
+            sums[rec] = _erf_sums(scratch[0], z_grid)
     return sums, path_steps, draws + path_steps
 
 

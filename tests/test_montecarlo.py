@@ -815,10 +815,11 @@ class TestAtomSchedule:
 
 
 class TestQeStep:
-    """The facts that let the exponential branch run on every path that takes
-    it: a path on the atom with ``Z >= z_atom`` stays there and one with
-    ``Z < ndtri(q0)`` leaves it, and off the atom (where q < 0.8) no path
-    with ``Z >= ndtri(0.8)`` moves."""
+    """Facts of the exponential branch: a path on the atom with
+    ``Z >= ndtri(q0) + 1e-9`` stays there and one with ``Z < ndtri(q0)``
+    leaves it, so it leaves with probability q0 a step, the law parked paths
+    draw their waits from; and off the atom (where q < 0.8) no path with
+    ``Z >= ndtri(0.8)`` moves."""
 
     @pytest.mark.parametrize("beta", [0.3, 1.0, 10.0])
     @pytest.mark.parametrize("dt", [1e-3, 1e-2])
@@ -827,7 +828,7 @@ class TestQeStep:
         k0 = coef[1] ** 2 / coef[3]
         assert k0 < montecarlo._K_SWITCH
         z_q = ndtri(2.0 * k0 / (2.0 + k0))
-        z_atom = z_q + 1e-9  # as _block computes it
+        z_atom = z_q + 1e-9
         near = [np.nextafter(z_q, -np.inf), z_q, np.nextafter(z_atom, -np.inf), z_atom]
         normal = np.concatenate([np.linspace(-8.0, 8.0, 16001),
                                  z_q + np.linspace(-1e-8, 1e-8, 2001), near])
