@@ -37,7 +37,6 @@ def scan(beta: float, zs, taus, dts, n_paths: int, seed: int):
         cfg = h.McConfig(dt=dt, n_paths=n_paths, seed=seed, record_grid=tuple(taus))
         est = h.estimate_survival(d, zs, None, cfg)
         secs = time.time() - t0
-        # the share of path-steps taken live: below 1 where paths park on the atom
         live = est.path_steps / (n_paths * cfg.n_steps)
         for tau, s_row, ci_row, t_row in zip(taus, est.survival, est.ci_halfwidth, targets):
             for z, s, ci, target in zip(zs, s_row, ci_row, t_row):
