@@ -275,7 +275,7 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     base = half_dt * v if v0 is None else np.broadcast_to(half_dt * float(v0), n_block)
     total, path = np.zeros(n_block), np.arange(n_block, dtype=np.int32)
     # live path i is path[i]; parked path p has key lift step * n_block + p and sum parked[p]
-    keys, parked = np.empty(0, dtype=np.int64), np.empty(n_block)
+    keys, parked = np.empty(0, dtype=np.int64), np.empty(0)
     sums = np.empty((len(steps), z_grid.size, 2))
     done = path_steps = 0
     # the drawer's first chunk is drawn after the Gamma start draw above
@@ -286,6 +286,7 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
                 atom = scratch[3][:n]
                 if parkable and 2 * np.count_nonzero(np.equal(v[:n], 0.0, out=atom)) > n:
                     p = path[:n][atom]
+                    parked = parked if parked.size else np.empty(n_block)
                     parked[p] = total[:n][atom]
                     wait = np.floor(log_ndtr(take(p.size)) / math.log1p(-q0))
                     due = (step + np.minimum(wait, n_steps).astype(np.int64)) * n_block + p
