@@ -22,9 +22,9 @@ import numpy as np
 from scipy.special import erf, erfc
 
 from .core import (Dimensionless, _float_or_array, _nonnegative_arrays, _positive_arrays,
-                   _variance_scale, _with_boundaries)
+                   _with_boundaries, variance_scale)
 from .errors import DivisionDomain, InsufficientData, NoRoot
-from .quadrature import QuadConfig, _wiener, survival
+from .quadrature import QuadConfig, survival
 
 __all__ = [
     "Regime",
@@ -105,9 +105,8 @@ def survival_erf(z, v, tau, theta):
     Meets both the barrier condition (0 at z=0) and the initial condition
     (1 at tau=0, v=0).
     """
-    z, v, tau = _nonnegative_arrays(z=z, v=v, tau=tau)
-    _positive_arrays(theta=theta)
-    return _with_boundaries(z, _variance_scale(tau, v, theta), lambda z, lam: erf(z / np.sqrt(lam)))
+    z, = _nonnegative_arrays(z=z)
+    return _with_boundaries(z, variance_scale(tau, v, theta), lambda z, lam: erf(z / np.sqrt(lam)))
 
 
 def survival_arctan(z, v, tau, theta, beta):
@@ -128,10 +127,10 @@ def survival_pheno(z, v, tau, theta, beta, use_beta_factor: bool = False):
     long-time limit of the large-beta expansion suggests but the baseline
     form omits; the default stays with the baseline.
     """
-    z, v, tau = _nonnegative_arrays(z=z, v=v, tau=tau)
-    _positive_arrays(theta=theta, beta=beta)
+    z, = _nonnegative_arrays(z=z)
+    _positive_arrays(beta=beta)
     factor = 2.0 * beta if use_beta_factor else 2.0
-    return _with_boundaries(z, _variance_scale(tau, v, theta),
+    return _with_boundaries(z, variance_scale(tau, v, theta),
                             lambda z, lam: (2.0 / np.pi) * np.arctan(factor * z / lam))
 
 
@@ -141,9 +140,7 @@ def survival_avg_erf(z, tau, theta):
     Independent of beta by construction: the constant-volatility baseline
     at the long-run variance level.
     """
-    z, tau = _nonnegative_arrays(z=z, tau=tau)
-    theta, = _positive_arrays(theta=theta)
-    return _wiener(z, theta, tau)
+    return survival_erf(z, 0.0, tau, theta)
 
 
 def survival_avg_arctan(z, tau, theta, beta):

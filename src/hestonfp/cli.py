@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .core import Dimensionless, ModelParams, _variance_scale
+from .core import Dimensionless, ModelParams, variance_scale
 from .errors import (ConfigError, DivisionDomain, HestonFPError, NoRoot,
                      NonConvergence, ParameterError)
 from .quadrature import QuadConfig, survival, survival_wiener
@@ -341,7 +341,7 @@ _COLUMNS = {
     "arctan_averaged": lambda z, v, tau, d: asy.survival_avg_arctan(z, tau, d.theta, d.beta),
     "wiener": lambda z, v, tau, d: survival_wiener(z, d.theta, tau),
     "tail_gaussian": lambda z, v, tau, d:
-        1.0 - asy.tail_gaussian_hitting(z, _variance_scale(tau, v, d.theta)),
+        1.0 - asy.tail_gaussian_hitting(z, variance_scale(tau, v, d.theta)),
     "tail_powerlaw": lambda z, v, tau, d: 1.0 - asy.tail_powerlaw_hitting(z, tau, d.theta, d.beta),
 }
 

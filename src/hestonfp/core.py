@@ -20,6 +20,8 @@ in two phases.  First, a numeric argument outside its domain (NaN, an
 infinity, a negative value, or zero where it must be > 0) anywhere in a grid
 raises :class:`ParameterError` before anything is computed; only
 :func:`_nonnegative_arrays` and :func:`_positive_arrays` make that check.
+A public function checks, before it evaluates anything, only the inputs
+it does not pass on to another public function, so each is checked once.
 Then :class:`NonConvergence`, :class:`NoRoot` and :class:`DivisionDomain`
 mean a numerical failure on valid input, the one a loop over the grid's
 points would meet first.  :class:`ConfigError` is kept for malformed config
@@ -307,12 +309,7 @@ def variance_scale(tau, v, theta: float):
     """
     tau, v = _nonnegative_arrays(tau=tau, v=v)
     _positive_arrays(theta=theta)
-    return _float_or_array(_variance_scale(tau, v, theta))
-
-
-def _variance_scale(tau, v, theta):
-    """:func:`variance_scale` of inputs already checked."""
-    return 2.0 * theta * tau - 2.0 * np.expm1(-tau) * v
+    return _float_or_array(2.0 * theta * tau - 2.0 * np.expm1(-tau) * v)
 
 
 def second_moment(tau, v, theta: float):

@@ -28,7 +28,8 @@ sit there, those paths are parked: each draws its wait on the atom and,
 when it lifts, its lift value, which is the law of stepping it, so a parked
 path costs one draw per excursion, not one per step (see :func:`_block`).
 The normals come from a FIFO that one helper thread per block fills in
-chunks of ``2**16``, one chunk ahead of the takes, so the draws (which
+chunks of ``2**16``, one chunk ahead of the takes but never past two
+normals per path-step (a path's most in one step), so the draws (which
 release the GIL) overlap the step arithmetic when a core is free; with
 ``workers`` blocks at once that is up to ``2 * workers`` threads.  Where
 nothing parks, the stream and every output bit are those of drawing each
@@ -210,13 +211,15 @@ def _qe_step(v: np.ndarray, normal: np.ndarray, out: np.ndarray, scratch, coef) 
         out[idx] = m[idx] / q * np.maximum(np.log(q) - log_ndtr(normal[idx]), 0.0)
 
 
-def _fifo(rng: np.random.Generator, drawer):
+def _fifo(rng: np.random.Generator, drawer, bound: int):
     """``take(n)``: the next ``n`` standard normals of ``rng``, the ones that
     inline ``rng.standard_normal`` calls of the same counts give, for any
-    sequence of counts.  ``drawer`` (a one-thread executor) draws the stream
-    in chunks of ``_BLOCK``, one chunk ahead of the takes."""
-    pending = drawer.submit(rng.standard_normal, _BLOCK)
-    chunk, at = np.empty(0), 0
+    sequence of counts taking at most ``bound`` in all.  ``drawer`` (a
+    one-thread executor) draws the first ``bound`` normals of the stream in
+    chunks of ``_BLOCK``, one chunk ahead of the takes."""
+    chunks = (drawer.submit(rng.standard_normal, min(_BLOCK, bound - i))
+              for i in range(0, bound, _BLOCK))
+    pending, chunk, at = next(chunks, None), np.empty(0), 0
 
     def take(n: int) -> np.ndarray:
         nonlocal chunk, at, pending
@@ -226,7 +229,7 @@ def _fifo(rng: np.random.Generator, drawer):
                 parts.append(chunk[at:])
                 n -= chunk.size - at
             chunk, at = pending.result(), 0
-            pending = drawer.submit(rng.standard_normal, _BLOCK)
+            pending = next(chunks, None)
         at += n
         return np.concatenate([*parts, chunk[at - n:at]]) if parts else chunk[at - n:at]
     return take
@@ -278,9 +281,10 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     keys, parked = np.empty(0, dtype=np.int64), np.empty(0)
     sums = np.empty((len(steps), z_grid.size, 2))
     done = path_steps = 0
-    # the drawer's first chunk is drawn after the Gamma start draw above
+    # the drawer's first chunk is drawn after the Gamma start draw above; a path takes
+    # at most one normal a step, or two on a step where it parks and lifts again
     with ThreadPoolExecutor(max_workers=1) as drawer, np.errstate(invalid="ignore"):
-        take = _fifo(rng, drawer)
+        take = _fifo(rng, drawer, 2 * n_block * n_steps)
         for rec, stop in enumerate(steps.tolist()):
             for step in range(done, stop):
                 atom = scratch[3][:n]

@@ -318,11 +318,6 @@ def survival_wiener(z, sigma_sq, t):
     """
     z, t = _nonnegative_arrays(z=z, t=t)
     sigma_sq, = _positive_arrays(sigma_sq=sigma_sq)
-    return _wiener(z, sigma_sq, t)
-
-
-def _wiener(z, sigma_sq, t):
-    """:func:`survival_wiener` of inputs already checked."""
     return _with_boundaries(z, t, lambda z, t: erf(z / np.sqrt(2.0 * sigma_sq * t)))
 
 

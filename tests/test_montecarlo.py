@@ -482,7 +482,7 @@ class TestNormalStream:
         want = montecarlo._block_rng(99, 3)
         rng = montecarlo._block_rng(99, 3)
         with ThreadPoolExecutor(max_workers=1) as drawer:
-            take = montecarlo._fifo(rng, drawer)
+            take = montecarlo._fifo(rng, drawer, sum(counts))
             # kept uncopied: a take stays valid after later ones
             got = [take(n) for n in counts]
         for z, n in zip(got, counts):
@@ -496,6 +496,29 @@ class TestNormalStream:
 
 
 class TestDrawerThreads:
+    @pytest.mark.parametrize("beta,v0", [(0.1, TH), (1.0, None)], ids=["fixed", "parked"])
+    def test_a_call_draws_at_most_two_normals_per_path_step(self, beta, v0, monkeypatch):
+        # a path takes at most one normal a step, or two where it parks and lifts again
+        drawn = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, n):
+                drawn.append(n)
+                return self.rng.standard_normal(n)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        block_rng = montecarlo._block_rng
+        monkeypatch.setattr(montecarlo, "_block_rng", lambda *a: Counting(block_rng(*a)))
+        cfg = h.McConfig(n_paths=8, seed=5, record_grid=(0.01,))
+        est = h.estimate_survival(h.Dimensionless(TH, beta), 0.01, v0, cfg)
+        taken = est.rng_draws - (8 if v0 is None else 0)
+        assert 0 < taken <= sum(drawn) <= 2 * 8 * 10
+
     def test_no_thread_outlives_a_call(self, dfig):
         before = threading.active_count()
         cfg = h.McConfig(n_paths=2**16 + 17, seed=2, record_grid=(0.005,))
