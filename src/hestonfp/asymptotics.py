@@ -120,18 +120,14 @@ def survival_arctan(z, v, tau, theta, beta):
                             lambda z, denom: (2.0 / np.pi) * np.arctan(beta * z / denom))
 
 
-def survival_pheno(z, v, tau, theta, beta, use_beta_factor: bool = False):
+def survival_pheno(z, v, tau, theta):
     """Semi-phenomenological interpolation ``(2/pi) * arctan(2 z / variance_scale)``.
 
-    With ``use_beta_factor`` the numerator gains a factor ``beta``, which the
-    long-time limit of the large-beta expansion suggests but the baseline
-    form omits; the default stays with the baseline.
-    """
+    The other candidate, with a factor ``beta`` in the numerator (the
+    large-beta long-time limit), is this form at ``beta * z``."""
     z, = _nonnegative_arrays(z=z)
-    _positive_arrays(beta=beta)
-    factor = 2.0 * beta if use_beta_factor else 2.0
     return _with_boundaries(z, variance_scale(tau, v, theta),
-                            lambda z, lam: (2.0 / np.pi) * np.arctan(factor * z / lam))
+                            lambda z, lam: (2.0 / np.pi) * np.arctan(2.0 * z / lam))
 
 
 def survival_avg_erf(z, tau, theta):
@@ -191,19 +187,17 @@ def risk_ratio(z, tau, d: Dimensionless, config: QuadConfig | None = None):
     return _float_or_array((num / denom).reshape(zs.shape))
 
 
-def ratio_asymptote(z, theta_tau, beta=None):
+def ratio_asymptote(z, theta_tau):
     """Large-``z`` growth law of the risk ratio:
-    ``sqrt(pi*theta_tau/2) * exp(z**2 / (2*theta_tau))``, divided by ``beta``
-    when one is supplied (the variant the power-law tail actually implies).
+    ``sqrt(pi*theta_tau/2) * exp(z**2 / (2*theta_tau))``; the power-law tail
+    implies it divided by ``beta``, the other candidate.
 
-    ``z`` must be finite and >= 0, ``theta_tau`` and ``beta`` finite and > 0;
-    past the largest float the law is ``inf``."""
+    ``z`` must be finite and >= 0, ``theta_tau`` finite and > 0; past the
+    largest float the law is ``inf``."""
     z, = _nonnegative_arrays(z=z)
     theta_tau, = _positive_arrays(theta_tau=theta_tau)
-    scale = 1.0 if beta is None else _positive_arrays(beta=beta)[0]
     with np.errstate(over="ignore"):
-        return _float_or_array(np.sqrt(np.pi * theta_tau / 2.0)
-                               * np.exp(z * z / 2.0 / theta_tau) / scale)
+        return _float_or_array(np.sqrt(np.pi * theta_tau / 2.0) * np.exp(z * z / 2.0 / theta_tau))
 
 
 def _crossing_gap(l, beta, theta_tau):

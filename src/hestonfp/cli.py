@@ -51,7 +51,9 @@ DEFAULT_PARAMS = ModelParams(alpha=0.045, m_sq=8.62e-5, k=0.0045)
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Fully resolved description of one CLI run."""
+    """Fully resolved description of one CLI run.  It checks its grids itself:
+    ``approx`` reads ``--v`` for every method, but ``wiener``, ``erf_avg``,
+    ``arctan_avg`` and ``tail_powerlaw`` pass it to no checked function."""
 
     command: str
     params: ModelParams | Dimensionless
@@ -76,14 +78,18 @@ class RunSpec:
             raise ParameterError(f"figure: unknown figure {self.figure!r} (fig1..fig10)")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"--format: must be csv or json, got {self.output_format!r}")
-        for name, grid in (("--z", self.z), ("--v", self.v), ("--tau", self.tau),
-                           ("--theta-tau", self.theta_tau), ("--beta", self.beta_grid)):
+        grids = (("--z", self.z), ("--v", self.v), ("--tau", self.tau),
+                 ("--theta-tau", self.theta_tau), ("--beta", self.beta_grid))
+        # every negative value first (-inf too), in the order parsing the flags met them
+        for name, grid in grids:
+            for value in grid:
+                if value < 0.0:
+                    raise ParameterError(f"{name}: must be >= 0, got {value!r}")
+        for name, grid in grids:
             for value in grid:
                 if not math.isfinite(value):
                     raise ParameterError(f"{name}: grid values must be finite")
-        for name, grid in (("--theta-tau", self.theta_tau), ("--beta", self.beta_grid)):
-            for value in grid:
-                if value <= 0.0:
+                if value <= 0.0 and name in ("--theta-tau", "--beta"):
                     raise ParameterError(f"{name}: must be > 0, got {value!r}")
 
     @property
@@ -119,8 +125,6 @@ def _parse_grid(key: str, text: str) -> tuple[float, ...]:
         value = float(text)
     except ValueError:
         raise ParameterError(f"{flag}: not a number or grid: {text!r}") from None
-    if value < 0.0:
-        raise ParameterError(f"{flag}: must be >= 0, got {value!r}")
     return (value,)
 
 
@@ -334,9 +338,9 @@ _COLUMNS = {
     "averaged": lambda z, v, tau, d: survival(z, tau, d, None, _QUAD_CONFIG).value,
     "erf_joint": lambda z, v, tau, d: asy.survival_erf(z, v, tau, d.theta),
     "arctan_joint": lambda z, v, tau, d: asy.survival_arctan(z, v, tau, d.theta, d.beta),
-    "pheno": lambda z, v, tau, d: asy.survival_pheno(z, v, tau, d.theta, d.beta),
-    "pheno_beta": lambda z, v, tau, d: asy.survival_pheno(z, v, tau, d.theta, d.beta,
-                                                          use_beta_factor=True),
+    "pheno": lambda z, v, tau, d: asy.survival_pheno(z, v, tau, d.theta),
+    # the candidate with a factor beta in the numerator: 2 (beta z) rounds as (2 beta) z
+    "pheno_beta": lambda z, v, tau, d: asy.survival_pheno(d.beta * z, v, tau, d.theta),
     "erf_averaged": lambda z, v, tau, d: asy.survival_avg_erf(z, tau, d.theta),
     "arctan_averaged": lambda z, v, tau, d: asy.survival_avg_arctan(z, tau, d.theta, d.beta),
     "wiener": lambda z, v, tau, d: survival_wiener(z, d.theta, tau),
@@ -487,8 +491,9 @@ def _figure_fig10(spec: RunSpec):
     tau = 3.0
     theta_tau = d.theta * tau
     zs = np.logspace(-3, math.log10(0.6), 48)
+    # the growth law divided by beta, the candidate that the power-law tail implies
     return ["z", "ratio", "asymptote"], [
-        zs, asy.risk_ratio(zs, tau, d, _QUAD_CONFIG), asy.ratio_asymptote(zs, theta_tau, d.beta)]
+        zs, asy.risk_ratio(zs, tau, d, _QUAD_CONFIG), asy.ratio_asymptote(zs, theta_tau) / d.beta]
 
 
 # Each figure and the fields it reads: fig1 alone simulates; fig2 to fig10 set beta

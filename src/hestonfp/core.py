@@ -19,7 +19,8 @@ Errors, for every public function and model dataclass of the package, come
 in two phases.  First, a numeric argument outside its domain (NaN, an
 infinity, a negative value, or zero where it must be > 0) anywhere in a grid
 raises :class:`ParameterError` before anything is computed; only
-:func:`_nonnegative_arrays` and :func:`_positive_arrays` make that check.
+:func:`_nonnegative_arrays` and :func:`_positive_arrays` make that check
+(and ``cli.RunSpec``: some ``approx`` methods never check its ``--v``).
 A public function checks, before it evaluates anything, only the inputs
 it does not pass on to another public function, so each is checked once.
 Then :class:`NonConvergence`, :class:`NoRoot` and :class:`DivisionDomain`

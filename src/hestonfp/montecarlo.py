@@ -75,9 +75,11 @@ def _checked_int(name: str, value, low: int, high: int | None = None) -> int:
 class McConfig:
     """Simulation settings.
 
-    ``record_grid`` lists the times at which survival is read off;
-    ``horizon`` defaults to the last record time.  Every time above 0 must
-    be a positive multiple of ``dt``, to within 1e-9 of a step.
+    ``record_grid`` lists the times at which survival is read off, and the
+    simulation ends at the last of them, ``horizon``.  ``horizon`` alone is
+    short for ``record_grid=(horizon,)``; given with a ``record_grid``, it
+    must be its last time.  Every time above 0 must be a positive multiple
+    of ``dt``, to within 1e-9 of a step.
     """
 
     dt: float = 1e-3
@@ -96,35 +98,32 @@ class McConfig:
             raise ConfigError("record_grid entries must be finite and >= 0")
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise ConfigError("record_grid must be sorted ascending")
-        object.__setattr__(self, "record_grid", grid)
-        horizon = self.horizon if self.horizon is not None else (grid[-1] if grid else None)
-        if horizon is None:
+        if self.horizon is None and not grid:
             raise ConfigError("either horizon or a nonempty record_grid is required")
-        horizon = float(horizon)
+        horizon = float(self.horizon) if self.horizon is not None else grid[-1]
         if not 0.0 < horizon < math.inf:
             raise ConfigError("horizon must be finite and > 0")
-        if grid and grid[-1] > horizon * (1.0 + 1e-12):
-            raise ConfigError("record_grid extends past the horizon")
-        object.__setattr__(self, "horizon", horizon)
-        if not grid:
-            object.__setattr__(self, "record_grid", (horizon,))
-        if not horizon / self.dt < math.inf:
+        grid = grid or (horizon,)
+        if not max(horizon, grid[-1]) / self.dt < math.inf:
             raise ConfigError("horizon / dt overflows a float")
-        times = np.array((horizon, *self.record_grid))
+        times = np.array((horizon, *grid))
         steps = np.round(times / self.dt)
         off = (np.abs(times / self.dt - steps) > 1e-9) | ((steps == 0.0) & (times > 0.0))
         if off.any():
             raise ConfigError(f"time {float(times[off][0])!r} is not a positive multiple of "
                               f"dt = {self.dt!r}; the nearest step time is "
                               f"{float(steps[off][0]) * self.dt!r}")
+        if steps[0] != steps[-1]:
+            raise ConfigError(f"horizon {horizon!r} is not the last record time {grid[-1]!r}")
+        object.__setattr__(self, "record_grid", grid)
+        object.__setattr__(self, "horizon", grid[-1])
 
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
 
     def record_steps(self) -> np.ndarray:
-        steps = np.minimum(np.round(np.asarray(self.record_grid) / self.dt), self.n_steps)
-        return steps.astype(np.int64)
+        return np.round(np.asarray(self.record_grid) / self.dt).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -75,19 +75,20 @@ class TestArctanRegime:
 
 class TestPheno:
     def test_boundary_and_initial(self):
-        assert h.survival_pheno(0.0, TH, 0.5, TH, 1.0) == 0.0
-        assert h.survival_pheno(0.01, 0.0, 0.0, TH, 1.0) == 1.0
+        assert h.survival_pheno(0.0, TH, 0.5, TH) == 0.0
+        assert h.survival_pheno(0.01, 0.0, 0.0, TH) == 1.0
 
     def test_long_time_limit_drops_beta(self):
-        # default (printed) form tends to (2/pi) arctan(z/(theta*tau))
+        # the printed form tends to (2/pi) arctan(z/(theta*tau))
         tau = 1e8
-        got = h.survival_pheno(0.01, TH, tau, TH, beta=7.0)
+        got = h.survival_pheno(0.01, TH, tau, TH)
         want = (2.0 / math.pi) * math.atan(0.01 / (TH * tau))
         assert math.isclose(got, want, rel_tol=1e-7)
 
     def test_beta_factor_variant_matches_averaged_arctan_long_time(self):
         tau = 1e8
-        got = h.survival_pheno(0.01, TH, tau, TH, beta=7.0, use_beta_factor=True)
+        # the candidate with a factor beta in the numerator: the form at beta*z
+        got = h.survival_pheno(7.0 * 0.01, TH, tau, TH)
         want = h.survival_avg_arctan(0.01, tau, TH, 7.0)
         assert math.isclose(got, want, rel_tol=1e-7)
 
@@ -193,7 +194,7 @@ class TestRiskRatio:
         d = h.Dimensionless(TH, 10.0)
         tt = TH * 3.0
         for z in (0.4, 0.5, 0.6):
-            ratio = h.risk_ratio(z, 3.0, d) / h.ratio_asymptote(z, tt, beta=10.0)
+            ratio = h.risk_ratio(z, 3.0, d) / (h.ratio_asymptote(z, tt) / 10.0)
             assert 0.5 <= ratio <= 2.0  # measured 0.64-0.66
 
     def test_division_domain_signalled(self):
@@ -226,20 +227,19 @@ class TestRiskRatio:
 
     def test_asymptote_broadcasts(self):
         z, tt = np.geomspace(1e-3, 0.6, 12), np.array([[TH], [3.0 * TH]])
-        for beta in (None, 10.0):
-            got = h.ratio_asymptote(z, tt, beta)
-            assert got.shape == (2, 12)
-            for (i, j), r in np.ndenumerate(got):
-                one = h.ratio_asymptote(float(z[j]), float(tt[i, 0]), beta)
-                assert type(one) is float and r == one
-                t = float(tt[i, 0])
-                want = math.sqrt(math.pi * t / 2.0) * math.exp(z[j] * z[j] / (2.0 * t))
-                assert math.isclose(r, want / (beta or 1.0), rel_tol=1e-15)
+        got = h.ratio_asymptote(z, tt)
+        assert got.shape == (2, 12)
+        for (i, j), r in np.ndenumerate(got):
+            one = h.ratio_asymptote(float(z[j]), float(tt[i, 0]))
+            assert type(one) is float and r == one
+            t = float(tt[i, 0])
+            want = math.sqrt(math.pi * t / 2.0) * math.exp(z[j] * z[j] / (2.0 * t))
+            assert math.isclose(r, want, rel_tol=1e-15)
 
     @pytest.mark.parametrize("args", [(0.1, 0.0), (0.1, -1.0), (0.1, math.nan), (0.1, math.inf),
                                       (-0.1, 1.0), (math.nan, 1.0), (math.inf, 1.0),
-                                      (0.1, 1.0, 0.0), (0.1, 1.0, -1.0), (0.1, 1.0, math.nan),
-                                      (np.array([0.1, -0.1]), 1.0)])
+                                      (0.1, -math.inf), (-math.inf, 1.0),
+                                      (0.1, np.array([1.0, 0.0])), (np.array([0.1, -0.1]), 1.0)])
     def test_asymptote_rejects_bad_input(self, args):
         # gave ZeroDivisionError, a math domain ValueError, or NaN
         with pytest.raises(h.ParameterError):
@@ -250,7 +250,7 @@ class TestRiskRatio:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert h.ratio_asymptote(1.0, 1e-5) == math.inf
-            assert h.ratio_asymptote(1e200, 1e308, 1e-300) == math.inf
+            assert h.ratio_asymptote(1e200, 1e308) == math.inf
 
 
 class TestCrossingLevel:
@@ -373,8 +373,8 @@ def test_all_approximations_bounded(z, v, tau, beta):
     values = [
         h.survival_erf(z, v, tau, TH),
         h.survival_arctan(z, v, tau, TH, beta),
-        h.survival_pheno(z, v, tau, TH, beta),
-        h.survival_pheno(z, v, tau, TH, beta, use_beta_factor=True),
+        h.survival_pheno(z, v, tau, TH),
+        h.survival_pheno(beta * z, v, tau, TH),
         h.survival_avg_erf(z, tau, TH),
         h.survival_avg_arctan(z, tau, TH, beta),
     ]
@@ -387,9 +387,8 @@ def test_all_approximations_bounded(z, v, tau, beta):
 CLOSED_FORMS = {
     "erf": (lambda z, v, tau: h.survival_erf(z, v, tau, TH), "zvt"),
     "arctan": (lambda z, v, tau: h.survival_arctan(z, v, tau, TH, 10.0), "zvt"),
-    "pheno": (lambda z, v, tau: h.survival_pheno(z, v, tau, TH, 10.0), "zvt"),
-    "pheno_beta": (lambda z, v, tau: h.survival_pheno(z, v, tau, TH, 10.0,
-                                                      use_beta_factor=True), "zvt"),
+    "pheno": (lambda z, v, tau: h.survival_pheno(z, v, tau, TH), "zvt"),
+    "pheno_beta": (lambda z, v, tau: h.survival_pheno(10.0 * z, v, tau, TH), "zvt"),
     "avg_erf": (lambda z, v, tau: h.survival_avg_erf(z, tau, TH), "zt"),
     "avg_arctan": (lambda z, v, tau: h.survival_avg_arctan(z, tau, TH, 10.0), "zt"),
     "wiener": (lambda z, v, tau: h.survival_wiener(z, TH, tau), "zt"),
@@ -442,7 +441,7 @@ def test_survival_forms_reject_bad_input(data, bad, as_array, good):
 _FORM_PARAMETERS = {
     "erf": (h.survival_erf, (0.01, TH, 0.5), {"theta": TH}),
     "arctan": (h.survival_arctan, (0.01, TH, 0.5), {"theta": TH, "beta": 10.0}),
-    "pheno": (h.survival_pheno, (0.01, TH, 0.5), {"theta": TH, "beta": 10.0}),
+    "pheno": (h.survival_pheno, (0.01, TH, 0.5), {"theta": TH}),
     "avg_erf": (h.survival_avg_erf, (0.01, 0.5), {"theta": TH}),
     "avg_arctan": (h.survival_avg_arctan, (0.01, 0.5), {"theta": TH, "beta": 10.0}),
 }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hestonfp as h
-from hestonfp import asymptotics, cli, core
+from hestonfp import cli, core
 
 TH = 8.62e-5 / 0.045
 D = h.Dimensionless(TH, 10.0)
@@ -17,7 +17,7 @@ Z, V, TAU = np.array([0.01, 0.05]), np.array([TH, 0.0]), np.array([0.5, 3.0])
 # averaged forms pass on
 CALLS = {
     "survival_erf": (lambda: h.survival_erf(Z, V, TAU, TH), "z v tau theta"),
-    "survival_pheno": (lambda: h.survival_pheno(Z, V, TAU, TH, 10.0), "z v tau theta beta"),
+    "survival_pheno": (lambda: h.survival_pheno(Z, V, TAU, TH), "z v tau theta"),
     "survival_avg_erf": (lambda: h.survival_avg_erf(Z, TAU, TH), "z v tau theta"),
     "survival_arctan": (lambda: h.survival_arctan(Z, V, TAU, TH, 10.0), "z v tau theta beta"),
     "survival_avg_arctan": (lambda: h.survival_avg_arctan(Z, TAU, TH, 10.0),
@@ -29,8 +29,8 @@ CALLS = {
 COLUMNS = {
     "erf_joint": "z v tau theta",
     "arctan_joint": "z v tau theta beta",
-    "pheno": "z v tau theta beta",
-    "pheno_beta": "z v tau theta beta",
+    "pheno": "z v tau theta",
+    "pheno_beta": "z v tau theta",
     "erf_averaged": "z v tau theta",
     "arctan_averaged": "z v tau theta beta",
     "wiener": "z sigma_sq t",
@@ -67,11 +67,3 @@ def test_the_column_table_lists_every_closed_form():
 def test_a_closed_form_column_checks_each_input_once(method, checked):
     cli._COLUMNS[method](Z, V, TAU, D)
     assert Counter(checked) == Counter(COLUMNS[method].split())
-
-
-def test_pheno_rejects_beta_before_the_variance_scale_runs(monkeypatch):
-    ran = []
-    monkeypatch.setattr(asymptotics, "variance_scale", lambda *args: ran.append(args))
-    with pytest.raises(h.ParameterError, match="beta"):
-        h.survival_pheno(0.01, TH, 0.5, TH, 0.0)
-    assert ran == []

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import hestonfp.cli as cli
 from hestonfp import (Dimensionless, ModelParams, NonConvergence, ParameterError, QuadConfig,
-                      State, survival, survival_arctan, survival_averaged,
+                      State, crossing_level, ratio_asymptote, risk_ratio, survival,
+                      survival_arctan, survival_averaged,
                       survival_avg_arctan, survival_avg_erf, survival_erf, survival_exact,
                       survival_pheno, survival_wiener,
                       tail_gaussian_hitting, tail_powerlaw_hitting, variance_scale)
@@ -184,9 +185,8 @@ class TestCommands:
         library = {
             "erf": lambda z, v, tau: survival_erf(z, v, tau, th),
             "arctan": lambda z, v, tau: survival_arctan(z, v, tau, th, b),
-            "pheno": lambda z, v, tau: survival_pheno(z, v, tau, th, b),
-            "pheno_beta": lambda z, v, tau: survival_pheno(z, v, tau, th, b,
-                                                           use_beta_factor=True),
+            "pheno": lambda z, v, tau: survival_pheno(z, v, tau, th),
+            "pheno_beta": lambda z, v, tau: survival_pheno(b * z, v, tau, th),
             "erf_avg": lambda z, v, tau: survival_avg_erf(z, tau, th),
             "arctan_avg": lambda z, v, tau: survival_avg_arctan(z, tau, th, b),
             "wiener": lambda z, v, tau: survival_wiener(z, th, tau),
@@ -341,11 +341,22 @@ def _figure_columns(name):
                 "erf": survival_erf(zs, th, 0.5, th)}
     if name == "fig5":
         return {"z": zs, "exact": survival(zs, 0.5, d10, th).value,
-                "pheno": survival_pheno(zs, th, 0.5, th, 10.0),
-                "pheno_beta": survival_pheno(zs, th, 0.5, th, 10.0, use_beta_factor=True)}
+                "pheno": survival_pheno(zs, th, 0.5, th),
+                "pheno_beta": survival_pheno(10.0 * zs, th, 0.5, th)}
+    if name == "fig6":
+        betas = np.logspace(-2, 2, 64)
+        return {"beta": betas, "W_averaged": 1.0 - survival(
+            0.01, 1.0, [Dimensionless(th, beta) for beta in betas], None).value}
     if name == "fig7":
         return {"z": zs, "averaged": survival(zs, 0.5, d10).value,
                 "arctan_averaged": survival_avg_arctan(zs, 0.5, th, 10.0)}
+    if name == "fig9":
+        betas = np.logspace(0, 2, 32)
+        return {"beta": betas, "l_c": crossing_level(betas, 3.0 * th).l_c}
+    if name == "fig10":
+        zs = np.logspace(-3, math.log10(0.6), 48)
+        return {"z": zs, "ratio": risk_ratio(zs, 3.0, d10),
+                "asymptote": ratio_asymptote(zs, 3.0 * th) / 10.0}
     zs = np.logspace(-3, 0, 64)
     return {"z": zs,
             "W_averaged": 1.0 - survival(zs, 3.0, d10).value,
@@ -353,16 +364,18 @@ def _figure_columns(name):
 
 
 class TestFigures:
-    """The curve figures hold exactly what the library computes, cell by cell."""
+    """The quadrature and closed-form figures hold exactly what the library
+    computes, cell by cell."""
 
-    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "fig7", "fig8"])
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+                                      "fig9", "fig10"])
     def test_columns_match_the_library(self, name, tmp_path):
         out = str(tmp_path / f"{name}.csv")
         assert cli.main(["figure", name, "--output", out]) == 0
         header, rows = _read_rows(out)
         want = _figure_columns(name)
         assert header == list(want)
-        assert len(rows) == 64
+        assert len(rows) == len(want[header[0]])
         for column, values in want.items():
             assert [float(row[column]) for row in rows] == list(values), column
 
@@ -627,6 +640,15 @@ class TestExitCodes:
         with pytest.raises(ParameterError, match=f"^{flag}: must be > 0"):
             cli.RunSpec(command="crossing-level", params=DEFAULT_D,
                         **{field: (0.01, 0.0)})
+
+    @pytest.mark.parametrize("field,flag", [("z", "--z"), ("v", "--v"), ("tau", "--tau")])
+    def test_a_hand_built_spec_rejects_a_negative_grid_value(self, field, flag, capsys):
+        # a hand-built RunSpec printed the wiener row at v = -3 (the flag was rejected)
+        with pytest.raises(ParameterError, match=f"^{flag}: must be >= 0, got -3.0$"):
+            cli.RunSpec(command="approx", params=DEFAULT_D, method="wiener",
+                        **{field: (-3.0,)})
+        assert cli.main(["approx", "--method", "wiener", f"{flag}=-3"]) == 2
+        assert capsys.readouterr().err == f"hestonfp: error: {flag}: must be >= 0, got -3.0\n"
 
     def test_missing_required_theta_tau(self, capsys):
         rc = cli.main(["crossing-level", "--beta", "10"])

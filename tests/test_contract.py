@@ -50,8 +50,7 @@ CONTRACT = {
                                             "tau": (0.5, -1.0), "theta": (TH, 0.0),
                                             "beta": (10.0, 0.0)}),
     "survival_pheno": (h.survival_pheno, {"z": (0.01, -1.0), "v": (TH, -1.0),
-                                          "tau": (0.5, -1.0), "theta": (TH, 0.0),
-                                          "beta": (10.0, 0.0)}),
+                                          "tau": (0.5, -1.0), "theta": (TH, 0.0)}),
     "survival_avg_erf": (h.survival_avg_erf, {"z": (0.01, -1.0), "tau": (0.5, -1.0),
                                               "theta": (TH, 0.0)}),
     "survival_avg_arctan": (h.survival_avg_arctan, {"z": (0.01, -1.0), "tau": (0.5, -1.0),
@@ -61,8 +60,7 @@ CONTRACT = {
                                                         "theta": (TH, -1.0),
                                                         "beta": (10.0, 0.0)}),
     "risk_ratio": (lambda z, tau: h.risk_ratio(z, tau, D), {"z": (0.01, 0.0), "tau": (3.0, 0.0)}),
-    "ratio_asymptote": (h.ratio_asymptote, {"z": (0.1, -1.0), "theta_tau": (TH, 0.0),
-                                            "beta": (10.0, 0.0)}),
+    "ratio_asymptote": (h.ratio_asymptote, {"z": (0.1, -1.0), "theta_tau": (TH, 0.0)}),
     "crossing_level": (h.crossing_level, {"beta": (10.0, 0.0), "theta_tau": (5.76e-3, -1.0)}),
     "fit_crossing_laws": (
         lambda beta, theta_tau, l_c: h.fit_crossing_laws([(beta, theta_tau, l_c), *SAMPLES]),

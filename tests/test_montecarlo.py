@@ -51,6 +51,7 @@ class TestConfig:
         {"dt": 1e-300, "horizon": 1e300},  # the step count overflows a float
         {"dt": 0.3, "horizon": 0.45},  # ran 2 steps, to tau = 0.6
         {"dt": 0.3, "record_grid": (0.3, 0.4)},  # read tau = 0.4 at the step of 0.3
+        {"record_grid": (0.1,), "horizon": 1.0},  # reported 1000 steps, simulated 100
     ])
     def test_rejected(self, kw):
         with pytest.raises(h.ConfigError):
@@ -119,6 +120,14 @@ class TestConfig:
     def test_record_defaults_to_horizon(self):
         cfg = h.McConfig(horizon=0.25)
         assert cfg.record_grid == (0.25,)
+
+    @pytest.mark.parametrize("kw", [{"horizon": 0.25}, {"record_grid": (0.1, 0.4)},
+                                    {"record_grid": (0.1, 0.4), "horizon": 0.4}])
+    def test_one_end_time(self, kw):
+        cfg = h.McConfig(**kw)
+        assert cfg.horizon == cfg.record_grid[-1]
+        assert cfg.n_steps == cfg.record_steps()[-1]
+        assert replace(cfg, seed=7) == h.McConfig(**kw, seed=7)
 
     def test_step_count(self):
         cfg = h.McConfig(dt=1e-3, horizon=0.5)
@@ -489,10 +498,9 @@ class TestNormalStream:
             assert np.array_equal(z, want.standard_normal(n))
 
     def test_zero_step_record(self, dfig):
-        cfg = h.McConfig(n_paths=17, seed=1, record_grid=(0.0,), horizon=0.01)
+        cfg = h.McConfig(n_paths=17, seed=1, record_grid=(0.0, 0.01))
         est = h.estimate_survival(dfig, 0.01, TH, cfg)
-        assert est.survival.tolist() == [1.0]
-        assert est.path_steps == 0
+        assert est.survival[0] == 1.0 and est.ci_halfwidth[0] == 0.0
 
 
 class TestDrawerThreads:
