@@ -52,8 +52,7 @@ DEFAULT_PARAMS = ModelParams(alpha=0.045, m_sq=8.62e-5, k=0.0045)
 @dataclass(frozen=True)
 class RunSpec:
     """Fully resolved description of one CLI run.  It checks its grids itself:
-    ``approx`` reads ``--v`` for every method, but ``wiener``, ``erf_avg``,
-    ``arctan_avg`` and ``tail_powerlaw`` pass it to no checked function."""
+    ``approx`` reads ``--v`` for every method, but some never check it."""
 
     command: str
     params: ModelParams | Dimensionless
@@ -339,8 +338,10 @@ _COLUMNS = {
     "erf_joint": lambda z, v, tau, d: asy.survival_erf(z, v, tau, d.theta),
     "arctan_joint": lambda z, v, tau, d: asy.survival_arctan(z, v, tau, d.theta, d.beta),
     "pheno": lambda z, v, tau, d: asy.survival_pheno(z, v, tau, d.theta),
-    # the candidate with a factor beta in the numerator: 2 (beta z) rounds as (2 beta) z
-    "pheno_beta": lambda z, v, tau, d: asy.survival_pheno(d.beta * z, v, tau, d.theta),
+    # the candidate with a factor beta in the numerator: 2 (beta z) rounds as (2 beta) z;
+    # a beta z past the largest float is held there, where 2 (beta z) overflows as before
+    "pheno_beta": np.errstate(over="ignore")(lambda z, v, tau, d: asy.survival_pheno(
+        np.minimum(d.beta * z, np.finfo(float).max), v, tau, d.theta)),
     "erf_averaged": lambda z, v, tau, d: asy.survival_avg_erf(z, tau, d.theta),
     "arctan_averaged": lambda z, v, tau, d: asy.survival_avg_arctan(z, tau, d.theta, d.beta),
     "wiener": lambda z, v, tau, d: survival_wiener(z, d.theta, tau),

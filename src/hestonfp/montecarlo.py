@@ -75,11 +75,10 @@ def _checked_int(name: str, value, low: int, high: int | None = None) -> int:
 class McConfig:
     """Simulation settings.
 
-    ``record_grid`` lists the times at which survival is read off, and the
-    simulation ends at the last of them, ``horizon``.  ``horizon`` alone is
-    short for ``record_grid=(horizon,)``; given with a ``record_grid``, it
-    must be its last time.  Every time above 0 must be a positive multiple
-    of ``dt``, to within 1e-9 of a step.
+    ``record_grid`` lists the times at which survival is read off, and
+    ``horizon`` is the last of them, where the run ends (alone, it is short
+    for ``record_grid=(horizon,)``).  Every time above 0 must be a positive
+    multiple of ``dt``, to within 1e-9 of a step.
     """
 
     dt: float = 1e-3

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,14 @@ class TestCommands:
             for row in rows:
                 z, v, tau = (float(row[c]) for c in ("z", "v", "tau"))
                 assert float(row["S"]) == form(z, v, tau), (method, row)
+
+    def test_pheno_beta_where_beta_z_overflows(self, capsys):
+        # (2 beta) z overflows to inf, and the candidate reads 1, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["approx", "--method", "pheno_beta", "--beta", "7",
+                             "--z", "1e308"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",0.5,1")
 
     @pytest.mark.xfail(strict=True, reason="documented l_c ~ 0.336 within "
                        "10%: the asymptotic-balance root is 0.2406 (see the "
