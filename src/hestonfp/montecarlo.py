@@ -11,29 +11,35 @@ zero (``psi <= 1.5``), and a point mass at zero plus an exponential tail on
 the paths near zero.  ``I`` is the trapezoid rule, kept as a running sum
 ``S`` of the stepped variances and read at a record step as
 ``dt S - (dt/2) v + (dt/2) v0``; every estimate is the path mean of
-``erf(z / sqrt(2 I))`` with the CLT interval ``1.96 * sd / sqrt(n)``.  No
-barrier is monitored, so there is no discrete-monitoring bias to correct,
-and one simulation serves every record time and any number of starting
-distances.
+``erf(z / sqrt(2 I))``.  No barrier is monitored, so there is no
+discrete-monitoring bias to correct, and one simulation serves every record
+time and any number of starting distances.
+
+Antithetic pairs (Glasserman, *Monte Carlo Methods in Financial
+Engineering*, 2004, sec. 4.2): paths ``p`` and ``p + h`` of a block of ``2h``
+or ``2h + 1`` paths take ``Z`` and ``-Z`` of one draw a step, and the odd
+block's last path its own draw, until the block first parks (below); each
+path keeps QE's law.  The interval is the CLT of the pair units, ``1.96
+sqrt(sum_j (u_j - m_j mean)**2) / n`` over the sums ``u_j`` of ``m_j`` paths
+(2 a pair, 1 the lone path), never narrower than an ulp of the estimate a step.
 
 One call, :func:`estimate_survival`, runs it: a scalar ``z0`` or a 1-D grid
 of them, a fixed starting variance ``v0`` or (``v0 = None``) starts drawn
 from the stationary Gamma law, and one :class:`McEstimate` over the
 ``(record time x z)`` grid.
 
-Cost: a step runs only on the live paths and draws one normal for each.
-Where paths on the atom ``v = 0`` take the exponential branch (``2 nu <
-4/3``, so ``psi > 1.5`` at ``v = 0``) and more than half of the live paths
-sit there, those paths are parked: each draws its wait on the atom and,
-when it lifts, its lift value, which is the law of stepping it, so a parked
-path costs one draw per excursion, not one per step (see :func:`_block`).
-The normals come from a FIFO that one helper thread per block fills in
-chunks of ``2**16``, one chunk ahead of the takes but never past two
-normals per path-step (a path's most in one step), so the draws (which
-release the GIL) overlap the step arithmetic when a core is free; with
-``workers`` blocks at once that is up to ``2 * workers`` threads.  Where
-nothing parks, the stream and every output bit are those of drawing each
-step's normals inline.
+Cost: a step runs only on the live paths and draws one normal per pair,
+or per live path once the block has parked.  Where paths on the atom ``v =
+0`` take the exponential branch (``2 nu < 4/3``, so ``psi > 1.5`` at ``v = 0``)
+and more than half of the live paths sit there, those paths are parked:
+each draws its wait on the atom and, when it lifts, its lift value, which is
+the law of stepping it, so a parked path costs one draw per excursion, not
+one per step (see :func:`_block`).  The normals come from a FIFO that one
+helper thread per block fills in chunks of ``2**16``, one chunk ahead of the
+takes but never past two normals per path-step, so the draws (which release
+the GIL) overlap the step arithmetic when a core is free; with ``workers``
+blocks at once that is up to ``2 * workers`` threads.  Where nothing parks,
+the stream and every output bit are those of drawing the normals inline.
 
 Reproducibility: one master seed, an integer in ``[0, 2**64)``; path block
 ``b`` draws from its own SFC64 stream, seeded by ``SeedSequence([seed, b])``,
@@ -88,32 +94,37 @@ class McConfig:
     record_grid: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not 0.0 < self.dt < math.inf:
+        try:
+            dt, grid = float(self.dt), tuple(float(t) for t in self.record_grid)
+            horizon = None if self.horizon is None else float(self.horizon)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"dt, horizon and record_grid must be numbers: {exc}") from None
+        if not 0.0 < dt < math.inf:
             raise ConfigError("dt must be finite and > 0")
         object.__setattr__(self, "n_paths", _checked_int("n_paths", self.n_paths, 1))
         object.__setattr__(self, "seed", _checked_int("seed", self.seed, 0, 2**64))
-        grid = tuple(float(t) for t in self.record_grid)
         if not all(0.0 <= t < math.inf for t in grid):
             raise ConfigError("record_grid entries must be finite and >= 0")
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise ConfigError("record_grid must be sorted ascending")
-        if self.horizon is None and not grid:
+        if horizon is None and not grid:
             raise ConfigError("either horizon or a nonempty record_grid is required")
-        horizon = float(self.horizon) if self.horizon is not None else grid[-1]
+        horizon = grid[-1] if horizon is None else horizon
         if not 0.0 < horizon < math.inf:
             raise ConfigError("horizon must be finite and > 0")
         grid = grid or (horizon,)
-        if not max(horizon, grid[-1]) / self.dt < math.inf:
+        if not max(horizon, grid[-1]) / dt < math.inf:
             raise ConfigError("horizon / dt overflows a float")
         times = np.array((horizon, *grid))
-        steps = np.round(times / self.dt)
-        off = (np.abs(times / self.dt - steps) > 1e-9) | ((steps == 0.0) & (times > 0.0))
+        steps = np.round(times / dt)
+        off = (np.abs(times / dt - steps) > 1e-9) | ((steps == 0.0) & (times > 0.0))
         if off.any():
             raise ConfigError(f"time {float(times[off][0])!r} is not a positive multiple of "
-                              f"dt = {self.dt!r}; the nearest step time is "
-                              f"{float(steps[off][0]) * self.dt!r}")
+                              f"dt = {dt!r}; the nearest step time is "
+                              f"{float(steps[off][0]) * dt!r}")
         if steps[0] != steps[-1]:
             raise ConfigError(f"horizon {horizon!r} is not the last record time {grid[-1]!r}")
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "record_grid", grid)
         object.__setattr__(self, "horizon", grid[-1])
 
@@ -133,9 +144,9 @@ class McEstimate:
     ``survival`` and ``ci_halfwidth`` have shape ``(len(grid),)`` for a
     scalar ``z0`` and ``(len(grid), len(z0))`` for a grid of them.
     ``path_steps`` counts the live path-steps, the QE steps actually taken;
-    ``rng_draws`` counts the variates actually drawn: one normal per live
-    path-step, one per parked wait and one per lift, plus one Gamma start
-    per path for stationary starts."""
+    ``rng_draws`` counts the variates actually drawn: one normal a step per
+    pair (per live path once a block parks), one per parked wait and one per
+    lift, plus one Gamma start per path for stationary starts."""
 
     grid: tuple[float, ...]
     survival: np.ndarray
@@ -157,19 +168,25 @@ def _blocks(n_paths: int) -> list[tuple[int, int]]:
             for b in range((n_paths + _BLOCK - 1) // _BLOCK)]
 
 
-def _erf_sums(clock: np.ndarray, z_grid: np.ndarray) -> np.ndarray:
-    """Block sums of ``s = erf(z / sqrt(2 I))`` and of ``(s - mean(s))**2``,
-    one row per ``z``; one ``z`` at a time, so memory stays O(block).  The
-    centred square keeps the variance exact where every path gives nearly
-    the same ``s``."""
+def _erf_sums(clock: np.ndarray, z_grid: np.ndarray, h: int) -> np.ndarray:
+    """Block sums of ``s = erf(z / sqrt(2 I))``, one ``z`` (row) at a time,
+    so memory stays O(block).  ``clock`` is in path order; unit ``j`` is the
+    pair sum ``u_j = s_j + s_{j+h}`` (``m_j = 2``) for ``j < h``, or the odd
+    block's last path (``m_j = 1``).  A row is the sum of ``s``, the sum of
+    ``(u_j - m_j c)**2`` and ``c = sum(m_j u_j) / sum(m_j**2)``, a centre that
+    pools blocks exactly and keeps the sum exact for near-equal ``s``."""
     with np.errstate(divide="ignore"):
         inv = 1.0 / np.sqrt(2.0 * clock)  # I = 0 gives inf, and erf(inf) = 1
-    out = np.empty((z_grid.size, 2))
+    size = np.repeat((2.0, 1.0), (h, clock.size - 2 * h))
+    out = np.empty((z_grid.size, 3))
     for j, z in enumerate(z_grid):
         s = erf(z * inv)
-        total = s.sum()
-        s -= total / s.size
-        out[j] = total, (s * s).sum()
+        u = s[h:]
+        u[:h] += s[:h]
+        c = (size * u).sum() / (size * size).sum()
+        total = u.sum()
+        u -= size * c
+        out[j] = total, (u * u).sum(), c
     return out
 
 
@@ -237,13 +254,15 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
            v0: float | None, d: Dimensionless, cfg: McConfig):
     """The one simulation kernel: QE variance steps of one path block.
 
-    Returns the ``(len(steps), z_grid.size, 2)`` sums of :func:`_erf_sums`
+    Returns the ``(len(steps), z_grid.size, 3)`` sums of :func:`_erf_sums`
     at each record step, and the block's live path-steps and variates drawn.
     ``v0 = None`` draws the starting variances from the stationary Gamma law
     on the block's own stream (keeps worker-count invariance intact).
 
     The live paths sit in the prefix ``[:n]`` of ``v``, ``total`` and
-    ``path``, and a step draws ``n`` normals.  Where paths on the atom
+    ``path``.  A step draws one normal per pair until the block first parks
+    and ``n`` after: lifts change the live set nearly every step, and finding
+    the live pairs costs more than they save there.  Where paths on the atom
     ``v = 0`` take the exponential branch and more than half of the live
     paths sit there, those paths are parked.  From the atom, QE lifts a path
     with probability ``q0`` a step, to an ``Exp(m0 / q0)`` value; so a parked
@@ -268,7 +287,8 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     q0 = 2.0 * k0 / (2.0 + k0)
     parkable = 0.0 < k0 < _K_SWITCH
     half_dt, n_steps, n = 0.5 * cfg.dt, int(steps[-1]), n_block
-    v_next = np.empty(n_block)
+    h, paired = n_block // 2, True  # paths p and p + h share a draw until the block parks
+    v_next, normal = np.empty(n_block), np.empty(n_block)
     scratch = (np.empty(n_block), np.empty(n_block), np.empty(n_block),
                np.empty(n_block, dtype=bool))
     # the trapezoid clock I = dt S - (dt/2) v + base, base = (dt/2) v0, from the running
@@ -277,7 +297,7 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     total, path = np.zeros(n_block), np.arange(n_block, dtype=np.int32)
     # live path i is path[i]; parked path p has key lift step * n_block + p and sum parked[p]
     keys, parked = np.empty(0, dtype=np.int64), np.empty(0)
-    sums = np.empty((len(steps), z_grid.size, 2))
+    sums = np.empty((len(steps), z_grid.size, 3))
     done = path_steps = 0
     # the drawer's first chunk is drawn after the Gamma start draw above; a path takes
     # at most one normal a step, or two on a step where it parks and lifts again
@@ -298,8 +318,14 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
                     keep = np.flatnonzero(np.logical_not(atom, out=atom))
                     n = keep.size
                     v[:n], total[:n], path[:n] = v[keep], total[keep], path[keep]
-                    draws += p.size
-                _qe_step(v[:n], take(n), v_next[:n], tuple(a[:n] for a in scratch), coef)
+                    draws, paired = draws + p.size, False
+                z = take(n - h if paired else n)
+                draws += z.size
+                if paired:
+                    normal[:h] = z[:h]
+                    np.negative(z, out=normal[h:])
+                    z = normal
+                _qe_step(v[:n], z, v_next[:n], tuple(a[:n] for a in scratch), coef)
                 np.add(total[:n], v_next[:n], out=total[:n])
                 v, v_next = v_next, v
                 path_steps += n
@@ -318,8 +344,9 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
             live += np.take(base, path[:n], out=tmp[:n])
             np.multiply(np.take(parked, p, out=off), cfg.dt, out=off)
             off += np.take(base, p, out=tmp[n:])
-            sums[rec] = _erf_sums(scratch[0], z_grid)
-    return sums, path_steps, draws + path_steps
+            scratch[1][path[:n]], scratch[1][p] = live, off
+            sums[rec] = _erf_sums(scratch[1], z_grid, h)
+    return sums, path_steps, draws
 
 
 def estimate_survival(d: Dimensionless, z0: float | np.ndarray, v0: float | None,
@@ -358,10 +385,13 @@ def estimate_survival(d: Dimensionless, z0: float | np.ndarray, v0: float | None
     # depending on the z grid's size
     n = cfg.n_paths
     mean = sum(r[0][..., 0] for r in results) / n
-    # pooled sum of squared deviations: within blocks plus between block means
-    m2 = sum(r[0][..., 1] + nb * (r[0][..., 0] / nb - mean) ** 2
+    # pooled sum of (u_j - m_j mean)**2 over the pair units: within blocks, plus
+    # sum(m_j**2) = 2 nb - nb % 2 times the squared gap of each block's centre
+    m2 = sum(r[0][..., 1] + (2 * nb - nb % 2) * (r[0][..., 2] - mean) ** 2
              for r, (_, nb) in zip(results, blocks))
-    ci = 1.96 * np.sqrt(m2 / n) / math.sqrt(n)
+    # where the paths spread, never narrower than an ulp of the estimate per step summed
+    ci = np.where(m2 > 0.0, np.maximum(1.96 * np.sqrt(m2) / n,
+                                       steps[:, None] * np.spacing(mean)), 0.0)
     if z.ndim == 0:
         mean, ci = mean[:, 0], ci[:, 0]
     return McEstimate(grid=cfg.record_grid, survival=mean, ci_halfwidth=ci, n_paths=n,

@@ -300,7 +300,8 @@ class TestCommands:
         assert cli.main(base + ["--format", "json", "--output", out]) == 0
         meta = json.loads(open(out, encoding="utf-8").read())["meta"]
         assert meta["path_steps"] == 500 * 20
-        assert meta["rng_draws"] == 500 * 20 + (500 if stationary else 0)
+        # one normal per pair of paths a step: nothing parks at the default beta = 0.1
+        assert meta["rng_draws"] == 250 * 20 + (500 if stationary else 0)
         csv = str(tmp_path / "sim.csv")
         assert cli.main(base + ["--output", csv]) == 0
         assert open(csv, encoding="utf-8").read().splitlines()[0] == "tau,S,ci"

@@ -52,6 +52,10 @@ class TestConfig:
         {"dt": 0.3, "horizon": 0.45},  # ran 2 steps, to tau = 0.6
         {"dt": 0.3, "record_grid": (0.3, 0.4)},  # read tau = 0.4 at the step of 0.3
         {"record_grid": (0.1,), "horizon": 1.0},  # reported 1000 steps, simulated 100
+        {"horizon": "abc"},  # these four raised ValueError or TypeError
+        {"record_grid": ("x",)},
+        {"record_grid": 0.5},
+        {"dt": "abc", "horizon": 0.5},
     ])
     def test_rejected(self, kw):
         with pytest.raises(h.ConfigError):
@@ -166,52 +170,123 @@ class TestDegenerateDynamics:
             monkeypatch, lambda: h.estimate_survival(dfig, 0.01, TH, cfg))
         assert np.all(np.diff(est.survival) <= 0.0)
         assert np.all((est.survival >= 0.0) & (est.survival <= 1.0))
-        values = np.stack(per_path)[:, 0, :]  # (record, path): one block, one z
-        np.testing.assert_allclose(est.survival, values.mean(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(
-            est.ci_halfwidth, 1.96 * values.std(axis=1) / math.sqrt(cfg.n_paths),
-            rtol=1e-9)
+        assert len(per_path) == len(grid)  # one block and one z: a (1, path) array a record
+        for i, values in enumerate(per_path):
+            mean, ci = _pair_interval([values])
+            assert math.isclose(est.survival[i], mean[0], rel_tol=1e-12)
+            assert math.isclose(est.ci_halfwidth[i], ci[0], rel_tol=1e-9)
         assert est.grid == grid
 
 
 def _with_per_path_values(monkeypatch, call):
     """Run ``call`` and also return every ``erf(z / sqrt(2 I))`` array the
-    kernel reduced, shape ``(z, path)``, in the order it reduced them."""
+    kernel reduced, shape ``(z, path)`` with paths in path order, in the
+    order it reduced them."""
     seen = []
     reduce = montecarlo._erf_sums
 
-    def spy(clock, z_grid):
+    def spy(clock, z_grid, h):
+        assert h == clock.size // 2
         seen.append(erf(z_grid[:, None] / np.sqrt(2.0 * clock)))
-        return reduce(clock, z_grid)
+        return reduce(clock, z_grid, h)
 
     monkeypatch.setattr(montecarlo, "_erf_sums", spy)
     return call(), seen
 
 
+def _pair_interval(blocks):
+    """Mean and CI half-width, one per ``z``, from the per-path values
+    ``(z, path)`` of each block, in path order: paths ``p`` and ``p + h``
+    of a block (``h`` half its size, rounded down) form a unit of size 2,
+    and the last path of an odd block one of size 1; the half-width is
+    ``1.96 sqrt(sum_j (u_j - m_j S)**2) / n`` over the unit sums ``u_j`` of
+    size ``m_j``."""
+    units, sizes = [], []
+    for s in blocks:
+        h = s.shape[1] // 2
+        units.append(np.concatenate((s[:, :h] + s[:, h:2 * h], s[:, 2 * h:]), axis=1))
+        sizes.append(np.concatenate((np.full(h, 2.0), np.ones(s.shape[1] - 2 * h))))
+    u, m = np.concatenate(units, axis=1), np.concatenate(sizes)
+    n = m.sum()
+    mean = u.sum(axis=1) / n
+    return mean, 1.96 * np.sqrt(((u - m * mean[:, None]) ** 2).sum(axis=1)) / n
+
+
 class TestEstimator:
     def test_ci_is_clt_of_per_path_values(self, dfig, monkeypatch):
-        # two blocks (workers=1 reduces them in block order), stationary starts
+        # two blocks, the second odd (workers=1 reduces them in block order),
+        # stationary starts: the CLT of the pair units
         z_grid = np.array([0.002, 0.01, 0.05])
-        cfg = h.McConfig(dt=1e-3, n_paths=70_000, seed=31, horizon=0.05)
+        cfg = h.McConfig(dt=1e-3, n_paths=2**16 + 17, seed=31, horizon=0.05)
         est, per_path = _with_per_path_values(
             monkeypatch, lambda: h.estimate_survival(dfig, z_grid, None, cfg))
-        values = np.concatenate(per_path, axis=1)
-        assert values.shape == (3, cfg.n_paths)
+        assert [v.shape for v in per_path] == [(3, 2**16), (3, 17)]
         assert est.survival.shape == est.ci_halfwidth.shape == (1, 3)
-        np.testing.assert_allclose(est.survival[0], values.mean(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(
-            est.ci_halfwidth[0], 1.96 * values.std(axis=1) / math.sqrt(cfg.n_paths),
-            rtol=1e-9)
+        mean, ci = _pair_interval(per_path)
+        np.testing.assert_allclose(est.survival[0], mean, rtol=1e-12)
+        np.testing.assert_allclose(est.ci_halfwidth[0], ci, rtol=1e-9)
 
     def test_work_counts(self, dfig):
-        cfg = h.McConfig(dt=1e-3, n_paths=70_000, seed=1, record_grid=(0.01, 0.02))
+        # a step draws one normal per pair and one for the lone last path of
+        # the odd block: 2**15 + 9 for 2**16 + 17 paths
+        n = 2**16 + 17
+        cfg = h.McConfig(dt=1e-3, n_paths=n, seed=1, record_grid=(0.01, 0.02))
         fixed = h.estimate_survival(dfig, 0.01, TH, cfg)
-        assert fixed.path_steps == fixed.rng_draws == 70_000 * 20
+        assert (fixed.path_steps, fixed.rng_draws) == (n * 20, (2**15 + 9) * 20)
         averaged = h.estimate_survival(dfig, 0.01, None, cfg, workers=2)
-        assert averaged.path_steps == 70_000 * 20
-        assert averaged.rng_draws == 70_000 * 21  # plus one Gamma start per path
+        assert averaged.path_steps == n * 20
+        assert averaged.rng_draws == (2**15 + 9) * 20 + n  # plus one Gamma start per path
         grid = h.estimate_survival(dfig, (0.01, 0.02), TH, cfg)
-        assert grid.path_steps == grid.rng_draws == 70_000 * 20
+        assert (grid.path_steps, grid.rng_draws) == (n * 20, (2**15 + 9) * 20)
+
+
+class TestPairs:
+    """Paths ``p`` and ``p + h`` of a block (``h`` half its size, rounded
+    down) take ``Z`` and ``-Z`` of one draw a step, and the last path of an
+    odd block a draw of its own, until the block first parks; from then on
+    each live path takes its own normal."""
+
+    @pytest.mark.parametrize("beta, v0", [(0.1, TH), (1.0, None)],
+                             ids=["beta0.1", "beta1-stationary"])
+    def test_step_normals(self, beta, v0, monkeypatch):
+        n = 2**12 + 1
+        half = n // 2
+        seen = []
+        step = montecarlo._qe_step
+
+        def spy(v, normal, *args):
+            seen.append(normal.copy())
+            return step(v, normal, *args)
+
+        monkeypatch.setattr(montecarlo, "_qe_step", spy)
+        d = h.Dimensionless(theta=TH, beta=beta)
+        cfg = h.McConfig(dt=1e-3, n_paths=n, seed=17, record_grid=(0.03,))
+        est = h.estimate_survival(d, 0.01, v0, cfg)
+        assert len(seen) == 30 and est.path_steps == sum(z.size for z in seen)
+        # the paired steps draw the block stream, one normal per pair and one
+        # for the lone path: [Z, -Z]; at beta = 1 the block parks at the second step
+        rng = montecarlo._block_rng(cfg.seed, 0)
+        if v0 is None:
+            rng.gamma(shape=d.nu, scale=beta**2 / 2.0, size=n)
+        paired = 30 if beta == 0.1 else 1
+        for z in seen[:paired]:
+            draw = rng.standard_normal(n - half)
+            assert np.array_equal(z, np.concatenate((draw[:half], -draw)))
+            assert np.array_equal(z[:half], -z[half:2 * half])  # the members of a pair
+            assert np.count_nonzero(np.abs(z) == abs(z[-1])) == 1  # the lone path
+        for z in seen[paired:]:
+            assert z.size < n and np.unique(np.abs(z)).size == z.size
+
+    def test_pairs_narrow_the_interval(self, dfig, monkeypatch):
+        # beta = 0.1 from v0 = theta: the pair interval against the per-path
+        # CLT interval of the same paths
+        zs = np.array([0.005, 0.01, 0.05])
+        cfg = h.McConfig(dt=1e-3, n_paths=2**17, seed=25, horizon=0.5)
+        est, per_path = _with_per_path_values(
+            monkeypatch, lambda: h.estimate_survival(dfig, zs, TH, cfg))
+        values = np.concatenate(per_path, axis=1)
+        per_path_ci = 1.96 * values.std(axis=1) / math.sqrt(cfg.n_paths)
+        assert np.all(est.ci_halfwidth[0] <= 0.6 * per_path_ci)
 
 
 def _euler_bridge_alive(d, z, tau, dt, n, v0, seed):
@@ -257,13 +332,15 @@ class TestIndependentSimulation:
 @pytest.fixture(scope="module")
 def leg(dfig):
     # one simulation over every bracketed level per dt; each level's survival
-    # and CI have the bits of its own scalar-z run
+    # and CI have the bits of its own scalar-z run.  2**18 paths give the pair
+    # interval no wider than the per-path interval of 1e6 paths at each level
+    # (pilot at seed 12346)
     cache = {}
 
     def run(z, dt):
         if dt not in cache:
             zs = (0.005, 0.01, 0.05)
-            cfg = h.McConfig(dt=dt, n_paths=10**6, seed=12345, horizon=0.5)
+            cfg = h.McConfig(dt=dt, n_paths=2**18, seed=12345, horizon=0.5)
             est = h.estimate_survival(dfig, zs, TH, cfg)
             cache[dt] = dict(zip(zs, zip(est.survival[0].tolist(),
                                          est.ci_halfwidth[0].tolist())))
@@ -459,8 +536,9 @@ class TestBlockMerge:
         # the block axis paired them for one z and not for three
         def block(b, n_block, z_grid, steps, v0, d, cfg):
             rng = np.random.default_rng(b)
-            one = np.array([n_block * rng.uniform(0.2, 0.9), n_block * rng.uniform(0.0, 0.1)])
-            return np.broadcast_to(one, (len(steps), z_grid.size, 2)).copy(), 0, 0
+            mean = rng.uniform(0.2, 0.9)
+            one = np.array([n_block * mean, n_block * rng.uniform(0.0, 0.1), mean])
+            return np.broadcast_to(one, (len(steps), z_grid.size, 3)).copy(), 0, 0
 
         monkeypatch.setattr(montecarlo, "_block", block)
         cfg = h.McConfig(dt=1e-3, n_paths=16 * 2**16 - 5, seed=1, horizon=0.5)
@@ -556,36 +634,38 @@ class TestDrawerThreads:
 
 class TestPinnedKernel:
     """Exact survival, CI, live path-step and draw counts of six small runs,
-    recorded from the kernel with SFC64 block streams, the running-sum clock
-    and parked paths drawing their lift steps and values.  Two blocks, the
-    second of 17 paths; 40 steps, so 2622120 path-steps where nothing parks.
-    At beta = 1 more than half of the live paths sit at v = 0 from the
-    second step on (stationary starts) or from the eighth (v0 = theta), and
-    at beta = 10 from the first, so those runs take fewer live path-steps;
-    at beta = 0.01, 2 nu >= _K_SWITCH, so paths on the atom take the
-    quadratic branch and nothing parks; at beta = 0.3 paths reach the atom,
-    but never half of the block.  So the beta = 0.1, 0.01 and 0.3 runs keep
-    the bits of stepping every path."""
+    recorded from the kernel with SFC64 block streams, the running-sum clock,
+    parked paths drawing their lift steps and values, and paths p and p + h
+    of a block sharing one normal a step (Z and -Z) until the block parks.
+    Two blocks, the second of 17 paths; 40 steps, so 2622120 path-steps and
+    40 * (2**15 + 9) = 1311080 normals where nothing parks.  At beta = 1 more
+    than half of the live paths sit at v = 0 from the second step on
+    (stationary starts) or from the eighth (v0 = theta), and at beta = 10
+    from the first, so those runs take fewer live path-steps; at beta = 0.01,
+    2 nu >= _K_SWITCH, so paths on the atom take the quadratic branch and
+    nothing parks; at beta = 0.3 paths reach the atom, but never half of the
+    block.  So the beta = 0.1, 0.01 and 0.3 runs keep their pairs to the end,
+    and the beta = 10 run parks before its first step draws."""
 
     CASES = {
         "beta0.1-v0theta": (0.1, TH, 0.01, (
-            ["0x1.dff546403e415p-1", "0x1.818ecae51845bp-1"],
-            ["0x1.499fe0f40c6f6p-13", "0x1.e5ebed3e8485ap-12"], 2622120, 2622120)),
+            ["0x1.dffec493886b0p-1", "0x1.81a587a9ece37p-1"],
+            ["0x1.6d870788c7524p-16", "0x1.ae4a37e1ecbc8p-16"], 2622120, 1311080)),
         "beta1-stationary": (1.0, None, 2e-3, (
-            ["0x1.f2de03303e17bp-1", "0x1.eadf1c2e3555ap-1"],
-            ["0x1.113d2bf53c1f9p-10", "0x1.48a5f1c2b9f71p-10"], 191940, 356325)),
+            ["0x1.f3103bbfeb2d9p-1", "0x1.eb51aa07263e2p-1"],
+            ["0x1.1019caaae3b80p-10", "0x1.4650e7ebd3c31p-10"], 190231, 321659)),
         "beta1-v0theta": (1.0, TH, 5e-3, (
-            ["0x1.98409317e0cd7p-1", "0x1.883d693df0b22p-1"],
-            ["0x1.d54a6afb1c327p-10", "0x1.190a0d780b105p-9"], 1084531, 1159315)),
+            ["0x1.99188cbc66587p-1", "0x1.891828d400a7ap-1"],
+            ["0x1.604bd72bc26b4p-10", "0x1.bbb3d124939adp-10"], 1045492, 929789)),
         "beta0.01-v0zero": (0.01, 0.0, 1e-3, (
-            ["0x1.efe82e4a868eep-1", "0x1.2c1cea8ed38adp-1"],
-            ["0x1.615fcd49dad02p-14", "0x1.ea15c867964cap-13"], 2622120, 2622120)),
+            ["0x1.efecfc411385dp-1", "0x1.2c2799dadb656p-1"],
+            ["0x1.2a95541ad2c1cp-16", "0x1.f1b73369d5c5cp-17"], 2622120, 1311080)),
         "beta0.3-v0theta": (0.3, TH, 5e-3, (
-            ["0x1.5a4492d9923aep-1", "0x1.06d0b1e00267bp-1"],
-            ["0x1.d05a8592281d6p-11", "0x1.66c86df706f24p-10"], 2622120, 2622120)),
+            ["0x1.5a760dcb8b8a4p-1", "0x1.070099c425a17p-1"],
+            ["0x1.12f98ea45b57ap-13", "0x1.f3614be1b1334p-12"], 2622120, 1311080)),
         "beta10-stationary": (10.0, None, 2e-3, (
-            ["0x1.ff95ded93b60dp-1", "0x1.fefbd3dd941dap-1"],
-            ["0x1.8accbb029ae6dp-13", "0x1.346a9683f2c57p-12"], 2941, 134385)),
+            ["0x1.ff95ded93b60dp-1", "0x1.fefbd3dd941dbp-1"],
+            ["0x1.8a95ededd7a1cp-13", "0x1.340126c114d5bp-12"], 2941, 134385)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -699,16 +779,20 @@ class TestTrimmedStep:
 
 def _scheduled_clocks(d, cfg, v0, records):
     """Trapezoid clocks at the steps ``records`` of one block of
-    ``cfg.n_paths`` paths, in the kernel's path order, and the block's live
-    path-steps and draws, from the kernel's schedule followed path by path.
+    ``cfg.n_paths`` paths, in path order, and the block's live path-steps
+    and draws, from the kernel's schedule followed path by path.
 
-    Every path keeps its own full-width variance and trapezoid sum.  When
-    more than half of the live paths sit at v = 0, each of them draws its lift
-    step from one normal and holds v = 0 until that step, where it draws its
-    lift value; the live ones are stepped by ``_reference_qe_step``.  The
-    kernel's order is the live paths, then the parked ones by lift step and
-    path."""
+    Every path keeps its own full-width variance and trapezoid sum.  Until
+    the block first parks, a step draws one normal per pair: path ``p <
+    h`` takes ``Z_p``, path ``p + h`` takes ``-Z_p`` and the last path of an
+    odd block ``-Z_h``.  When more than half of the live paths sit at v = 0,
+    each of them draws its lift step from one normal and holds v = 0 until
+    that step, where it draws its lift value; from then on every live path
+    draws its own normal, in the kernel's order: the live paths, then the
+    lifted ones by lift step and path.  The live ones are stepped by
+    ``_reference_qe_step``."""
     n, dt = cfg.n_paths, cfg.dt
+    h = n // 2
     rng = montecarlo._block_rng(cfg.seed, 0)
     v = (rng.gamma(shape=d.nu, scale=d.beta**2 / 2.0, size=n) if v0 is None
          else np.full(n, float(v0)))
@@ -716,13 +800,11 @@ def _scheduled_clocks(d, cfg, v0, records):
     coef = _coef(d.beta, dt)
     k0 = coef[1] * coef[1] / coef[3]
     q0 = 2.0 * k0 / (2.0 + k0)
-    live, lift = np.arange(n), np.full(n, -1)
+    live, lift, paired = np.arange(n), np.full(n, -1), True
     trapezoid, clocks, path_steps = np.zeros(n), [], 0
     for step in range(cfg.n_steps + 1):
         if step in records:
-            parked = np.flatnonzero(lift >= 0)
-            clocks.append(trapezoid[np.concatenate((live, parked[np.lexsort((parked,
-                                                                          lift[parked]))]))])
+            clocks.append(trapezoid.copy())
         if step == cfg.n_steps:
             break
         atom = live[v[live] == 0.0]
@@ -731,8 +813,15 @@ def _scheduled_clocks(d, cfg, v0, records):
             lift[atom] = step + np.minimum(wait, cfg.n_steps)
             live = live[v[live] != 0.0]
             draws += atom.size
+            paired = False
+        if paired:
+            z = rng.standard_normal(n - h)
+            normal = np.concatenate((z[:h], -z))
+        else:
+            normal = rng.standard_normal(live.size)
+        draws += n - h if paired else live.size
         v_next = v.copy()  # a parked path's v is 0
-        v_next[live] = _reference_qe_step(v[live], rng.standard_normal(live.size), coef)
+        v_next[live] = _reference_qe_step(v[live], normal, coef)
         path_steps += live.size
         up = np.flatnonzero(lift == step)
         v_next[up] = coef[1] / q0 * -log_ndtr(rng.standard_normal(up.size))
@@ -741,7 +830,7 @@ def _scheduled_clocks(d, cfg, v0, records):
         draws += up.size
         trapezoid += (v + v_next) * (0.5 * dt)
         v = v_next
-    return clocks, path_steps, draws + path_steps
+    return clocks, path_steps, draws
 
 
 class TestClock:
@@ -754,20 +843,20 @@ class TestClock:
                              ids=["beta0.1", "beta1", "beta10-stationary", "beta1-atom"])
     def test_against_the_trapezoid_sum(self, beta, v0, monkeypatch):
         d = h.Dimensionless(theta=TH, beta=beta)
-        cfg = h.McConfig(dt=1e-3, n_paths=3000, seed=5, record_grid=(0.0, 0.05, 0.2))
+        cfg = h.McConfig(dt=1e-3, n_paths=3001, seed=5, record_grid=(0.0, 0.05, 0.2))
         clocks = []
         sums = montecarlo._erf_sums
 
-        def spy(clock, z_grid):
+        def spy(clock, *args):
             clocks.append(clock.copy())
-            return sums(clock, z_grid)
+            return sums(clock, *args)
 
         monkeypatch.setattr(montecarlo, "_erf_sums", spy)
         est = h.estimate_survival(d, 0.01, v0, cfg)
         want, path_steps, draws = _scheduled_clocks(d, cfg, v0, (0, 50, 200))
         assert (est.path_steps, est.rng_draws) == (path_steps, draws)
         # beta = 0.1 never parks; the others park, so they take fewer live path-steps
-        assert (path_steps == 3000 * 200) == (beta == 0.1)
+        assert (path_steps == 3001 * 200) == (beta == 0.1)
         assert len(clocks) == 3
         assert np.all(clocks[0] == 0.0)  # a zero-step record reads I = 0
         for got, exp, n in zip(clocks, want, (0, 50, 200)):
@@ -812,11 +901,11 @@ class TestAtomSchedule:
         lifted, seen = [[], []], []
         sums = montecarlo._erf_sums
 
-        def spy(clock, z_grid):
+        def spy(clock, *args):
             rec = len(seen) % 2  # one worker: each block reads both records in turn
             seen.append(rec)
             lifted[rec].append(clock[clock > 0.0].copy())
-            return sums(clock, z_grid)
+            return sums(clock, *args)
 
         monkeypatch.setattr(montecarlo, "_erf_sums", spy)
         h.estimate_survival(d, 0.01, 0.0, cfg)
