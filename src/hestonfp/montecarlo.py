@@ -9,11 +9,19 @@ volatility model", J. Comput. Finance 11(3), 2008): one standard normal per
 path-step, a moment-matched quadratic in it where the variance is far from
 zero (``psi <= 1.5``), and a point mass at zero plus an exponential tail on
 the paths near zero.  ``I`` is the trapezoid rule, kept as a running sum
-``S`` of the stepped variances and read at a record step as
-``dt S - (dt/2) v + (dt/2) v0``; every estimate is the path mean of
+``S`` of the stepped variances; every estimate is the path mean of
 ``erf(z / sqrt(2 I))``.  No barrier is monitored, so there is no
 discrete-monitoring bias to correct, and one simulation serves every record
 time and any number of starting distances.
+
+Precision: ``u = v / theta`` is stepped in float32, on the float64 normals
+rounded to float32; ``S``, the clock ``theta dt (S - u/2 + u0/2)`` and the
+erf sums are float64.  The mean is ``u + c (1 - u)``, ``c = -expm1(-dt)``:
+its fixed point is exactly 1, which ``e u + c`` in float32 moves by up to
+6e-5.  The quadratic branch is ``m (1 + ((2b + Z) Z - 1) / (1 + b^2))``: at
+beta = 1e-9, ``b ~ 1e9``, and ``m (b + Z)^2 / (1 + b^2)`` rounds ``b + Z``
+to ``b``, a float32-sized bias a step.  Every clock product is float64, from
+the rounded start, or ``I < 0`` at a zero-step record.
 
 Antithetic pairs (Glasserman, *Monte Carlo Methods in Financial
 Engineering*, 2004, sec. 4.2): paths ``p`` and ``p + h`` of a block of ``2h``
@@ -23,23 +31,20 @@ path keeps QE's law.  The interval is the CLT of the pair units, ``1.96
 sqrt(sum_j (u_j - m_j mean)**2) / n`` over the sums ``u_j`` of ``m_j`` paths
 (2 a pair, 1 the lone path), never narrower than an ulp of the estimate a step.
 
-One call, :func:`estimate_survival`, runs it: a scalar ``z0`` or a 1-D grid
-of them, a fixed starting variance ``v0`` or (``v0 = None``) starts drawn
-from the stationary Gamma law, and one :class:`McEstimate` over the
-``(record time x z)`` grid.
+One call, :func:`estimate_survival`, runs it for a scalar or 1-D grid ``z0``
+from a fixed or (``v0 = None``) stationary start, into one :class:`McEstimate`.
 
-Cost: a step runs only on the live paths and draws one normal per pair,
-or per live path once the block has parked.  Where paths on the atom ``v =
-0`` take the exponential branch (``2 nu < 4/3``, so ``psi > 1.5`` at ``v = 0``)
-and more than half of the live paths sit there, those paths are parked:
-each draws its wait on the atom and, when it lifts, its lift value, which is
-the law of stepping it, so a parked path costs one draw per excursion, not
-one per step (see :func:`_block`).  The normals come from a FIFO that one
-helper thread per block fills in chunks of ``2**16``, one chunk ahead of the
-takes but never past two normals per path-step, so the draws (which release
-the GIL) overlap the step arithmetic when a core is free; with ``workers``
+Cost: a step runs only on the live paths and draws one normal per pair, or
+per live path once the block has parked.  Where paths on the atom ``v = 0``
+take the exponential branch (``2 nu < 4/3``) and more than half of the live
+paths sit there, those paths are parked: each draws its wait on the atom
+and, when it lifts, its lift value, the law of stepping it, so a parked path
+costs one draw per excursion (see :func:`_block`).  The normals come from a
+FIFO that one helper thread per block fills in chunks of ``2**16``, one
+chunk ahead of the takes but never past two normals per path-step, so the
+draws (which release the GIL) overlap the step arithmetic; with ``workers``
 blocks at once that is up to ``2 * workers`` threads.  Where nothing parks,
-the stream and every output bit are those of drawing the normals inline.
+the stream and every output bit are those of inline draws.
 
 Reproducibility: one master seed, an integer in ``[0, 2**64)``; path block
 ``b`` draws from its own SFC64 stream, seeded by ``SeedSequence([seed, b])``,
@@ -77,6 +82,13 @@ def _checked_int(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+def _checked_real(name: str, value) -> float:
+    """``float(value)``; TypeError unless ``value`` is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Simulation settings.
@@ -95,10 +107,11 @@ class McConfig:
 
     def __post_init__(self):
         try:
-            dt, grid = float(self.dt), tuple(float(t) for t in self.record_grid)
-            horizon = None if self.horizon is None else float(self.horizon)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dt, horizon and record_grid must be numbers: {exc}") from None
+            dt = _checked_real("dt", self.dt)
+            grid = tuple(_checked_real("record_grid entry", t) for t in self.record_grid)
+            horizon = None if self.horizon is None else _checked_real("horizon", self.horizon)
+        except (TypeError, OverflowError) as exc:  # a float holds no int past 2**1024
+            raise ConfigError(f"bad dt, horizon or record_grid: {exc}") from None
         if not 0.0 < dt < math.inf:
             raise ConfigError("dt must be finite and > 0")
         object.__setattr__(self, "n_paths", _checked_int("n_paths", self.n_paths, 1))
@@ -190,34 +203,42 @@ def _erf_sums(clock: np.ndarray, z_grid: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
-def _qe_step(v: np.ndarray, normal: np.ndarray, out: np.ndarray, scratch, coef) -> None:
-    """One QE step of the variances ``v`` driven by ``normal``: writes ``v'``
-    into ``out``.  ``scratch`` is ``(m, k, tmp, far)``, three float buffers
-    and a bool one of ``v``'s length; ``coef`` is ``(e, m0, s1, s0)``.  Only
-    in-place ufuncs touch full-width data, in a fixed operation order, so a
-    path's ``v'`` depends on nothing but its own ``v`` and normal."""
+def _qe_step(u: np.ndarray, normal: np.ndarray, out: np.ndarray, scratch, coef) -> None:
+    """One QE step, in ``u``'s dtype, of the variances ``u`` (in units of
+    theta) driven by ``normal``: writes ``u'`` into ``out``.  ``scratch`` is
+    ``(m, k, tmp, far)``, three buffers of that dtype and a bool one of
+    ``u``'s length; ``coef`` is ``(c, s1, s0)``.  Only in-place ufuncs touch
+    full-width data, in a fixed operation order, so a path's ``u'`` depends
+    on nothing but its own ``u`` and normal."""
     m, k, tmp, far = scratch
-    e, m0, s1, s0 = coef
-    # conditional mean m = e v + m0 and k = 2 / psi = m^2 / (s1 v + s0)
-    np.multiply(v, e, out=m)
-    m += m0
-    np.multiply(v, s1, out=tmp)
+    c, s1, s0 = coef
+    # conditional mean m = u + c (1 - u) and k = 2 / psi = m^2 / (s1 u + s0)
+    np.subtract(1.0, u, out=m)
+    m *= c
+    m += u
+    np.multiply(u, s1, out=tmp)
     tmp += s0
     np.multiply(m, m, out=k)
     k /= tmp
+    # past k = 1e18, u' - m is under 1e-8 m, which float32 rounds away: holding k
+    # there keeps k (k - 1) finite where beta -> 0 or u is huge
+    np.minimum(k, 1e18, out=k)
     # quadratic branch: b^2 = k - 1 + sqrt(k (k - 1)), NaN where k < 1, and
-    # v' = m / (1 + b^2) * (b + Z)^2
+    # u' = m (1 + ((2b + Z) Z - 1) / (1 + b^2)), that is m (b + Z)^2 / (1 + b^2)
     np.subtract(k, 1.0, out=out)
     np.multiply(out, k, out=tmp)
     np.sqrt(tmp, out=tmp)
     out += tmp
     np.sqrt(out, out=tmp)
+    tmp += tmp
     tmp += normal
-    tmp *= tmp
+    tmp *= normal
+    tmp -= 1.0
     out += 1.0
-    np.divide(m, out, out=out)
-    out *= tmp
-    # exponential branch where k < _K_SWITCH: v' = (m / q) log(q / Phi(Z)) where
+    tmp /= out
+    tmp += 1.0
+    np.multiply(m, tmp, out=out)
+    # exponential branch where k < _K_SWITCH: u' = (m / q) log(q / Phi(Z)) where
     # U = Phi(-Z) > p = 1 - q, else 0
     np.less(k, _K_SWITCH, out=far)
     idx = np.flatnonzero(far)
@@ -259,41 +280,34 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     ``v0 = None`` draws the starting variances from the stationary Gamma law
     on the block's own stream (keeps worker-count invariance intact).
 
-    The live paths sit in the prefix ``[:n]`` of ``v``, ``total`` and
+    The live paths sit in the prefix ``[:n]`` of ``u``, ``total`` and
     ``path``.  A step draws one normal per pair until the block first parks
     and ``n`` after: lifts change the live set nearly every step, and finding
     the live pairs costs more than they save there.  Where paths on the atom
-    ``v = 0`` take the exponential branch and more than half of the live
+    ``u = 0`` take the exponential branch and more than half of the live
     paths sit there, those paths are parked.  From the atom, QE lifts a path
-    with probability ``q0`` a step, to an ``Exp(m0 / q0)`` value; so a parked
+    with probability ``q0`` a step, to an ``Exp(c / q0)`` value; so a parked
     path draws its lift step (after a ``Geometric(q0)`` wait) and, at that
     step, its lift value, each from one normal as ``log U = log_ndtr(Z)``.
-    Until it lifts, its ``v`` is 0 and its running sum gains 0.  The parked
+    Until it lifts, its ``u`` is 0 and its running sum gains 0.  The parked
     paths are kept sorted by lift step, so a step pops a contiguous head.
     """
     rng = _block_rng(cfg.seed, block)
-    if v0 is None:
-        v, draws = rng.gamma(shape=d.nu, scale=d.beta**2 / 2.0, size=n_block), n_block
-    else:
-        v, draws = np.full(n_block, float(v0)), 0
-    # one step's conditional mean m = e v + m0 and half variance s2 / 2 = s1 v + s0
-    e = math.exp(-cfg.dt)
-    m0 = d.theta * -math.expm1(-cfg.dt)
-    s1 = 0.5 * d.beta**2 * e * -math.expm1(-cfg.dt)
-    s0 = 0.25 * d.theta * d.beta**2 * math.expm1(-cfg.dt)**2
-    coef = (e, m0, s1, s0)
-    # on the atom every path has k = k0; below _K_SWITCH it leaves with probability q0
-    k0 = m0 * m0 / s0
-    q0 = 2.0 * k0 / (2.0 + k0)
-    parkable = 0.0 < k0 < _K_SWITCH
-    half_dt, n_steps, n = 0.5 * cfg.dt, int(steps[-1]), n_block
+    u = (rng.gamma(shape=d.nu, scale=1.0 / d.nu, size=n_block) if v0 is None
+         else np.full(n_block, v0 / d.theta)).astype(np.float32)
+    draws = n_block if v0 is None else 0
+    # one step's conditional mean m = u + c (1 - u) and half variance s2 / 2 = s1 u + s0
+    c = -math.expm1(-cfg.dt)
+    coef = (c, math.exp(-cfg.dt) * c / d.nu, 0.5 * c * c / d.nu)
+    # on the atom every path has k = k0 = 2 nu; below _K_SWITCH it leaves with probability q0
+    q0, parkable = 2.0 * d.nu / (1.0 + d.nu), 2.0 * d.nu < _K_SWITCH
+    tdt, half_tdt, n_steps, n = d.theta * cfg.dt, 0.5 * d.theta * cfg.dt, int(steps[-1]), n_block
     h, paired = n_block // 2, True  # paths p and p + h share a draw until the block parks
-    v_next, normal = np.empty(n_block), np.empty(n_block)
-    scratch = (np.empty(n_block), np.empty(n_block), np.empty(n_block),
-               np.empty(n_block, dtype=bool))
-    # the trapezoid clock I = dt S - (dt/2) v + base, base = (dt/2) v0, from the running
-    # sum S of v'; it needs no clamp at 0: S >= v after rounding, so fl(dt S) >= fl(dt v / 2)
-    base = half_dt * v if v0 is None else np.broadcast_to(half_dt * float(v0), n_block)
+    u_next, normal, *f32 = (np.empty(n_block, np.float32) for _ in range(5))
+    scratch, clock, work = (*f32, np.empty(n_block, bool)), np.empty(n_block), np.empty(n_block)
+    # the clock I = theta dt S - (theta dt/2) u + base, base = (theta dt/2) u0, in float64;
+    # it needs no clamp at 0: S >= u after rounding, so fl(theta dt S) >= fl(theta dt u / 2)
+    base = np.multiply(u, half_tdt, dtype=np.float64)
     total, path = np.zeros(n_block), np.arange(n_block, dtype=np.int32)
     # live path i is path[i]; parked path p has key lift step * n_block + p and sum parked[p]
     keys, parked = np.empty(0, dtype=np.int64), np.empty(0)
@@ -301,12 +315,12 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     done = path_steps = 0
     # the drawer's first chunk is drawn after the Gamma start draw above; a path takes
     # at most one normal a step, or two on a step where it parks and lifts again
-    with ThreadPoolExecutor(max_workers=1) as drawer, np.errstate(invalid="ignore"):
+    with ThreadPoolExecutor(1) as drawer, np.errstate(divide="ignore", invalid="ignore"):
         take = _fifo(rng, drawer, 2 * n_block * n_steps)
         for rec, stop in enumerate(steps.tolist()):
             for step in range(done, stop):
                 atom = scratch[3][:n]
-                if parkable and 2 * np.count_nonzero(np.equal(v[:n], 0.0, out=atom)) > n:
+                if parkable and 2 * np.count_nonzero(np.equal(u[:n], 0.0, out=atom)) > n:
                     p = path[:n][atom]
                     parked = parked if parked.size else np.empty(n_block)
                     parked[p] = total[:n][atom]
@@ -317,35 +331,36 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
                     keys.sort(kind="stable")
                     keep = np.flatnonzero(np.logical_not(atom, out=atom))
                     n = keep.size
-                    v[:n], total[:n], path[:n] = v[keep], total[keep], path[keep]
+                    u[:n], total[:n], path[:n] = u[keep], total[keep], path[keep]
                     draws, paired = draws + p.size, False
                 z = take(n - h if paired else n)
                 draws += z.size
                 if paired:
                     normal[:h] = z[:h]
                     np.negative(z, out=normal[h:])
-                    z = normal
-                _qe_step(v[:n], z, v_next[:n], tuple(a[:n] for a in scratch), coef)
-                np.add(total[:n], v_next[:n], out=total[:n])
-                v, v_next = v_next, v
+                else:
+                    normal[:n] = z
+                _qe_step(u[:n], normal[:n], u_next[:n], tuple(a[:n] for a in scratch), coef)
+                np.add(total[:n], u_next[:n], out=total[:n])
+                u, u_next = u_next, u
                 path_steps += n
                 if keys.size and keys[0] < (step + 1) * n_block:
                     up = int(np.searchsorted(keys, (step + 1) * n_block))
                     p = keys[:up] % n_block
-                    v[n:n + up] = m0 / q0 * -log_ndtr(take(up))
-                    np.add(parked[p], v[n:n + up], out=total[n:n + up])
+                    u[n:n + up] = c / q0 * -log_ndtr(take(up))
+                    np.add(parked[p], u[n:n + up], out=total[n:n + up])
                     path[n:n + up], keys, n = p, keys[up:], n + up
                     draws += up
             done = stop
-            # a parked path's v is 0, so its clock is dt S + base
-            live, off, tmp, p = scratch[0][:n], scratch[0][n:], scratch[2], keys % n_block
-            np.multiply(total[:n], cfg.dt, out=live)
-            live -= np.multiply(v[:n], half_dt, out=tmp[:n])
-            live += np.take(base, path[:n], out=tmp[:n])
-            np.multiply(np.take(parked, p, out=off), cfg.dt, out=off)
-            off += np.take(base, p, out=tmp[n:])
-            scratch[1][path[:n]], scratch[1][p] = live, off
-            sums[rec] = _erf_sums(scratch[1], z_grid, h)
+            # a parked path's u is 0, so its clock is theta dt S + base
+            live, off, p = clock[:n], clock[n:], keys % n_block
+            np.multiply(total[:n], tdt, out=live)
+            live -= np.multiply(u[:n], half_tdt, out=work[:n], dtype=np.float64)
+            live += np.take(base, path[:n], out=work[:n])
+            np.multiply(np.take(parked, p, out=off), tdt, out=off)
+            off += np.take(base, p, out=work[n:])
+            work[path[:n]], work[p] = live, off
+            sums[rec] = _erf_sums(work, z_grid, h)
     return sums, path_steps, draws
 
 

@@ -2,8 +2,9 @@
 stream splitting.
 
 The heavy cross-oracle brackets run at the documented path counts, so this
-file dominates the suite's runtime (a couple of minutes); every seed here
-was verified once against the quadrature before being frozen.
+file takes about half of the suite's runtime (about 26 s on a 2-core
+machine); every seed here was verified once against the quadrature before
+being frozen.
 """
 import math
 import threading
@@ -56,6 +57,10 @@ class TestConfig:
         {"record_grid": ("x",)},
         {"record_grid": 0.5},
         {"dt": "abc", "horizon": 0.5},
+        {"dt": "0.001", "horizon": "0.5"},  # these three built a config
+        {"record_grid": ("0.1", "0.2")},
+        {"dt": True, "horizon": 2},
+        {"dt": 10**400, "horizon": 0.5},  # raised OverflowError
     ])
     def test_rejected(self, kw):
         with pytest.raises(h.ConfigError):
@@ -251,31 +256,45 @@ class TestPairs:
     def test_step_normals(self, beta, v0, monkeypatch):
         n = 2**12 + 1
         half = n // 2
-        seen = []
-        step = montecarlo._qe_step
+        seen, takes = [], []
+        step, fifo = montecarlo._qe_step, montecarlo._fifo
 
-        def spy(v, normal, *args):
-            seen.append(normal.copy())
-            return step(v, normal, *args)
+        def spy(u, normal, *args):
+            seen.append((normal.copy(), len(takes)))
+            return step(u, normal, *args)
+
+        def fifo_spy(*args):
+            take = fifo(*args)
+
+            def spy_take(count):
+                takes.append(take(count).copy())
+                return takes[-1]
+            return spy_take
 
         monkeypatch.setattr(montecarlo, "_qe_step", spy)
+        monkeypatch.setattr(montecarlo, "_fifo", fifo_spy)
         d = h.Dimensionless(theta=TH, beta=beta)
         cfg = h.McConfig(dt=1e-3, n_paths=n, seed=17, record_grid=(0.03,))
         est = h.estimate_survival(d, 0.01, v0, cfg)
-        assert len(seen) == 30 and est.path_steps == sum(z.size for z in seen)
+        assert len(seen) == 30 and est.path_steps == sum(z.size for z, _ in seen)
+        assert all(z.dtype == np.float32 for z, _ in seen)
         # the paired steps draw the block stream, one normal per pair and one
-        # for the lone path: [Z, -Z]; at beta = 1 the block parks at the second step
+        # for the lone path: [Z, -Z], rounded to float32; at beta = 1 the block
+        # parks before the first step (2/3 of the float32 starts underflow to 0)
         rng = montecarlo._block_rng(cfg.seed, 0)
         if v0 is None:
-            rng.gamma(shape=d.nu, scale=beta**2 / 2.0, size=n)
-        paired = 30 if beta == 0.1 else 1
-        for z in seen[:paired]:
+            rng.gamma(shape=d.nu, scale=1.0 / d.nu, size=n)
+        paired = 30 if beta == 0.1 else 0
+        for z, _ in seen[:paired]:
             draw = rng.standard_normal(n - half)
-            assert np.array_equal(z, np.concatenate((draw[:half], -draw)))
+            assert np.array_equal(z, np.concatenate((draw[:half], -draw)).astype(np.float32))
             assert np.array_equal(z[:half], -z[half:2 * half])  # the members of a pair
-            assert np.count_nonzero(np.abs(z) == abs(z[-1])) == 1  # the lone path
-        for z in seen[paired:]:
-            assert z.size < n and np.unique(np.abs(z)).size == z.size
+            assert np.count_nonzero(np.abs(draw) == abs(draw[-1])) == 1  # the lone path
+        # after that each live path takes its own normal: the step's take, rounded
+        for z, i in seen[paired:]:
+            draw = takes[i - 1]
+            assert z.size < n and np.array_equal(z, draw.astype(np.float32))
+            assert np.unique(np.abs(draw)).size == draw.size
 
     def test_pairs_narrow_the_interval(self, dfig, monkeypatch):
         # beta = 0.1 from v0 = theta: the pair interval against the per-path
@@ -429,13 +448,15 @@ class TestProfile:
 
 def _stationary_starts(monkeypatch, d, n, seed):
     """The starting variances that ``estimate_survival(d, z, None, ...)``
-    draws for ``n`` paths: the ``v`` of each block's one ``_qe_step``."""
+    draws for ``n`` paths: theta times the float32 ``u`` of each block's one
+    ``_qe_step``."""
     seen = []
     step = montecarlo._qe_step
 
-    def spy(v, *args):
-        seen.append(v.copy())
-        return step(v, *args)
+    def spy(u, *args):
+        assert u.dtype == np.float32
+        seen.append(d.theta * u.astype(np.float64))
+        return step(u, *args)
 
     monkeypatch.setattr(montecarlo, "_qe_step", spy)
     cfg = h.McConfig(dt=1e-3, n_paths=n, seed=seed, horizon=1e-3)
@@ -634,38 +655,40 @@ class TestDrawerThreads:
 
 class TestPinnedKernel:
     """Exact survival, CI, live path-step and draw counts of six small runs,
-    recorded from the kernel with SFC64 block streams, the running-sum clock,
-    parked paths drawing their lift steps and values, and paths p and p + h
-    of a block sharing one normal a step (Z and -Z) until the block parks.
-    Two blocks, the second of 17 paths; 40 steps, so 2622120 path-steps and
-    40 * (2**15 + 9) = 1311080 normals where nothing parks.  At beta = 1 more
-    than half of the live paths sit at v = 0 from the second step on
-    (stationary starts) or from the eighth (v0 = theta), and at beta = 10
-    from the first, so those runs take fewer live path-steps; at beta = 0.01,
-    2 nu >= _K_SWITCH, so paths on the atom take the quadratic branch and
-    nothing parks; at beta = 0.3 paths reach the atom, but never half of the
-    block.  So the beta = 0.1, 0.01 and 0.3 runs keep their pairs to the end,
-    and the beta = 10 run parks before its first step draws."""
+    recorded from the kernel with SFC64 block streams, float32 variance steps
+    in units of theta on float32-rounded normals, the float64 running-sum
+    clock, parked paths drawing their lift steps and values, and paths p and
+    p + h of a block sharing one normal a step (Z and -Z) until the block
+    parks.  Two blocks, the second of 17 paths; 40 steps, so 2622120
+    path-steps and 40 * (2**15 + 9) = 1311080 normals where nothing parks.
+    At beta = 1 more than half of the live paths sit at u = 0 before the
+    first step (stationary starts, most of which underflow float32) or the
+    seventh (v0 = theta), and at beta = 10 before the first, so those runs
+    take fewer live path-steps; at beta = 0.01, 2 nu >= _K_SWITCH, so paths
+    on the atom take the quadratic branch and nothing parks; at beta = 0.3
+    paths reach the atom, but never half of the block.  So the beta = 0.1,
+    0.01 and 0.3 runs keep their pairs to the end, and the stationary runs
+    park before their first step draws."""
 
     CASES = {
         "beta0.1-v0theta": (0.1, TH, 0.01, (
-            ["0x1.dffec493886b0p-1", "0x1.81a587a9ece37p-1"],
-            ["0x1.6d870788c7524p-16", "0x1.ae4a37e1ecbc8p-16"], 2622120, 1311080)),
+            ["0x1.dffec493bc7e5p-1", "0x1.81a587aa5284ap-1"],
+            ["0x1.6d87072fd0cf9p-16", "0x1.ae4a36e5207bep-16"], 2622120, 1311080)),
         "beta1-stationary": (1.0, None, 2e-3, (
-            ["0x1.f3103bbfeb2d9p-1", "0x1.eb51aa07263e2p-1"],
-            ["0x1.1019caaae3b80p-10", "0x1.4650e7ebd3c31p-10"], 190231, 321659)),
+            ["0x1.f2f94f11525eep-1", "0x1.eaf16fa0aedaap-1"],
+            ["0x1.1124fc5c619a1p-10", "0x1.4aa1cdb57d7dcp-10"], 149902, 315182)),
         "beta1-v0theta": (1.0, TH, 5e-3, (
-            ["0x1.99188cbc66587p-1", "0x1.891828d400a7ap-1"],
-            ["0x1.604bd72bc26b4p-10", "0x1.bbb3d124939adp-10"], 1045492, 929789)),
+            ["0x1.99188cb48719dp-1", "0x1.891828dece485p-1"],
+            ["0x1.604bd7af6e692p-10", "0x1.bbb3d07a280e9p-10"], 1045492, 929789)),
         "beta0.01-v0zero": (0.01, 0.0, 1e-3, (
-            ["0x1.efecfc411385dp-1", "0x1.2c2799dadb656p-1"],
-            ["0x1.2a95541ad2c1cp-16", "0x1.f1b73369d5c5cp-17"], 2622120, 1311080)),
+            ["0x1.efecfc45b43b7p-1", "0x1.2c2799e7e896ap-1"],
+            ["0x1.2a955543a8e15p-16", "0x1.f1b7359f3dd19p-17"], 2622120, 1311080)),
         "beta0.3-v0theta": (0.3, TH, 5e-3, (
-            ["0x1.5a760dcb8b8a4p-1", "0x1.070099c425a17p-1"],
-            ["0x1.12f98ea45b57ap-13", "0x1.f3614be1b1334p-12"], 2622120, 1311080)),
+            ["0x1.5a760dcdbfd24p-1", "0x1.070099f8433abp-1"],
+            ["0x1.12f98f16978a1p-13", "0x1.f3614d8566a8ep-12"], 2622120, 1311080)),
         "beta10-stationary": (10.0, None, 2e-3, (
-            ["0x1.ff95ded93b60dp-1", "0x1.fefbd3dd941dbp-1"],
-            ["0x1.8a95ededd7a1cp-13", "0x1.340126c114d5bp-12"], 2941, 134385)),
+            ["0x1.ff85dea880546p-1", "0x1.fef73e8052445p-1"],
+            ["0x1.b3fd9aa973302p-13", "0x1.3a039f3ec7950p-12"], 1440, 132878)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -703,28 +726,17 @@ class TestBlockStream:
         assert est.seed == 2**64 - 1 and 0.0 < est.survival[0] < 1.0
 
 
-def _reference_qe_step(v, normal, coef):
-    """``v'`` by the QE step as the kernel wrote it before its passes were
-    trimmed: every branch evaluated in its original order."""
-    e, m0, s1, s0 = coef
-    m = v * e
-    m += m0
-    tmp = v * s1
-    tmp += s0
-    k = m * m
-    k /= tmp
+def _reference_qe_step(u, normal, coef):
+    """``u'`` by the QE step in units of theta, in the dtype of ``u``, each
+    branch written out whole: the mean ``u + c (1 - u)``, the quadratic
+    branch ``m (1 + ((2b + Z) Z - 1) / (1 + b^2))`` and the exponential one."""
+    c, s1, s0 = coef
+    m = (1.0 - u) * c + u
+    k = np.minimum(m * m / (u * s1 + s0), 1e18)
     with np.errstate(invalid="ignore"):
-        tmp = k - 1.0
-        tmp *= k
-        np.sqrt(tmp, out=tmp)
-        out = k - 1.0
-        out += tmp
-        np.sqrt(out, out=tmp)
-    tmp += normal
-    tmp *= tmp
-    out += 1.0
-    np.divide(m, out, out=out)
-    out *= tmp
+        b2 = (k - 1.0) + np.sqrt((k - 1.0) * k)
+        b = np.sqrt(b2)
+    out = m * (((b + b + normal) * normal - 1.0) / (b2 + 1.0) + 1.0)
     idx = np.flatnonzero(k < montecarlo._K_SWITCH)
     if idx.size:
         q = 2.0 * k[idx] / (2.0 + k[idx])
@@ -732,49 +744,62 @@ def _reference_qe_step(v, normal, coef):
     return out
 
 
-def _coef(beta, dt):
-    e = math.exp(-dt)
-    return (e, TH * -math.expm1(-dt), 0.5 * beta**2 * e * -math.expm1(-dt),
-            0.25 * TH * beta**2 * math.expm1(-dt)**2)
+def _coef(d, dt):
+    """The kernel's ``(c, s1, s0)`` for the model ``d`` and step ``dt``."""
+    c = -math.expm1(-dt)
+    return c, math.exp(-dt) * c / d.nu, 0.5 * c * c / d.nu
 
 
-def _step(v, normal, coef):
-    """``v'`` of ``montecarlo._qe_step`` and its mask of paths on the
-    exponential branch."""
-    n = v.size
-    out = np.empty(n)
-    scratch = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+def _q0(d):
+    """``q0``, the probability a step that a path on the atom leaves it: the
+    law the kernel draws parked paths' waits from."""
+    return 2.0 * d.nu / (1.0 + d.nu)
+
+
+def _step(u, normal, coef):
+    """``u'`` of ``montecarlo._qe_step`` and its mask of paths on the
+    exponential branch, in the dtype of ``u``."""
+    n = u.size
+    out = np.empty_like(u)
+    scratch = (np.empty_like(u), np.empty_like(u), np.empty_like(u), np.empty(n, dtype=bool))
     with np.errstate(invalid="ignore"):
-        montecarlo._qe_step(v, normal, out, scratch, coef)
+        montecarlo._qe_step(u, normal, out, scratch, coef)
     return out, scratch[3]
 
 
+def _bits(a):
+    return a.view(f"i{a.itemsize}")
+
+
 class TestTrimmedStep:
-    """The step with fewer full-width passes gives the reference step's bits."""
+    """The step with fewer full-width passes gives the reference step's bits,
+    in float32 (the kernel's dtype) and in float64."""
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("dt", [1e-3, 1e-2])
     def test_same_bits_as_reference(self, beta, dt):
         rng = np.random.default_rng(int(beta * 100) + int(dt * 1e4))
         n = 20_000
-        v = TH * 10.0 ** rng.uniform(-12.0, 3.0, n)
-        v[rng.random(n) < 0.3] = 0.0  # the atom
+        u = 10.0 ** rng.uniform(-12.0, 3.0, n)
+        u[rng.random(n) < 0.3] = 0.0  # the atom
         normal = rng.standard_normal(n) * 3.0
-        coef = _coef(beta, dt)
-        got, _ = _step(v, normal, coef)
-        want = _reference_qe_step(v, normal, coef)
-        k = (coef[0] * v + coef[1]) ** 2 / (coef[2] * v + coef[3])
-        assert np.any(k < montecarlo._K_SWITCH) and np.any(k >= montecarlo._K_SWITCH)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        coef = _coef(h.Dimensionless(theta=TH, beta=beta), dt)
+        for dtype in (np.float32, np.float64):
+            got, far = _step(u.astype(dtype), normal.astype(dtype), coef)
+            want = _reference_qe_step(u.astype(dtype), normal.astype(dtype), coef)
+            assert got.dtype == want.dtype == dtype
+            assert np.any(far) and not np.all(far)  # both branches
+            assert np.array_equal(_bits(got), _bits(want))
 
-    @pytest.mark.parametrize("v", [np.full(50, 1e3 * TH), np.empty(0)],
+    @pytest.mark.parametrize("u", [np.full(50, 1e3, dtype=np.float32),
+                                   np.empty(0, dtype=np.float32)],
                              ids=["quadratic-only", "empty"])
-    def test_no_path_on_the_exponential_branch(self, v):
-        normal = np.linspace(-4.0, 4.0, v.size)
-        coef = _coef(0.01, 1e-3)
-        got, _ = _step(v, normal, coef)
-        assert np.array_equal(got.view(np.int64),
-                              _reference_qe_step(v, normal, coef).view(np.int64))
+    def test_no_path_on_the_exponential_branch(self, u):
+        normal = np.linspace(-4.0, 4.0, u.size, dtype=np.float32)
+        coef = _coef(h.Dimensionless(theta=TH, beta=0.01), 1e-3)
+        got, far = _step(u, normal, coef)
+        assert not np.any(far)
+        assert np.array_equal(_bits(got), _bits(_reference_qe_step(u, normal, coef)))
 
 
 def _scheduled_clocks(d, cfg, v0, records):
@@ -790,16 +815,15 @@ def _scheduled_clocks(d, cfg, v0, records):
     that step, where it draws its lift value; from then on every live path
     draws its own normal, in the kernel's order: the live paths, then the
     lifted ones by lift step and path.  The live ones are stepped by
-    ``_reference_qe_step``."""
+    ``_reference_qe_step`` in float32 and in units of theta, on the normals
+    rounded to float32; the trapezoid sum is float64, times theta."""
     n, dt = cfg.n_paths, cfg.dt
     h = n // 2
     rng = montecarlo._block_rng(cfg.seed, 0)
-    v = (rng.gamma(shape=d.nu, scale=d.beta**2 / 2.0, size=n) if v0 is None
-         else np.full(n, float(v0)))
+    u = (rng.gamma(shape=d.nu, scale=1.0 / d.nu, size=n) if v0 is None
+         else np.full(n, v0 / d.theta)).astype(np.float32)
     draws = n if v0 is None else 0
-    coef = _coef(d.beta, dt)
-    k0 = coef[1] * coef[1] / coef[3]
-    q0 = 2.0 * k0 / (2.0 + k0)
+    coef, q0 = _coef(d, dt), _q0(d)
     live, lift, paired = np.arange(n), np.full(n, -1), True
     trapezoid, clocks, path_steps = np.zeros(n), [], 0
     for step in range(cfg.n_steps + 1):
@@ -807,11 +831,11 @@ def _scheduled_clocks(d, cfg, v0, records):
             clocks.append(trapezoid.copy())
         if step == cfg.n_steps:
             break
-        atom = live[v[live] == 0.0]
-        if k0 < montecarlo._K_SWITCH and 2 * atom.size > live.size:
+        atom = live[u[live] == 0.0]
+        if 2.0 * d.nu < montecarlo._K_SWITCH and 2 * atom.size > live.size:
             wait = np.floor(log_ndtr(rng.standard_normal(atom.size)) / math.log1p(-q0))
             lift[atom] = step + np.minimum(wait, cfg.n_steps)
-            live = live[v[live] != 0.0]
+            live = live[u[live] != 0.0]
             draws += atom.size
             paired = False
         if paired:
@@ -820,22 +844,23 @@ def _scheduled_clocks(d, cfg, v0, records):
         else:
             normal = rng.standard_normal(live.size)
         draws += n - h if paired else live.size
-        v_next = v.copy()  # a parked path's v is 0
-        v_next[live] = _reference_qe_step(v[live], normal, coef)
+        u_next = u.copy()  # a parked path's u is 0
+        u_next[live] = _reference_qe_step(u[live], normal.astype(np.float32), coef)
         path_steps += live.size
         up = np.flatnonzero(lift == step)
-        v_next[up] = coef[1] / q0 * -log_ndtr(rng.standard_normal(up.size))
+        u_next[up] = coef[0] / q0 * -log_ndtr(rng.standard_normal(up.size))
         lift[up] = -1
         live = np.concatenate((live, up))
         draws += up.size
-        trapezoid += (v + v_next) * (0.5 * dt)
-        v = v_next
-    return clocks, path_steps, draws
+        trapezoid += (u.astype(np.float64) + u_next) * (0.5 * dt)
+        u = u_next
+    return [d.theta * t for t in clocks], path_steps, draws
 
 
 class TestClock:
-    """The running-sum clock ``dt S - (dt/2) v + base`` of the live paths and
-    ``dt S + base`` of the parked ones, read at record steps, against the
+    """The running-sum clock ``theta dt S - (theta dt/2) u + base`` of the
+    live paths and ``theta dt S + base`` of the parked ones (``u = v /
+    theta``), read at record steps, against the
     trapezoid sum of the same variance paths from the kernel's schedule
     followed path by path at full width."""
 
@@ -867,35 +892,36 @@ class TestClock:
 def _plain_qe(d, z_grid, cfg, seed):
     """Survival and CI half-widths, shape ``(record, z)``, from a plain loop
     over stationary starts: every path stepped by ``_reference_qe_step`` at
-    every step, one normal each, and the trapezoid clock."""
+    every step in float64, one normal each, and the trapezoid clock."""
     rng = np.random.default_rng(seed)
     n, dt = cfg.n_paths, cfg.dt
-    v = rng.gamma(shape=d.nu, scale=d.beta**2 / 2.0, size=n)
-    coef = _coef(d.beta, dt)
+    u = rng.gamma(shape=d.nu, scale=1.0 / d.nu, size=n)
+    coef = _coef(d, dt)
     clock, survival, ci = np.zeros(n), [], []
     records = cfg.record_steps().tolist()
     for step in range(cfg.n_steps + 1):
         if step in records:
             with np.errstate(divide="ignore"):
-                s = erf(np.asarray(z_grid)[:, None] / np.sqrt(2.0 * clock))
+                s = erf(np.asarray(z_grid)[:, None] / np.sqrt(2.0 * d.theta * clock))
             survival.append(s.mean(axis=1))
             ci.append(1.96 * s.std(axis=1) / math.sqrt(n))
         if step < cfg.n_steps:
-            v_next = _reference_qe_step(v, rng.standard_normal(n), coef)
-            clock += (v + v_next) * (0.5 * dt)
-            v = v_next
+            u_next = _reference_qe_step(u, rng.standard_normal(n), coef)
+            clock += (u + u_next) * (0.5 * dt)
+            u = u_next
     return np.array(survival), np.array(ci)
 
 
 class TestAtomSchedule:
-    """Parked paths draw a Geometric(q0) wait and an Exp(m0 / q0) lift value:
-    the law of stepping them by QE from the atom, on a different stream."""
+    """Parked paths draw a Geometric(q0) wait and an Exp(c / q0) lift value
+    in units of theta: the law of stepping them by QE from the atom, on a
+    different stream."""
 
     @pytest.mark.parametrize("beta", [1.0, 10.0])
     def test_lifts_follow_the_one_step_law(self, beta, monkeypatch):
         # from v0 = 0 every path parks at step 0; a path that lifts at step s
-        # reads I = dt v' - (dt/2) v' = (dt/2) v' at the record of step s + 1,
-        # and I = 0 at every record before that
+        # reads I = theta (dt u' - (dt/2) u') = (dt/2) v' at the record of step
+        # s + 1, and I = 0 at every record before that
         d = h.Dimensionless(theta=TH, beta=beta)
         cfg = h.McConfig(dt=1e-3, n_paths=2**22, seed=2201, record_grid=(1e-3, 4e-3))
         lifted, seen = [[], []], []
@@ -910,9 +936,7 @@ class TestAtomSchedule:
         monkeypatch.setattr(montecarlo, "_erf_sums", spy)
         h.estimate_survival(d, 0.01, 0.0, cfg)
         assert len(seen) == 2 * len(montecarlo._blocks(cfg.n_paths))
-        coef = _coef(beta, cfg.dt)
-        k0 = coef[1] * coef[1] / coef[3]
-        q0 = 2.0 * k0 / (2.0 + k0)
+        m0, q0 = TH * _coef(d, cfg.dt)[0], _q0(d)  # the lift mean m0 / q0 in v
         for rec, steps in enumerate((1, 4)):
             share = sum(c.size for c in lifted[rec]) / cfg.n_paths
             want = 1.0 - (1.0 - q0) ** steps
@@ -921,7 +945,7 @@ class TestAtomSchedule:
         # at beta = 1 this sample reads p = 0.0025 (32k values); over seeds 3000-3029
         # the lift values' mean was 0.9984 +- 0.0010 of m0 / q0 and 2 of 30 p-values
         # fell below 0.05, so the law holds and the bound is 1e-3
-        assert stats.kstest(values, "expon", args=(0.0, coef[1] / q0)).pvalue > 1e-3
+        assert stats.kstest(values, "expon", args=(0.0, m0 / q0)).pvalue > 1e-3
 
     @pytest.mark.parametrize("beta", [1.0, 10.0])
     def test_agrees_with_a_plain_loop(self, beta):
@@ -935,32 +959,99 @@ class TestAtomSchedule:
 
 
 class TestQeStep:
-    """Facts of the exponential branch: a path on the atom with
-    ``Z >= ndtri(q0) + 1e-9`` stays there and one with ``Z < ndtri(q0)``
-    leaves it, so it leaves with probability q0 a step, the law parked paths
-    draw their waits from; and off the atom (where q < 0.8) no path with
-    ``Z >= ndtri(0.8)`` moves."""
+    """Facts of the exponential branch on float32 variances: a path on the
+    atom with ``Z >= ndtri(q0) + 1e-6`` stays there and one with ``Z <
+    ndtri(q0) - 1e-6`` leaves it, so it leaves with probability q0 a step,
+    the law parked paths draw their waits from; and off the atom (where q <
+    0.8) no path with ``Z >= ndtri(0.8) + 1e-6`` moves.  A live path on the
+    atom leaves by its step's float32 ``q``, a parked path by the float64
+    ``q0``; the two are within two float32 epsilons relative (measured: at
+    most 1.8e-7), and 1e-6 is 4 to 17 float32 spacings of these quantiles."""
 
     @pytest.mark.parametrize("beta", [0.3, 1.0, 10.0])
     @pytest.mark.parametrize("dt", [1e-3, 1e-2])
     def test_atom_threshold(self, beta, dt):
-        coef = _coef(beta, dt)
-        k0 = coef[1] ** 2 / coef[3]
-        assert k0 < montecarlo._K_SWITCH
-        z_q = ndtri(2.0 * k0 / (2.0 + k0))
-        z_atom = z_q + 1e-9
-        near = [np.nextafter(z_q, -np.inf), z_q, np.nextafter(z_atom, -np.inf), z_atom]
-        normal = np.concatenate([np.linspace(-8.0, 8.0, 16001),
-                                 z_q + np.linspace(-1e-8, 1e-8, 2001), near])
-        out, _ = _step(np.zeros(normal.size), normal, coef)
-        assert np.all(out[normal >= z_atom] == 0.0)
-        assert np.all(out[normal < z_q] > 0.0)
+        d = h.Dimensionless(theta=TH, beta=beta)
+        coef, q0 = _coef(d, dt), _q0(d)
+        k = np.float32(coef[0]) * np.float32(coef[0]) / np.float32(coef[2])  # the step's at u = 0
+        assert k < montecarlo._K_SWITCH
+        q = 2.0 * k / (2.0 + k)
+        assert q.dtype == np.float32 and abs(q - q0) <= 2 * np.finfo(np.float32).eps * q0
+        z_q = ndtri(q0)
+        near = np.float32(z_q) + np.spacing(np.float32(z_q)) * np.arange(-400.0, 401.0)
+        normal = np.concatenate([np.linspace(-8.0, 8.0, 16001), near]).astype(np.float32)
+        out, _ = _step(np.zeros(normal.size, dtype=np.float32), normal, coef)
+        assert np.all(out[normal >= z_q + 1e-6] == 0.0)
+        assert np.all(out[normal < z_q - 1e-6] > 0.0)
 
     @pytest.mark.parametrize("beta", [0.3, 1.0, 10.0])
     @pytest.mark.parametrize("dt", [1e-3, 1e-2])
     def test_far_paths_above_the_quantile_stay_put(self, beta, dt):
-        v, normal = (a.ravel() for a in np.meshgrid(
-            np.logspace(-14.0, 0.0, 300), np.linspace(ndtri(0.8) + 1e-9, 9.0, 300)))
-        out, far = _step(v, normal, _coef(beta, dt))
-        assert far.sum() > v.size // 2
+        u, normal = (a.ravel().astype(np.float32) for a in np.meshgrid(
+            np.logspace(-14.0, 0.0, 300) / TH, np.linspace(ndtri(0.8) + 1e-6, 9.0, 300)))
+        out, far = _step(u, normal, _coef(h.Dimensionless(theta=TH, beta=beta), dt))
+        assert far.sum() > u.size // 2
         assert np.all(out[far] == 0.0)
+
+
+def _float64_paired_run(d, z_grid, cfg):
+    """Mean of ``erf(z / sqrt(2 I))`` at the horizon over one block of paths
+    from ``v0 = theta``, on the kernel's paired normals (the block never
+    parks), stepped by ``_reference_qe_step`` in float64 on the normals as
+    drawn, with a float64 trapezoid clock."""
+    n = cfg.n_paths
+    h = n // 2
+    assert n % 2 == 0 and len(montecarlo._blocks(n)) == 1
+    rng = montecarlo._block_rng(cfg.seed, 0)
+    coef = _coef(d, cfg.dt)
+    u, clock = np.ones(n), np.zeros(n)
+    for _ in range(cfg.n_steps):
+        z = rng.standard_normal(n - h)
+        u_next = _reference_qe_step(u, np.concatenate((z[:h], -z)), coef)
+        clock += (u + u_next) * (0.5 * cfg.dt)
+        u = u_next
+    return erf(np.asarray(z_grid)[:, None] / np.sqrt(2.0 * d.theta * clock)).mean(axis=1)
+
+
+class TestFloat32Step:
+    """The kernel steps the variances in float32, in units of theta, with a
+    float64 clock."""
+
+    def test_rounding_shift_within_a_tenth_of_c01s_interval(self, dfig):
+        # beta = 0.1 from v0 = theta, tau = 0.5, on c01's grid of z, against a
+        # float64 step on the same normals: the shift is rounding alone.  c01's
+        # half-width at each z is this run's pair interval scaled to c01's 2**20
+        # paths.  Seed and path count were fixed before the first run
+        zs = np.logspace(math.log10(2e-3), math.log10(2e-1), 16)
+        cfg = h.McConfig(dt=1e-3, n_paths=2**16, seed=2601, horizon=0.5)
+        est = h.estimate_survival(dfig, zs, TH, cfg)
+        shift = est.survival[0] - _float64_paired_run(dfig, zs, cfg)
+        c01_halfwidth = est.ci_halfwidth[0] * math.sqrt(cfg.n_paths / 2**20)
+        assert np.all(np.abs(shift) <= 0.1 * c01_halfwidth)
+
+    @pytest.mark.parametrize("beta", [1e-9, 1e-30])
+    def test_frozen_variance_is_exact(self, beta, monkeypatch):
+        # from v0 = theta: the mean's fixed point is 1 and u' = m (1 + O(beta Z))
+        # rounds to it, so every u stays 1.0 and the clock reads theta tau up to
+        # the rounding of its float64 products.  At beta = 1e-30, k overflows
+        # float32 and is held at 1e18 (it read NaN without that)
+        d = h.Dimensionless(theta=TH, beta=beta)
+        cfg = h.McConfig(dt=5e-3, n_paths=2001, seed=3, record_grid=(0.0, 0.1, 0.5))
+        exact, clocks = [], []
+        step, sums = montecarlo._qe_step, montecarlo._erf_sums
+
+        def step_spy(u, normal, out, *args):
+            step(u, normal, out, *args)
+            exact.append(bool(np.all(u == 1.0) and np.all(out == 1.0)))
+
+        def sums_spy(clock, *args):
+            clocks.append(clock.copy())
+            return sums(clock, *args)
+
+        monkeypatch.setattr(montecarlo, "_qe_step", step_spy)
+        monkeypatch.setattr(montecarlo, "_erf_sums", sums_spy)
+        h.estimate_survival(d, 0.05, TH, cfg)
+        assert len(exact) == cfg.n_steps and all(exact)
+        assert len(clocks) == 3
+        for got, tau in zip(clocks, cfg.record_grid):
+            assert np.all(np.abs(got - TH * tau) <= 4 * np.spacing(TH * tau))
