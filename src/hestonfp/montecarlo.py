@@ -39,12 +39,11 @@ per live path once the block has parked.  Where paths on the atom ``v = 0``
 take the exponential branch (``2 nu < 4/3``) and more than half of the live
 paths sit there, those paths are parked: each draws its wait on the atom
 and, when it lifts, its lift value, the law of stepping it, so a parked path
-costs one draw per excursion (see :func:`_block`).  The normals come from a
-FIFO that one helper thread per block fills in chunks of ``2**16``, one
-chunk ahead of the takes but never past two normals per path-step, so the
-draws (which release the GIL) overlap the step arithmetic; with ``workers``
-blocks at once that is up to ``2 * workers`` threads.  Where nothing parks,
-the stream and every output bit are those of inline draws.
+costs one draw per excursion (see :func:`_block`).  A path block is the unit
+of work and of threads: it runs on one thread and draws its variates in-line
+from its own generator, and a call runs up to ``2 * workers`` blocks at once.
+So 2^17 paths keep two cores busy at ``workers = 1``, while a call of one
+block (``2**16`` paths or fewer) runs on one thread.
 
 Reproducibility: one master seed, an integer in ``[0, 2**64)``; path block
 ``b`` draws from its own SFC64 stream, seeded by ``SeedSequence([seed, b])``,
@@ -60,7 +59,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf, log_ndtr
+from scipy.special import erf, ndtr
 
 from .core import Dimensionless, _fields_equal, _nonnegative_arrays, _positive_arrays
 from .errors import ConfigError
@@ -203,6 +202,13 @@ def _erf_sums(clock: np.ndarray, z_grid: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
+def _coef(d: Dimensionless, dt: float) -> tuple[float, float, float]:
+    """``(c, s1, s0)`` of a step of ``dt`` in units of theta: the conditional
+    mean is ``m = u + c (1 - u)`` and half the conditional variance ``s1 u + s0``."""
+    c = -math.expm1(-dt)
+    return c, math.exp(-dt) * c / d.nu, 0.5 * c * c / d.nu
+
+
 def _qe_step(u: np.ndarray, normal: np.ndarray, out: np.ndarray, scratch, coef) -> None:
     """One QE step, in ``u``'s dtype, of the variances ``u`` (in units of
     theta) driven by ``normal``: writes ``u'`` into ``out``.  ``scratch`` is
@@ -239,36 +245,15 @@ def _qe_step(u: np.ndarray, normal: np.ndarray, out: np.ndarray, scratch, coef) 
     tmp += 1.0
     np.multiply(m, tmp, out=out)
     # exponential branch where k < _K_SWITCH: u' = (m / q) log(q / Phi(Z)) where
-    # U = Phi(-Z) > p = 1 - q, else 0
+    # U = Phi(-Z) > p = 1 - q, else 0; Phi (ndtr, which computes in double) is held
+    # at the smallest normal float, so q / Phi stays finite where Phi underflows
     np.less(k, _K_SWITCH, out=far)
     idx = np.flatnonzero(far)
     if idx.size:
-        q = 2.0 * k[idx] / (2.0 + k[idx])
-        out[idx] = m[idx] / q * np.maximum(np.log(q) - log_ndtr(normal[idx]), 0.0)
-
-
-def _fifo(rng: np.random.Generator, drawer, bound: int):
-    """``take(n)``: the next ``n`` standard normals of ``rng``, the ones that
-    inline ``rng.standard_normal`` calls of the same counts give, for any
-    sequence of counts taking at most ``bound`` in all.  ``drawer`` (a
-    one-thread executor) draws the first ``bound`` normals of the stream in
-    chunks of ``_BLOCK``, one chunk ahead of the takes."""
-    chunks = (drawer.submit(rng.standard_normal, min(_BLOCK, bound - i))
-              for i in range(0, bound, _BLOCK))
-    pending, chunk, at = next(chunks, None), np.empty(0), 0
-
-    def take(n: int) -> np.ndarray:
-        nonlocal chunk, at, pending
-        parts = []
-        while at + n > chunk.size:
-            if at < chunk.size:
-                parts.append(chunk[at:])
-                n -= chunk.size - at
-            chunk, at = pending.result(), 0
-            pending = next(chunks, None)
-        at += n
-        return np.concatenate([*parts, chunk[at - n:at]]) if parts else chunk[at - n:at]
-    return take
+        kf = k[idx]
+        q = 2.0 * kf / (2.0 + kf)
+        phi = np.maximum(ndtr(normal[idx]), np.finfo(normal.dtype).tiny)
+        out[idx] = m[idx] / q * np.maximum(np.log(q / phi), 0.0)
 
 
 def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
@@ -288,17 +273,18 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     paths sit there, those paths are parked.  From the atom, QE lifts a path
     with probability ``q0`` a step, to an ``Exp(c / q0)`` value; so a parked
     path draws its lift step (after a ``Geometric(q0)`` wait) and, at that
-    step, its lift value, each from one normal as ``log U = log_ndtr(Z)``.
+    step, its lift value, from one ``E ~ Exp(1)`` each: the wait is
+    ``floor(E / -log(1 - q0))`` and the lift value ``(c / q0) E``.
     Until it lifts, its ``u`` is 0 and its running sum gains 0.  The parked
     paths are kept sorted by lift step, so a step pops a contiguous head.
+    The block draws every variate in-line, on the thread that runs it.
     """
     rng = _block_rng(cfg.seed, block)
     u = (rng.gamma(shape=d.nu, scale=1.0 / d.nu, size=n_block) if v0 is None
          else np.full(n_block, v0 / d.theta)).astype(np.float32)
     draws = n_block if v0 is None else 0
-    # one step's conditional mean m = u + c (1 - u) and half variance s2 / 2 = s1 u + s0
-    c = -math.expm1(-cfg.dt)
-    coef = (c, math.exp(-cfg.dt) * c / d.nu, 0.5 * c * c / d.nu)
+    coef = _coef(d, cfg.dt)
+    c = coef[0]
     # on the atom every path has k = k0 = 2 nu; below _K_SWITCH it leaves with probability q0
     q0, parkable = 2.0 * d.nu / (1.0 + d.nu), 2.0 * d.nu < _K_SWITCH
     tdt, half_tdt, n_steps, n = d.theta * cfg.dt, 0.5 * d.theta * cfg.dt, int(steps[-1]), n_block
@@ -313,10 +299,8 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     keys, parked = np.empty(0, dtype=np.int64), np.empty(0)
     sums = np.empty((len(steps), z_grid.size, 3))
     done = path_steps = 0
-    # the drawer's first chunk is drawn after the Gamma start draw above; a path takes
-    # at most one normal a step, or two on a step where it parks and lifts again
-    with ThreadPoolExecutor(1) as drawer, np.errstate(divide="ignore", invalid="ignore"):
-        take = _fifo(rng, drawer, 2 * n_block * n_steps)
+    # the step may divide by 0 or overflow in k, held at 1e18, and takes NaN roots where k < 1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for rec, stop in enumerate(steps.tolist()):
             for step in range(done, stop):
                 atom = scratch[3][:n]
@@ -324,7 +308,7 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
                     p = path[:n][atom]
                     parked = parked if parked.size else np.empty(n_block)
                     parked[p] = total[:n][atom]
-                    wait = np.floor(log_ndtr(take(p.size)) / math.log1p(-q0))
+                    wait = np.floor(rng.standard_exponential(p.size) / -math.log1p(-q0))
                     due = (step + np.minimum(wait, n_steps).astype(np.int64)) * n_block + p
                     # two sorted runs: the stable sort merges them in one pass
                     keys = np.concatenate((keys, np.sort(due)))
@@ -333,7 +317,7 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
                     n = keep.size
                     u[:n], total[:n], path[:n] = u[keep], total[keep], path[keep]
                     draws, paired = draws + p.size, False
-                z = take(n - h if paired else n)
+                z = rng.standard_normal(n - h if paired else n)
                 draws += z.size
                 if paired:
                     normal[:h] = z[:h]
@@ -347,7 +331,7 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
                 if keys.size and keys[0] < (step + 1) * n_block:
                     up = int(np.searchsorted(keys, (step + 1) * n_block))
                     p = keys[:up] % n_block
-                    u[n:n + up] = c / q0 * -log_ndtr(take(up))
+                    u[n:n + up] = c / q0 * rng.standard_exponential(up)
                     np.add(parked[p], u[n:n + up], out=total[n:n + up])
                     path[n:n + up], keys, n = p, keys[up:], n + up
                     draws += up
@@ -375,7 +359,11 @@ def estimate_survival(d: Dimensionless, z0: float | np.ndarray, v0: float | None
     or ``None`` to draw each path's starting variance from the stationary
     Gamma law.  The ``z``s share paths, so their estimates are correlated,
     but each carries a valid CLT interval.  ``workers`` (an integer >= 1)
-    blocks run at once; merged in block order, the result does not depend on it.
+    sets the threads: up to ``2 * workers`` blocks run at once, one thread
+    each; merged in block order, the result does not depend on it.  A start
+    or a model the float32 step cannot hold (``v0 / theta``, or the step's
+    ``s1 = exp(-dt) c / nu`` or ``s0 = c**2 / (2 nu)``, past 3.4e38) raises
+    :class:`ParameterError`.
     """
     z = np.asarray(z0, dtype=float)
     if z.ndim > 1:
@@ -384,8 +372,12 @@ def estimate_survival(d: Dimensionless, z0: float | np.ndarray, v0: float | None
     if z_grid.size == 0:
         raise ConfigError("z0 must be nonempty")
     _positive_arrays(z0=z_grid, nu=d.nu, beta_squared=d.beta * d.beta)
-    if v0 is not None:
-        _nonnegative_arrays(v0=v0)
+    # the step holds u = v / theta, s1 and s0 in float32: past its range they read inf
+    with np.errstate(over="ignore"):
+        _nonnegative_arrays(**{"the float32 step's s1, s0": np.float32(_coef(d, cfg.dt)[1:])})
+        if v0 is not None:
+            _nonnegative_arrays(v0=v0)
+            _nonnegative_arrays(**{"v0 / theta in float32": np.float32(v0 / d.theta)})
     workers = _checked_int("workers", workers, 1)
     steps = cfg.record_steps()
 
@@ -393,7 +385,7 @@ def estimate_survival(d: Dimensionless, z0: float | np.ndarray, v0: float | None
         return _block(*block, z_grid, steps, v0, d, cfg)
 
     blocks = _blocks(cfg.n_paths)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=2 * workers) as pool:
         results = list(pool.map(run, blocks))
     # each (record, z, 2) block sum is added left to right, in block order:
     # numpy's sum over a block axis may pair them, and pairs them or not

@@ -16,8 +16,8 @@ D = h.Dimensionless(TH, 1.0)
 SAMPLES = [(b, 1e-3, 0.1 + 0.01 * i) for i, b in enumerate(np.geomspace(1.0, 100.0, 5))]
 
 # Each public call that takes numbers, as a function of its numeric arguments
-# by keyword, and each argument's valid value and an out-of-domain value
-# (None where every finite value is valid).
+# by keyword, and each argument's valid value and an out-of-domain value, or
+# a tuple of them (None where every finite value is valid).
 CONTRACT = {
     "ModelParams": (h.ModelParams, {"alpha": (0.045, 0.0), "m_sq": (8.62e-5, -1.0),
                                     "k": (0.0045, 0.0)}),
@@ -68,10 +68,13 @@ CONTRACT = {
     "McConfig": (lambda record, **kw: h.McConfig(record_grid=(record,), **kw),
                  {"dt": (1e-3, 0.0), "n_paths": (8, 0), "seed": (0, -1), "horizon": (0.01, 0.0),
                   "record": (0.01, -0.01)}),
+    # the float32 step cannot hold u0 = v0 / theta = 1e40, nor at beta = 1e22 (nu =
+    # 3.8e-47) its s1 = exp(-dt) c / nu
     "estimate_survival": (
-        lambda z0, v0, workers: h.estimate_survival(D, z0, v0, h.McConfig(n_paths=8, horizon=0.01),
-                                                    workers),
-        {"z0": (0.01, 0.0), "v0": (TH, -1.0), "workers": (1, 0)}),
+        lambda z0, v0, workers, beta: h.estimate_survival(
+            h.Dimensionless(TH, beta), z0, v0, h.McConfig(n_paths=8, horizon=0.01), workers),
+        {"z0": (0.01, 0.0), "v0": (TH, (-1.0, 1e40 * TH)), "workers": (1, 0),
+         "beta": (1.0, 1e22)}),
 }
 # the arguments rejected with ConfigError: config objects and the worker count
 CONFIG = {"QuadConfig", "McConfig", "estimate_survival-workers"}
@@ -90,7 +93,9 @@ def _valid(name):
 
 BAD = [pytest.param(name, arg, bad, id=f"{name}-{arg}-{bad!r}")
        for name, (_, args) in CONTRACT.items() for arg, (_, out_of_domain) in args.items()
-       for bad in (math.nan, math.inf, -math.inf, out_of_domain) if bad is not None]
+       for bad in (math.nan, math.inf, -math.inf,
+                   *(out_of_domain if isinstance(out_of_domain, tuple) else (out_of_domain,)))
+       if bad is not None]
 
 
 def test_the_table_covers_every_public_name_that_takes_numbers():

@@ -2,19 +2,19 @@
 stream splitting.
 
 The heavy cross-oracle brackets run at the documented path counts, so this
-file takes about half of the suite's runtime (about 26 s on a 2-core
+file takes about half of the suite's runtime (about 17 s on a 2-core
 machine); every seed here was verified once against the quadrature before
 being frozen.
 """
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import erf, log_ndtr, ndtri
+from scipy.special import erf, ndtr, ndtri
 
 import hestonfp as h
 from hestonfp import montecarlo
@@ -102,10 +102,22 @@ class TestConfig:
         *(pytest.param(h.ConfigError,
                        lambda d, cfg, w=w: h.estimate_survival(d, 0.01, TH, cfg, workers=w),
                        id=f"workers-{w!r}") for w in (True, 1.5, "2")),
+        # the float32 step cannot hold u0 = 1e40 or s1 = exp(-dt) c / nu = 5e44
+        pytest.param(h.ParameterError,
+                     lambda d, cfg: h.estimate_survival(d, 0.01, 1e40 * TH, cfg),
+                     id="v0-past-float32"),
+        pytest.param(h.ParameterError,
+                     lambda d, cfg: h.estimate_survival(h.Dimensionless(1e-50, 0.1), 0.01,
+                                                        1e-50, cfg),
+                     id="model-past-float32"),
+        pytest.param(h.ParameterError,
+                     lambda d, cfg: h.estimate_survival(h.Dimensionless(1e-50, 0.1), 0.01,
+                                                        None, cfg),
+                     id="averaged-model-past-float32"),
     ])
     def test_rejected_inputs(self, dfig, error, call):
-        # each of these used to return a survival value (1.0 or 0.0), run
-        # with one worker, or (workers="2") end in a TypeError
+        # each of these used to return a survival value (1.0 or 0.0, or NaN
+        # past float32), run with one worker, or (workers="2") end in a TypeError
         with pytest.raises(error):
             call(dfig, h.McConfig(n_paths=8, horizon=0.01))
 
@@ -157,6 +169,15 @@ class TestDegenerateDynamics:
         est = h.estimate_survival(d, 0.01, 0.0, cfg)
         assert np.all(est.survival == 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_start_at_the_float32_limit_stays_finite(self, dfig):
+        # u0 = 3.4e38 is held; k = m^2 / (s1 u + s0) overflows, silently, and is
+        # held at 1e18
+        cfg = h.McConfig(n_paths=64, seed=1, horizon=0.5)
+        est = h.estimate_survival(dfig, (0.01, 1e30), 3.4e38 * TH, cfg)
+        assert np.all(np.isfinite(est.survival)) and np.all(np.isfinite(est.ci_halfwidth))
+        assert est.survival[0, 1] == 1.0
+
     def test_unreachable_barrier(self, dfig):
         cfg = h.McConfig(dt=1e-3, n_paths=10**4, seed=2, record_grid=(1.0,))
         est = h.estimate_survival(dfig, 10.0, None, cfg)
@@ -183,20 +204,67 @@ class TestDegenerateDynamics:
         assert est.grid == grid
 
 
+def _by_block(monkeypatch):
+    """A thread-local whose ``block`` is the index of the path block its
+    thread runs, set when the block makes its generator."""
+    local = threading.local()
+    make = montecarlo._block_rng
+
+    def spy(seed, block):
+        local.block = block
+        return make(seed, block)
+
+    monkeypatch.setattr(montecarlo, "_block_rng", spy)
+    return local
+
+
+def _in_block_order(seen):
+    """The values of ``(block, value)`` pairs, by block, each block's in the
+    order it gave them."""
+    return [value for _, value in sorted(seen, key=lambda pair: pair[0])]
+
+
 def _with_per_path_values(monkeypatch, call):
     """Run ``call`` and also return every ``erf(z / sqrt(2 I))`` array the
-    kernel reduced, shape ``(z, path)`` with paths in path order, in the
-    order it reduced them."""
-    seen = []
+    kernel reduced, shape ``(z, path)`` with paths in path order, block by
+    block, each block's in the order it reduced them."""
+    seen, local = [], _by_block(monkeypatch)
     reduce = montecarlo._erf_sums
 
     def spy(clock, z_grid, h):
         assert h == clock.size // 2
-        seen.append(erf(z_grid[:, None] / np.sqrt(2.0 * clock)))
+        seen.append((local.block, erf(z_grid[:, None] / np.sqrt(2.0 * clock))))
         return reduce(clock, z_grid, h)
 
     monkeypatch.setattr(montecarlo, "_erf_sums", spy)
-    return call(), seen
+    return call(), _in_block_order(seen)
+
+
+class _Logged:
+    """A block's generator that appends ``(name, values)`` to ``log`` for
+    each normal or exponential draw it makes."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+        if name not in ("standard_normal", "standard_exponential"):
+            return draw
+
+        def logged(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self._log.append((name, np.array(out, copy=True)))
+            return out
+        return logged
+
+
+def _log_draws(monkeypatch):
+    """The ``(name, values)`` of every normal and exponential draw of every
+    block's generator, in the order they are drawn."""
+    log, make = [], montecarlo._block_rng
+    monkeypatch.setattr(montecarlo, "_block_rng", lambda *key: _Logged(make(*key), log))
+    return log
 
 
 def _pair_interval(blocks):
@@ -219,8 +287,7 @@ def _pair_interval(blocks):
 
 class TestEstimator:
     def test_ci_is_clt_of_per_path_values(self, dfig, monkeypatch):
-        # two blocks, the second odd (workers=1 reduces them in block order),
-        # stationary starts: the CLT of the pair units
+        # two blocks, the second odd, stationary starts: the CLT of the pair units
         z_grid = np.array([0.002, 0.01, 0.05])
         cfg = h.McConfig(dt=1e-3, n_paths=2**16 + 17, seed=31, horizon=0.05)
         est, per_path = _with_per_path_values(
@@ -256,23 +323,13 @@ class TestPairs:
     def test_step_normals(self, beta, v0, monkeypatch):
         n = 2**12 + 1
         half = n // 2
-        seen, takes = [], []
-        step, fifo = montecarlo._qe_step, montecarlo._fifo
+        seen, step, log = [], montecarlo._qe_step, _log_draws(monkeypatch)
 
         def spy(u, normal, *args):
-            seen.append((normal.copy(), len(takes)))
+            seen.append((normal.copy(), log[-1]))
             return step(u, normal, *args)
 
-        def fifo_spy(*args):
-            take = fifo(*args)
-
-            def spy_take(count):
-                takes.append(take(count).copy())
-                return takes[-1]
-            return spy_take
-
         monkeypatch.setattr(montecarlo, "_qe_step", spy)
-        monkeypatch.setattr(montecarlo, "_fifo", fifo_spy)
         d = h.Dimensionless(theta=TH, beta=beta)
         cfg = h.McConfig(dt=1e-3, n_paths=n, seed=17, record_grid=(0.03,))
         est = h.estimate_survival(d, 0.01, v0, cfg)
@@ -290,9 +347,9 @@ class TestPairs:
             assert np.array_equal(z, np.concatenate((draw[:half], -draw)).astype(np.float32))
             assert np.array_equal(z[:half], -z[half:2 * half])  # the members of a pair
             assert np.count_nonzero(np.abs(draw) == abs(draw[-1])) == 1  # the lone path
-        # after that each live path takes its own normal: the step's take, rounded
-        for z, i in seen[paired:]:
-            draw = takes[i - 1]
+        # after that each live path takes its own normal: the step's draw, rounded
+        for z, (name, draw) in seen[paired:]:
+            assert name == "standard_normal"
             assert z.size < n and np.array_equal(z, draw.astype(np.float32))
             assert np.unique(np.abs(draw)).size == draw.size
 
@@ -449,21 +506,22 @@ class TestProfile:
 def _stationary_starts(monkeypatch, d, n, seed):
     """The starting variances that ``estimate_survival(d, z, None, ...)``
     draws for ``n`` paths: theta times the float32 ``u`` of each block's one
-    ``_qe_step``."""
-    seen = []
+    ``_qe_step``, in block order."""
+    seen, local = [], _by_block(monkeypatch)
     step = montecarlo._qe_step
 
     def spy(u, *args):
         assert u.dtype == np.float32
-        seen.append(d.theta * u.astype(np.float64))
+        seen.append((local.block, d.theta * u.astype(np.float64)))
         return step(u, *args)
 
     monkeypatch.setattr(montecarlo, "_qe_step", spy)
     cfg = h.McConfig(dt=1e-3, n_paths=n, seed=seed, horizon=1e-3)
     h.estimate_survival(d, 0.01, None, cfg)
-    # each block's step ran on all of its paths, in block order
-    assert [v.size for v in seen] == [nb for _, nb in montecarlo._blocks(n)]
-    return np.concatenate(seen)
+    # each block's step ran on all of its paths
+    starts = _in_block_order(seen)
+    assert [v.size for v in starts] == [nb for _, nb in montecarlo._blocks(n)]
+    return np.concatenate(starts)
 
 
 class TestStationarySampler:
@@ -571,30 +629,7 @@ class TestBlockMerge:
 
 
 class TestNormalStream:
-    """The helper thread fills each block's FIFO of normals one chunk ahead;
-    any sequence of take counts must give the stream that inline draws of
-    the same counts give."""
-
-    @pytest.mark.parametrize("counts", [
-        pytest.param([2**16] * 5, id="one-row-chunks"),
-        pytest.param([2**14] * 4, id="ends-on-a-chunk"),
-        pytest.param([2**14] * 9, id="partial-last-chunk"),
-        pytest.param([17], id="one-step"),
-        pytest.param([], id="no-steps"),
-        pytest.param([17] * 4000, id="straddles-a-chunk"),
-        pytest.param([0, 5, 2**16 - 5, 0, 2**16 + 3, 1, 3 * 2**16 + 7, 0], id="mixed"),
-        pytest.param(np.random.default_rng(8).integers(0, 3000, 200).tolist(),
-                     id="random-counts"),
-    ])
-    def test_same_stream_as_inline_draws(self, counts):
-        want = montecarlo._block_rng(99, 3)
-        rng = montecarlo._block_rng(99, 3)
-        with ThreadPoolExecutor(max_workers=1) as drawer:
-            take = montecarlo._fifo(rng, drawer, sum(counts))
-            # kept uncopied: a take stays valid after later ones
-            got = [take(n) for n in counts]
-        for z, n in zip(got, counts):
-            assert np.array_equal(z, want.standard_normal(n))
+    """A record at step 0 comes before the first draw and reads ``I = 0``."""
 
     def test_zero_step_record(self, dfig):
         cfg = h.McConfig(n_paths=17, seed=1, record_grid=(0.0, 0.01))
@@ -603,28 +638,43 @@ class TestNormalStream:
 
 
 class TestDrawerThreads:
+    """Each path block runs on one thread, which draws its variates; a call
+    runs up to ``2 * workers`` blocks at once."""
+
     @pytest.mark.parametrize("beta,v0", [(0.1, TH), (1.0, None)], ids=["fixed", "parked"])
     def test_a_call_draws_at_most_two_normals_per_path_step(self, beta, v0, monkeypatch):
-        # a path takes at most one normal a step, or two where it parks and lifts again
-        drawn = []
-
-        class Counting:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def standard_normal(self, n):
-                drawn.append(n)
-                return self.rng.standard_normal(n)
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-        block_rng = montecarlo._block_rng
-        monkeypatch.setattr(montecarlo, "_block_rng", lambda *a: Counting(block_rng(*a)))
+        # a path takes at most one normal a step; every normal, wait and lift
+        # drawn is counted in rng_draws
+        log = _log_draws(monkeypatch)
         cfg = h.McConfig(n_paths=8, seed=5, record_grid=(0.01,))
         est = h.estimate_survival(h.Dimensionless(TH, beta), 0.01, v0, cfg)
-        taken = est.rng_draws - (8 if v0 is None else 0)
-        assert 0 < taken <= sum(drawn) <= 2 * 8 * 10
+        drawn = {name: sum(v.size for n, v in log if n == name)
+                 for name in ("standard_normal", "standard_exponential")}
+        assert 0 < drawn["standard_normal"] <= 8 * 10
+        assert (drawn["standard_exponential"] > 0) == (v0 is None)  # beta = 1 parks
+        assert est.rng_draws - (8 if v0 is None else 0) == sum(drawn.values())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_at_most_two_blocks_per_worker_at_once(self, dfig, workers, monkeypatch):
+        # six one-step blocks, each held 0.2 s: the budget fills and is never passed
+        lock, running, most = threading.Lock(), [0], [0]
+        block = montecarlo._block
+
+        def spy(*args):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(0.2)
+                return block(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(montecarlo, "_block", spy)
+        cfg = h.McConfig(n_paths=6 * 2**16, seed=4, horizon=1e-3)
+        est = h.estimate_survival(dfig, 0.01, TH, cfg, workers=workers)
+        assert most[0] == 2 * workers and est.path_steps == cfg.n_paths
 
     def test_no_thread_outlives_a_call(self, dfig):
         before = threading.active_count()
@@ -633,6 +683,7 @@ class TestDrawerThreads:
         assert threading.active_count() == before
 
     def test_step_error_propagates_and_stops_the_drawer(self, dfig, monkeypatch):
+        # the drawer is the block's own thread
         def fail(*args):
             raise FloatingPointError("step failed")
 
@@ -655,12 +706,14 @@ class TestDrawerThreads:
 
 class TestPinnedKernel:
     """Exact survival, CI, live path-step and draw counts of six small runs,
-    recorded from the kernel with SFC64 block streams, float32 variance steps
-    in units of theta on float32-rounded normals, the float64 running-sum
-    clock, parked paths drawing their lift steps and values, and paths p and
-    p + h of a block sharing one normal a step (Z and -Z) until the block
-    parks.  Two blocks, the second of 17 paths; 40 steps, so 2622120
-    path-steps and 40 * (2**15 + 9) = 1311080 normals where nothing parks.
+    recorded from the kernel with SFC64 block streams drawn in-line, float32
+    variance steps in units of theta on float32-rounded normals, the
+    exponential branch read as log(q / Phi(Z)), the float64 running-sum
+    clock, parked paths drawing their lift steps and values from Exp(1)
+    variates, and paths p and p + h of a block sharing one normal a step (Z
+    and -Z) until the block parks.  Two blocks, the second of 17 paths; 40
+    steps, so 2622120 path-steps and 40 * (2**15 + 9) = 1311080 normals
+    where nothing parks.
     At beta = 1 more than half of the live paths sit at u = 0 before the
     first step (stationary starts, most of which underflow float32) or the
     seventh (v0 = theta), and at beta = 10 before the first, so those runs
@@ -675,20 +728,20 @@ class TestPinnedKernel:
             ["0x1.dffec493bc7e5p-1", "0x1.81a587aa5284ap-1"],
             ["0x1.6d87072fd0cf9p-16", "0x1.ae4a36e5207bep-16"], 2622120, 1311080)),
         "beta1-stationary": (1.0, None, 2e-3, (
-            ["0x1.f2f94f11525eep-1", "0x1.eaf16fa0aedaap-1"],
-            ["0x1.1124fc5c619a1p-10", "0x1.4aa1cdb57d7dcp-10"], 149902, 315182)),
+            ["0x1.f2d1e5e32de25p-1", "0x1.ea4f08461340bp-1"],
+            ["0x1.129c557aca9efp-10", "0x1.4da1a73c3bcadp-10"], 152581, 318671)),
         "beta1-v0theta": (1.0, TH, 5e-3, (
-            ["0x1.99188cb48719dp-1", "0x1.891828dece485p-1"],
-            ["0x1.604bd7af6e692p-10", "0x1.bbb3d07a280e9p-10"], 1045492, 929789)),
+            ["0x1.990582aab8e53p-1", "0x1.8916f7de23342p-1"],
+            ["0x1.611f528234abap-10", "0x1.bc51b633f6bb4p-10"], 1053696, 938508)),
         "beta0.01-v0zero": (0.01, 0.0, 1e-3, (
             ["0x1.efecfc45b43b7p-1", "0x1.2c2799e7e896ap-1"],
             ["0x1.2a955543a8e15p-16", "0x1.f1b7359f3dd19p-17"], 2622120, 1311080)),
         "beta0.3-v0theta": (0.3, TH, 5e-3, (
-            ["0x1.5a760dcdbfd24p-1", "0x1.070099f8433abp-1"],
-            ["0x1.12f98f16978a1p-13", "0x1.f3614d8566a8ep-12"], 2622120, 1311080)),
+            ["0x1.5a760dcdbcf74p-1", "0x1.070099f77e53cp-1"],
+            ["0x1.12f98f1687751p-13", "0x1.f3614d7cd4b98p-12"], 2622120, 1311080)),
         "beta10-stationary": (10.0, None, 2e-3, (
-            ["0x1.ff85dea880546p-1", "0x1.fef73e8052445p-1"],
-            ["0x1.b3fd9aa973302p-13", "0x1.3a039f3ec7950p-12"], 1440, 132878)),
+            ["0x1.ff80fdc6ae3cbp-1", "0x1.fedb99d3b34bdp-1"],
+            ["0x1.af94c478a0eafp-13", "0x1.45084f5e89daap-12"], 1472, 132981)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -729,7 +782,8 @@ class TestBlockStream:
 def _reference_qe_step(u, normal, coef):
     """``u'`` by the QE step in units of theta, in the dtype of ``u``, each
     branch written out whole: the mean ``u + c (1 - u)``, the quadratic
-    branch ``m (1 + ((2b + Z) Z - 1) / (1 + b^2))`` and the exponential one."""
+    branch ``m (1 + ((2b + Z) Z - 1) / (1 + b^2))`` and the exponential one,
+    ``(m / q) log(q / Phi(Z))``, with ``Phi`` held at the smallest normal float."""
     c, s1, s0 = coef
     m = (1.0 - u) * c + u
     k = np.minimum(m * m / (u * s1 + s0), 1e18)
@@ -740,7 +794,8 @@ def _reference_qe_step(u, normal, coef):
     idx = np.flatnonzero(k < montecarlo._K_SWITCH)
     if idx.size:
         q = 2.0 * k[idx] / (2.0 + k[idx])
-        out[idx] = m[idx] / q * np.maximum(np.log(q) - log_ndtr(normal[idx]), 0.0)
+        phi = np.maximum(ndtr(normal[idx]), np.finfo(normal.dtype).tiny)
+        out[idx] = m[idx] / q * np.maximum(np.log(q / phi), 0.0)
     return out
 
 
@@ -811,8 +866,8 @@ def _scheduled_clocks(d, cfg, v0, records):
     the block first parks, a step draws one normal per pair: path ``p <
     h`` takes ``Z_p``, path ``p + h`` takes ``-Z_p`` and the last path of an
     odd block ``-Z_h``.  When more than half of the live paths sit at v = 0,
-    each of them draws its lift step from one normal and holds v = 0 until
-    that step, where it draws its lift value; from then on every live path
+    each of them draws its lift step from one exponential and holds v = 0
+    until that step, where it draws its lift value; from then on every live path
     draws its own normal, in the kernel's order: the live paths, then the
     lifted ones by lift step and path.  The live ones are stepped by
     ``_reference_qe_step`` in float32 and in units of theta, on the normals
@@ -833,7 +888,7 @@ def _scheduled_clocks(d, cfg, v0, records):
             break
         atom = live[u[live] == 0.0]
         if 2.0 * d.nu < montecarlo._K_SWITCH and 2 * atom.size > live.size:
-            wait = np.floor(log_ndtr(rng.standard_normal(atom.size)) / math.log1p(-q0))
+            wait = np.floor(rng.standard_exponential(atom.size) / -math.log1p(-q0))
             lift[atom] = step + np.minimum(wait, cfg.n_steps)
             live = live[u[live] != 0.0]
             draws += atom.size
@@ -848,7 +903,7 @@ def _scheduled_clocks(d, cfg, v0, records):
         u_next[live] = _reference_qe_step(u[live], normal.astype(np.float32), coef)
         path_steps += live.size
         up = np.flatnonzero(lift == step)
-        u_next[up] = coef[0] / q0 * -log_ndtr(rng.standard_normal(up.size))
+        u_next[up] = coef[0] / q0 * rng.standard_exponential(up.size)
         lift[up] = -1
         live = np.concatenate((live, up))
         draws += up.size
@@ -914,8 +969,8 @@ def _plain_qe(d, z_grid, cfg, seed):
 
 class TestAtomSchedule:
     """Parked paths draw a Geometric(q0) wait and an Exp(c / q0) lift value
-    in units of theta: the law of stepping them by QE from the atom, on a
-    different stream."""
+    in units of theta, each from one ``Exp(1)`` variate: the law of stepping
+    them by QE from the atom, on a different stream."""
 
     @pytest.mark.parametrize("beta", [1.0, 10.0])
     def test_lifts_follow_the_one_step_law(self, beta, monkeypatch):
@@ -924,12 +979,12 @@ class TestAtomSchedule:
         # s + 1, and I = 0 at every record before that
         d = h.Dimensionless(theta=TH, beta=beta)
         cfg = h.McConfig(dt=1e-3, n_paths=2**22, seed=2201, record_grid=(1e-3, 4e-3))
-        lifted, seen = [[], []], []
+        lifted, seen, local = [[], []], [], _by_block(monkeypatch)
         sums = montecarlo._erf_sums
 
         def spy(clock, *args):
-            rec = len(seen) % 2  # one worker: each block reads both records in turn
-            seen.append(rec)
+            rec = seen.count(local.block)  # each block reads both records in turn
+            seen.append(local.block)
             lifted[rec].append(clock[clock > 0.0].copy())
             return sums(clock, *args)
 
@@ -942,7 +997,8 @@ class TestAtomSchedule:
             want = 1.0 - (1.0 - q0) ** steps
             assert abs(share - want) <= 4.0 * math.sqrt(want * (1.0 - want) / cfg.n_paths)
         values = 2.0 * np.concatenate(lifted[0]) / cfg.dt
-        # at beta = 1 this sample reads p = 0.0025 (32k values); over seeds 3000-3029
+        # at beta = 1 this sample read p = 0.0025 (32k values) on lifts drawn by
+        # inverse CDF from a normal, as the kernel once drew them; over seeds 3000-3029
         # the lift values' mean was 0.9984 +- 0.0010 of m0 / q0 and 2 of 30 p-values
         # fell below 0.05, so the law holds and the bound is 1e-3
         assert stats.kstest(values, "expon", args=(0.0, m0 / q0)).pvalue > 1e-3
@@ -983,6 +1039,16 @@ class TestQeStep:
         out, _ = _step(np.zeros(normal.size, dtype=np.float32), normal, coef)
         assert np.all(out[normal >= z_q + 1e-6] == 0.0)
         assert np.all(out[normal < z_q - 1e-6] > 0.0)
+
+    @pytest.mark.parametrize("u", [0.0, 1e-3])
+    def test_a_far_path_at_extreme_normals(self, u):
+        # Phi(-40) underflows to 0: held at the smallest normal float, q / Phi
+        # stays finite, so the path leaves to a finite u' > 0; Phi(40) = 1 keeps it at 0
+        normal = np.array([-40.0, 40.0], dtype=np.float32)
+        out, far = _step(np.full(2, u, dtype=np.float32), normal,
+                         _coef(h.Dimensionless(theta=TH, beta=1.0), 1e-3))
+        assert np.all(far)
+        assert np.isfinite(out[0]) and out[0] > 0.0 and out[1] == 0.0
 
     @pytest.mark.parametrize("beta", [0.3, 1.0, 10.0])
     @pytest.mark.parametrize("dt", [1e-3, 1e-2])
