@@ -14,14 +14,14 @@ the paths near zero.  ``I`` is the trapezoid rule, kept as a running sum
 discrete-monitoring bias to correct, and one simulation serves every record
 time and any number of starting distances.
 
-Precision: ``u = v / theta`` is stepped in float32, on the float64 normals
-rounded to float32; ``S``, the clock ``theta dt (S - u/2 + u0/2)`` and the
-erf sums are float64.  The mean is ``u + c (1 - u)``, ``c = -expm1(-dt)``:
-its fixed point is exactly 1, which ``e u + c`` in float32 moves by up to
-6e-5.  The quadratic branch is ``m (1 + ((2b + Z) Z - 1) / (1 + b^2))``: at
-beta = 1e-9, ``b ~ 1e9``, and ``m (b + Z)^2 / (1 + b^2)`` rounds ``b + Z``
-to ``b``, a float32-sized bias a step.  Every clock product is float64, from
-the rounded start, or ``I < 0`` at a zero-step record.
+Precision: ``u = v / theta`` is stepped in float32, on float32 normals; ``S``,
+the clock ``theta dt (S - u/2 + u0/2)`` and the erf sums are float64.  The
+mean is ``u + c (1 - u)``, ``c = -expm1(-dt)``: its fixed point is exactly 1,
+which ``e u + c`` in float32 moves by up to 6e-5.  The quadratic branch is
+``m (1 + ((2b + Z) Z - 1) / (1 + b^2))``: at beta = 1e-9, ``b ~ 1e9``, and
+``m (b + Z)^2 / (1 + b^2)`` rounds ``b + Z`` to ``b``, a float32-sized bias
+a step.  Every clock product is float64, from the rounded start, or ``I <
+0`` at a zero-step record.
 
 Antithetic pairs (Glasserman, *Monte Carlo Methods in Financial
 Engineering*, 2004, sec. 4.2): paths ``p`` and ``p + h`` of a block of ``2h``
@@ -34,9 +34,10 @@ sqrt(sum_j (u_j - m_j mean)**2) / n`` over the sums ``u_j`` of ``m_j`` paths
 One call, :func:`estimate_survival`, runs it for a scalar or 1-D grid ``z0``
 from a fixed or (``v0 = None``) stationary start, into one :class:`McEstimate`.
 
-Cost: a step runs only on the live paths and draws one normal per pair, or
-per live path once the block has parked.  Where paths on the atom ``v = 0``
-take the exponential branch (``2 nu < 4/3``) and more than half of the live
+Cost: a step runs only on the live paths and takes one normal per pair, or
+per live path once the block has parked, from a chunk of float32 Box-Muller
+normals (:class:`_Normals`).  Where paths on the atom ``v = 0`` take the
+exponential branch (``2 nu < 4/3``) and more than half of the live
 paths sit there, those paths are parked: each draws its wait on the atom
 and, when it lifts, its lift value, the law of stepping it, so a parked path
 costs one draw per excursion (see :func:`_block`).  A path block is the unit
@@ -45,10 +46,10 @@ from its own generator, and a call runs up to ``2 * workers`` blocks at once.
 So 2^17 paths keep two cores busy at ``workers = 1``, while a call of one
 block (``2**16`` paths or fewer) runs on one thread.
 
-Reproducibility: one master seed, an integer in ``[0, 2**64)``; path block
-``b`` draws from its own SFC64 stream, seeded by ``SeedSequence([seed, b])``,
-and per-block float sums are merged in block order -- the estimate is
-bit-identical no matter how many worker threads run the blocks.
+Reproducibility: one seed, an integer in ``[0, 2**64)``; path block ``b``
+draws from its own SFC64 stream, ``SeedSequence([seed, b])``, its normals in
+the layout of :class:`_Normals` (cut at ``|Z| = 6.764``), and block sums
+merge in block order: the estimate is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -156,9 +157,9 @@ class McEstimate:
     ``survival`` and ``ci_halfwidth`` have shape ``(len(grid),)`` for a
     scalar ``z0`` and ``(len(grid), len(z0))`` for a grid of them.
     ``path_steps`` counts the live path-steps, the QE steps actually taken;
-    ``rng_draws`` counts the variates actually drawn: one normal a step per
-    pair (per live path once a block parks), one per parked wait and one per
-    lift, plus one Gamma start per path for stationary starts."""
+    ``rng_draws`` counts the variates paths take, not a chunk's unused tail:
+    a normal a step per pair (per live path once a block parks), one per
+    parked wait and one per lift, and one Gamma start a path if stationary."""
 
     grid: tuple[float, ...]
     survival: np.ndarray
@@ -173,6 +174,35 @@ class McEstimate:
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
+
+
+class _Normals:
+    """A block's step normals, in order: float32 Box-Muller (Box & Muller,
+    1958), ``_BLOCK`` at a time, ``r cos(a)`` of each raw word ``x``, then ``r
+    sin(a)``, for ``r = sqrt(-2 log(((x >> 32) + 1/2) 2^-32))`` and ``a = (x &
+    (2^24 - 1)) 2 pi / 2^24``.  So ``|Z| <= 6.764``, cutting a 1.3e-11 tail."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw, self._pos = rng.bit_generator.random_raw, _BLOCK
+        self._chunk = np.empty(_BLOCK, np.float32)
+
+    def take(self, size: int) -> np.ndarray:
+        """The next ``size <= _BLOCK`` normals, valid until the next take."""
+        start, self._pos = self._pos, self._pos + size
+        if self._pos <= _BLOCK:
+            return self._chunk[start:self._pos]
+        tail, x, self._pos = self._chunk[start:].copy(), self._raw(_BLOCK // 2), self._pos - _BLOCK
+        cos, sin = np.split(self._chunk, 2)
+        np.bitwise_and(x, 2**24 - 1, out=cos, casting="unsafe")  # the angles, in the cos half
+        cos *= np.float32(2.0 * math.pi / 2**24)
+        radius = x.view(float)
+        radius[...] = np.right_shift(x, 32, out=x)  # converted in place, with no copy
+        np.log(np.multiply(np.add(radius, 0.5, out=radius), 2.0**-32, out=radius), out=radius)
+        np.sqrt(np.multiply(radius, -2.0, out=radius), out=sin)  # rounded to float32
+        sin_a = np.sin(cos, out=x.view(np.float32)[:_BLOCK // 2])  # the radii are spent
+        np.multiply(np.cos(cos, out=cos), sin, out=cos)
+        sin *= sin_a
+        return np.append(tail, self._chunk[:self._pos]) if tail.size else self._chunk[:self._pos]
 
 
 def _blocks(n_paths: int) -> list[tuple[int, int]]:
@@ -280,6 +310,7 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
     The block draws every variate in-line, on the thread that runs it.
     """
     rng = _block_rng(cfg.seed, block)
+    normals = _Normals(rng)
     u = (rng.gamma(shape=d.nu, scale=1.0 / d.nu, size=n_block) if v0 is None
          else np.full(n_block, v0 / d.theta)).astype(np.float32)
     draws = n_block if v0 is None else 0
@@ -317,14 +348,13 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
                     n = keep.size
                     u[:n], total[:n], path[:n] = u[keep], total[keep], path[keep]
                     draws, paired = draws + p.size, False
-                z = rng.standard_normal(n - h if paired else n)
+                z = normals.take(n - h if paired else n)
                 draws += z.size
                 if paired:
                     normal[:h] = z[:h]
                     np.negative(z, out=normal[h:])
-                else:
-                    normal[:n] = z
-                _qe_step(u[:n], normal[:n], u_next[:n], tuple(a[:n] for a in scratch), coef)
+                    z = normal
+                _qe_step(u[:n], z[:n], u_next[:n], tuple(a[:n] for a in scratch), coef)
                 np.add(total[:n], u_next[:n], out=total[:n])
                 u, u_next = u_next, u
                 path_steps += n

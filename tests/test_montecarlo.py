@@ -2,13 +2,14 @@
 stream splitting.
 
 The heavy cross-oracle brackets run at the documented path counts, so this
-file takes about half of the suite's runtime (about 17 s on a 2-core
-machine); every seed here was verified once against the quadrature before
-being frozen.
+file takes about half of the suite's runtime (about 16.5 s of 33 s on a
+2-core machine); every seed here was verified once against the quadrature
+before being frozen.
 """
 import math
 import threading
 import time
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -261,9 +262,18 @@ class _Logged:
 
 def _log_draws(monkeypatch):
     """The ``(name, values)`` of every normal and exponential draw of every
-    block's generator, in the order they are drawn."""
+    block's generator and of every take of its step normals (``"take"``),
+    in the order they are made."""
     log, make = [], montecarlo._block_rng
+
+    class Normals(montecarlo._Normals):
+        def take(self, size):
+            out = super().take(size)
+            log.append(("take", out.copy()))
+            return out
+
     monkeypatch.setattr(montecarlo, "_block_rng", lambda *key: _Logged(make(*key), log))
+    monkeypatch.setattr(montecarlo, "_Normals", Normals)
     return log
 
 
@@ -335,23 +345,25 @@ class TestPairs:
         est = h.estimate_survival(d, 0.01, v0, cfg)
         assert len(seen) == 30 and est.path_steps == sum(z.size for z, _ in seen)
         assert all(z.dtype == np.float32 for z, _ in seen)
-        # the paired steps draw the block stream, one normal per pair and one
-        # for the lone path: [Z, -Z], rounded to float32; at beta = 1 the block
-        # parks before the first step (2/3 of the float32 starts underflow to 0)
+        # the paired steps take the block's step normals, one per pair and one
+        # for the lone path: [Z, -Z]; at beta = 1 the block parks before the
+        # first step (2/3 of the float32 starts underflow to 0)
         rng = montecarlo._block_rng(cfg.seed, 0)
         if v0 is None:
             rng.gamma(shape=d.nu, scale=1.0 / d.nu, size=n)
+        normals = montecarlo._Normals(rng)
         paired = 30 if beta == 0.1 else 0
         for z, _ in seen[:paired]:
-            draw = rng.standard_normal(n - half)
-            assert np.array_equal(z, np.concatenate((draw[:half], -draw)).astype(np.float32))
+            draw = normals.take(n - half)
+            assert np.array_equal(z, np.concatenate((draw[:half], -draw)))
             assert np.array_equal(z[:half], -z[half:2 * half])  # the members of a pair
             assert np.count_nonzero(np.abs(draw) == abs(draw[-1])) == 1  # the lone path
-        # after that each live path takes its own normal: the step's draw, rounded
+        # after that each live path takes its own normal: the step's take
         for z, (name, draw) in seen[paired:]:
-            assert name == "standard_normal"
-            assert z.size < n and np.array_equal(z, draw.astype(np.float32))
+            assert name == "take"
+            assert z.size < n and np.array_equal(z, draw)
             assert np.unique(np.abs(draw)).size == draw.size
+        assert not any(name == "standard_normal" for name, _ in log)
 
     def test_pairs_narrow_the_interval(self, dfig, monkeypatch):
         # beta = 0.1 from v0 = theta: the pair interval against the per-path
@@ -643,14 +655,14 @@ class TestDrawerThreads:
 
     @pytest.mark.parametrize("beta,v0", [(0.1, TH), (1.0, None)], ids=["fixed", "parked"])
     def test_a_call_draws_at_most_two_normals_per_path_step(self, beta, v0, monkeypatch):
-        # a path takes at most one normal a step; every normal, wait and lift
-        # drawn is counted in rng_draws
+        # a path takes at most one normal a step; every normal taken and every
+        # wait and lift drawn is counted in rng_draws
         log = _log_draws(monkeypatch)
         cfg = h.McConfig(n_paths=8, seed=5, record_grid=(0.01,))
         est = h.estimate_survival(h.Dimensionless(TH, beta), 0.01, v0, cfg)
         drawn = {name: sum(v.size for n, v in log if n == name)
-                 for name in ("standard_normal", "standard_exponential")}
-        assert 0 < drawn["standard_normal"] <= 8 * 10
+                 for name in ("take", "standard_normal", "standard_exponential")}
+        assert 0 < drawn["take"] <= 8 * 10 and drawn["standard_normal"] == 0
         assert (drawn["standard_exponential"] > 0) == (v0 is None)  # beta = 1 parks
         assert est.rng_draws - (8 if v0 is None else 0) == sum(drawn.values())
 
@@ -706,8 +718,9 @@ class TestDrawerThreads:
 
 class TestPinnedKernel:
     """Exact survival, CI, live path-step and draw counts of six small runs,
-    recorded from the kernel with SFC64 block streams drawn in-line, float32
-    variance steps in units of theta on float32-rounded normals, the
+    recorded from the kernel with SFC64 block streams drawn in-line, step
+    normals by chunked float32 Box-Muller from the block stream's raw
+    words, float32 variance steps in units of theta, the
     exponential branch read as log(q / Phi(Z)), the float64 running-sum
     clock, parked paths drawing their lift steps and values from Exp(1)
     variates, and paths p and p + h of a block sharing one normal a step (Z
@@ -725,23 +738,23 @@ class TestPinnedKernel:
 
     CASES = {
         "beta0.1-v0theta": (0.1, TH, 0.01, (
-            ["0x1.dffec493bc7e5p-1", "0x1.81a587aa5284ap-1"],
-            ["0x1.6d87072fd0cf9p-16", "0x1.ae4a36e5207bep-16"], 2622120, 1311080)),
+            ["0x1.dffbf7cf91558p-1", "0x1.81a51d5e5f6b6p-1"],
+            ["0x1.74c71040425a9p-16", "0x1.b34dba13e0658p-16"], 2622120, 1311080)),
         "beta1-stationary": (1.0, None, 2e-3, (
-            ["0x1.f2d1e5e32de25p-1", "0x1.ea4f08461340bp-1"],
-            ["0x1.129c557aca9efp-10", "0x1.4da1a73c3bcadp-10"], 152581, 318671)),
+            ["0x1.f2dcf3cd02e3cp-1", "0x1.eafe4b75a4fd1p-1"],
+            ["0x1.1273172c19ddep-10", "0x1.4837a488055f1p-10"], 147368, 312414)),
         "beta1-v0theta": (1.0, TH, 5e-3, (
-            ["0x1.990582aab8e53p-1", "0x1.8916f7de23342p-1"],
-            ["0x1.611f528234abap-10", "0x1.bc51b633f6bb4p-10"], 1053696, 938508)),
+            ["0x1.9937af2a916b5p-1", "0x1.895b0c8488521p-1"],
+            ["0x1.64dc1bc21cf3dp-10", "0x1.c0a75484b548bp-10"], 1058758, 943755)),
         "beta0.01-v0zero": (0.01, 0.0, 1e-3, (
-            ["0x1.efecfc45b43b7p-1", "0x1.2c2799e7e896ap-1"],
-            ["0x1.2a955543a8e15p-16", "0x1.f1b7359f3dd19p-17"], 2622120, 1311080)),
+            ["0x1.efead8fa005f1p-1", "0x1.2c269904946edp-1"],
+            ["0x1.2ef41acb7f3c7p-16", "0x1.f8d5757a3d1fdp-17"], 2622120, 1311080)),
         "beta0.3-v0theta": (0.3, TH, 5e-3, (
-            ["0x1.5a760dcdbcf74p-1", "0x1.070099f77e53cp-1"],
-            ["0x1.12f98f1687751p-13", "0x1.f3614d7cd4b98p-12"], 2622120, 1311080)),
+            ["0x1.5a7cf24b7825ap-1", "0x1.071cfae6a16b7p-1"],
+            ["0x1.16f3d0b307616p-13", "0x1.f60df9f7db280p-12"], 2622120, 1311080)),
         "beta10-stationary": (10.0, None, 2e-3, (
-            ["0x1.ff80fdc6ae3cbp-1", "0x1.fedb99d3b34bdp-1"],
-            ["0x1.af94c478a0eafp-13", "0x1.45084f5e89daap-12"], 1472, 132981)),
+            ["0x1.ff7d64cf4b1b4p-1", "0x1.fedf868dfe9cbp-1"],
+            ["0x1.ba97b45fd92acp-13", "0x1.43dd33b074624p-12"], 1589, 133097)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -777,6 +790,64 @@ class TestBlockStream:
         cfg = h.McConfig(n_paths=2**16 + 3, seed=2**64 - 1, record_grid=(0.005,))
         est = h.estimate_survival(dfig, 0.01, None, cfg)
         assert est.seed == 2**64 - 1 and 0.0 < est.survival[0] < 1.0
+
+
+def _box_muller(words):
+    """Normals of one chunk of raw 64-bit ``words`` by the layout's formula:
+    ``r cos`` of every word, then ``r sin``."""
+    angle = (words & (2**24 - 1)).astype(np.float32) * np.float32(2.0 * math.pi / 2**24)
+    radius = np.sqrt(-2.0 * np.log(((words >> 32) + 0.5) * 2.0**-32)).astype(np.float32)
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
+
+
+class TestNormalSource:
+    """A block's step normals, ``montecarlo._Normals``: float32 Box-Muller
+    made 2**16 at a time from the block stream's raw words.  Tolerances are
+    4 standard errors; seeds were fixed before the first run."""
+
+    N = 2**22
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        normals = montecarlo._Normals(montecarlo._block_rng(3001, 0))
+        return np.concatenate([normals.take(2**16).copy() for _ in range(self.N // 2**16)])
+
+    def test_layout_and_takes_across_refills(self):
+        # whole chunks against the layout's formula on the stream's raw words,
+        # then takes that end a chunk, start one, or span a refill
+        raw = montecarlo._block_rng(3002, 0).bit_generator.random_raw
+        want = np.concatenate([_box_muller(raw(2**15)) for _ in range(4)])
+        whole = montecarlo._Normals(montecarlo._block_rng(3002, 0))
+        assert np.array_equal(np.concatenate([whole.take(2**16).copy() for _ in range(4)]), want)
+        parts = montecarlo._Normals(montecarlo._block_rng(3002, 0))
+        sizes = (1, 2**16 - 1, 40_000, 3, 2**16, 9, 2**16 - 30_000)
+        got = np.concatenate([parts.take(size).copy() for size in sizes])
+        assert got.dtype == np.float32 and np.array_equal(got, want[:got.size])
+
+    def test_moments_and_tails(self, sample):
+        z = sample.astype(np.float64)
+        n = z.size
+        assert abs(z.mean()) <= 4.0 / math.sqrt(n)
+        assert abs(z.var() - 1.0) <= 4.0 * math.sqrt(2.0 / n)
+        for t in (1.0, 2.0, 3.0, 4.0):
+            p = 2.0 * ndtr(-t)
+            assert abs(np.mean(np.abs(z) > t) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n), t
+
+    def test_cos_and_sin_halves_uncorrelated(self, sample):
+        # the two normals of a word share its radius and its angle
+        chunks = sample.astype(np.float64).reshape(-1, 2, 2**15)
+        cos, sin = chunks[:, 0].ravel(), chunks[:, 1].ravel()
+        bound = 4.0 / math.sqrt(cos.size)
+        assert abs(np.corrcoef(cos, sin)[0, 1]) <= bound
+        assert abs(np.corrcoef(cos * cos, sin * sin)[0, 1]) <= bound
+
+    def test_truncated_at_6_764(self, sample):
+        assert np.abs(sample).max() <= 6.764
+        # the word 0 gives the largest radius, sqrt(-2 log 2^-33), at angle 0
+        zeros = types.SimpleNamespace(random_raw=lambda size: np.zeros(size, np.uint64))
+        chunk = montecarlo._Normals(types.SimpleNamespace(bit_generator=zeros)).take(2**16)
+        top = np.float32(math.sqrt(66.0 * math.log(2.0)))
+        assert top <= 6.764 and np.all(chunk[:2**15] == top) and np.all(chunk[2**15:] == 0.0)
 
 
 def _reference_qe_step(u, normal, coef):
@@ -863,18 +934,20 @@ def _scheduled_clocks(d, cfg, v0, records):
     and draws, from the kernel's schedule followed path by path.
 
     Every path keeps its own full-width variance and trapezoid sum.  Until
-    the block first parks, a step draws one normal per pair: path ``p <
-    h`` takes ``Z_p``, path ``p + h`` takes ``-Z_p`` and the last path of an
-    odd block ``-Z_h``.  When more than half of the live paths sit at v = 0,
-    each of them draws its lift step from one exponential and holds v = 0
-    until that step, where it draws its lift value; from then on every live path
-    draws its own normal, in the kernel's order: the live paths, then the
-    lifted ones by lift step and path.  The live ones are stepped by
-    ``_reference_qe_step`` in float32 and in units of theta, on the normals
-    rounded to float32; the trapezoid sum is float64, times theta."""
+    the block first parks, a step takes one of the block's step normals
+    (``montecarlo._Normals``) per pair: path ``p < h`` takes ``Z_p``, path
+    ``p + h`` takes ``-Z_p`` and the last path of an odd block ``-Z_h``.
+    When more than half of the live paths sit at v = 0, each of them draws
+    its lift step from one exponential and holds v = 0 until that step,
+    where it draws its lift value; from then on every live path takes its
+    own normal, in the kernel's order: the live paths, then the lifted ones
+    by lift step and path.  The live ones are stepped by
+    ``_reference_qe_step`` in float32 and in units of theta; the trapezoid
+    sum is float64, times theta."""
     n, dt = cfg.n_paths, cfg.dt
     h = n // 2
     rng = montecarlo._block_rng(cfg.seed, 0)
+    normals = montecarlo._Normals(rng)
     u = (rng.gamma(shape=d.nu, scale=1.0 / d.nu, size=n) if v0 is None
          else np.full(n, v0 / d.theta)).astype(np.float32)
     draws = n if v0 is None else 0
@@ -894,13 +967,13 @@ def _scheduled_clocks(d, cfg, v0, records):
             draws += atom.size
             paired = False
         if paired:
-            z = rng.standard_normal(n - h)
+            z = normals.take(n - h)
             normal = np.concatenate((z[:h], -z))
         else:
-            normal = rng.standard_normal(live.size)
+            normal = normals.take(live.size)
         draws += n - h if paired else live.size
         u_next = u.copy()  # a parked path's u is 0
-        u_next[live] = _reference_qe_step(u[live], normal.astype(np.float32), coef)
+        u_next[live] = _reference_qe_step(u[live], normal, coef)
         path_steps += live.size
         up = np.flatnonzero(lift == step)
         u_next[up] = coef[0] / q0 * rng.standard_exponential(up.size)
@@ -1063,16 +1136,16 @@ class TestQeStep:
 def _float64_paired_run(d, z_grid, cfg):
     """Mean of ``erf(z / sqrt(2 I))`` at the horizon over one block of paths
     from ``v0 = theta``, on the kernel's paired normals (the block never
-    parks), stepped by ``_reference_qe_step`` in float64 on the normals as
-    drawn, with a float64 trapezoid clock."""
+    parks), stepped by ``_reference_qe_step`` in float64 on the float32
+    normals as taken, with a float64 trapezoid clock."""
     n = cfg.n_paths
     h = n // 2
     assert n % 2 == 0 and len(montecarlo._blocks(n)) == 1
-    rng = montecarlo._block_rng(cfg.seed, 0)
+    normals = montecarlo._Normals(montecarlo._block_rng(cfg.seed, 0))
     coef = _coef(d, cfg.dt)
     u, clock = np.ones(n), np.zeros(n)
     for _ in range(cfg.n_steps):
-        z = rng.standard_normal(n - h)
+        z = normals.take(n - h).astype(np.float64)
         u_next = _reference_qe_step(u, np.concatenate((z[:h], -z)), coef)
         clock += (u + u_next) * (0.5 * cfg.dt)
         u = u_next
