@@ -210,25 +210,25 @@ def _blocks(n_paths: int) -> list[tuple[int, int]]:
             for b in range((n_paths + _BLOCK - 1) // _BLOCK)]
 
 
-def _erf_sums(clock: np.ndarray, z_grid: np.ndarray, h: int) -> np.ndarray:
-    """Block sums of ``s = erf(z / sqrt(2 I))``, one ``z`` (row) at a time,
-    so memory stays O(block).  ``clock`` is in path order; unit ``j`` is the
-    pair sum ``u_j = s_j + s_{j+h}`` (``m_j = 2``) for ``j < h``, or the odd
-    block's last path (``m_j = 1``).  A row is the sum of ``s``, the sum of
-    ``(u_j - m_j c)**2`` and ``c = sum(m_j u_j) / sum(m_j**2)``, a centre that
-    pools blocks exactly and keeps the sum exact for near-equal ``s``."""
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / np.sqrt(2.0 * clock)  # I = 0 gives inf, and erf(inf) = 1
-    size = np.repeat((2.0, 1.0), (h, clock.size - 2 * h))
-    out = np.empty((z_grid.size, 3))
+def _erf_sums(clock: np.ndarray, z_grid: np.ndarray, h: int, s: np.ndarray) -> np.ndarray:
+    """Block sums of ``s = erf(z / sqrt(2 I))``, a ``z`` (row) at a time, in
+    the block's buffers: ``clock`` (path order) becomes ``1 / sqrt(2 I)`` and
+    ``s`` holds a row.  Unit ``j`` is ``u_j = s_j + s_{j+h}`` (``m_j = 2``) for
+    ``j < h``, or the odd block's last path (``m_j = 1``).  A row is the sum of
+    ``s``, the sum of ``(u_j - m_j c)**2`` and ``c = sum(m_j u_j) / sum(m_j**2)``,
+    a centre that pools blocks exactly and keeps the sum exact for near-equal ``s``."""
+    with np.errstate(divide="ignore"):  # I = 0 gives inf, and erf(inf) = 1
+        inv = np.divide(1.0, np.sqrt(np.multiply(clock, 2.0, out=clock), out=clock), out=clock)
+    u, prod, out = s[h:], np.empty(clock.size - h), np.empty((z_grid.size, 3))
     for j, z in enumerate(z_grid):
-        s = erf(z * inv)
-        u = s[h:]
-        u[:h] += s[:h]
-        c = (size * u).sum() / (size * size).sum()
-        total = u.sum()
-        u -= size * c
-        out[j] = total, (u * u).sum(), c
+        u[:h] += erf(np.multiply(inv, z, out=s), out=s)[:h]
+        np.multiply(u[:h], 2.0, out=prod[:h])
+        prod[h:] = u[h:]
+        c = out[j, 2] = prod.sum() / (2 * h + clock.size)  # sum(m_j**2) = 4h + (n - 2h)
+        out[j, 0] = u.sum()
+        u[:h] -= 2.0 * c
+        u[h:] -= c
+        out[j, 1] = np.multiply(u, u, out=prod).sum()
     return out
 
 
@@ -366,15 +366,15 @@ def _block(block: int, n_block: int, z_grid: np.ndarray, steps: np.ndarray,
                     path[n:n + up], keys, n = p, keys[up:], n + up
                     draws += up
             done = stop
-            # a parked path's u is 0, so its clock is theta dt S + base
+            # a parked path (u = 0) reads theta dt S + base; takes clip, as "raise" buffers out
             live, off, p = clock[:n], clock[n:], keys % n_block
             np.multiply(total[:n], tdt, out=live)
             live -= np.multiply(u[:n], half_tdt, out=work[:n], dtype=np.float64)
-            live += np.take(base, path[:n], out=work[:n])
-            np.multiply(np.take(parked, p, out=off), tdt, out=off)
-            off += np.take(base, p, out=work[n:])
+            live += np.take(base, path[:n], out=work[:n], mode="clip")
+            np.multiply(np.take(parked, p, out=off, mode="clip"), tdt, out=off)
+            off += np.take(base, p, out=work[n:], mode="clip")
             work[path[:n]], work[p] = live, off
-            sums[rec] = _erf_sums(work, z_grid, h)
+            sums[rec] = _erf_sums(work, z_grid, h, clock)
     return sums, path_steps, draws
 
 

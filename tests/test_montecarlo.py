@@ -9,6 +9,7 @@ before being frozen.
 import math
 import threading
 import time
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -232,10 +233,10 @@ def _with_per_path_values(monkeypatch, call):
     seen, local = [], _by_block(monkeypatch)
     reduce = montecarlo._erf_sums
 
-    def spy(clock, z_grid, h):
+    def spy(clock, z_grid, h, s):
         assert h == clock.size // 2
         seen.append((local.block, erf(z_grid[:, None] / np.sqrt(2.0 * clock))))
-        return reduce(clock, z_grid, h)
+        return reduce(clock, z_grid, h, s)
 
     monkeypatch.setattr(montecarlo, "_erf_sums", spy)
     return call(), _in_block_order(seen)
@@ -1194,3 +1195,19 @@ class TestFloat32Step:
         assert len(clocks) == 3
         for got, tau in zip(clocks, cfg.record_grid):
             assert np.all(np.abs(got - TH * tau) <= 4 * np.spacing(TH * tau))
+
+
+class TestMemory:
+    def test_one_block_peak(self, dfig):
+        # one block of 2**16 paths and c01's 16 z: the block's arrays come to
+        # 4.3 MB; per-z float64 temporaries of the erf sums and a buffered take
+        # at each record once lifted the peak to 6.7 MB
+        zs = np.logspace(math.log10(2e-3), math.log10(2e-1), 16)
+        cfg = h.McConfig(dt=1e-3, n_paths=2**16, seed=0, record_grid=(0.25, 0.5))
+        tracemalloc.start()
+        try:
+            h.estimate_survival(dfig, zs, TH, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5e6
