@@ -1,12 +1,17 @@
 """Simulation oracle: QE variance paths, the conditional erf estimator, and
 stream splitting.
 
-The heavy cross-oracle brackets run at the documented path counts, so this
-file takes about half of the suite's runtime (about 16.5 s of 33 s on a
-2-core machine); every seed here was verified once against the quadrature
-before being frozen.
+Bits, per-path clocks and counts are checked against one plain, per-path
+reference block (``_reference_block``) that draws the kernel's own
+variates; the kernel's clocks are read through one spy on ``_erf_sums``
+(``_recorded``), and the statistical tests check laws.  The heavy
+cross-oracle brackets run at the documented path counts, so this file
+takes about 40 % of the suite's runtime (about 17 s of 42 s on a 2-core
+machine); every seed here was verified once against the quadrature before
+being frozen.
 """
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -68,60 +73,36 @@ class TestConfig:
         with pytest.raises(h.ConfigError):
             h.McConfig(**kw)
 
-    @pytest.mark.parametrize("error,call", [
-        pytest.param(h.ParameterError, lambda d, cfg: h.estimate_survival(d, 0.01, math.nan, cfg),
-                     id="v0-nan"),
-        pytest.param(h.ParameterError, lambda d, cfg: h.estimate_survival(d, 0.01, math.inf, cfg),
-                     id="v0-inf"),
-        pytest.param(h.ParameterError, lambda d, cfg: h.estimate_survival(d, math.nan, TH, cfg),
-                     id="z0-nan"),
-        pytest.param(h.ParameterError, lambda d, cfg: h.estimate_survival(d, math.inf, TH, cfg),
-                     id="z0-inf"),
-        pytest.param(h.ParameterError, lambda d, cfg: h.estimate_survival(d, math.inf, None, cfg),
-                     id="averaged-z0-inf"),
-        pytest.param(h.ParameterError,
-                     lambda d, cfg: h.estimate_survival(d, (0.01, 0.02), math.nan, cfg),
-                     id="profile-v0-nan"),
-        pytest.param(h.ParameterError,
-                     lambda d, cfg: h.estimate_survival(d, (0.01, math.nan, 0.02), None, cfg),
-                     id="profile-z-nan"),
-        pytest.param(h.ParameterError,
-                     lambda d, cfg: h.estimate_survival(d, (0.01, math.inf), None, cfg),
-                     id="profile-z-inf"),
-        pytest.param(h.ConfigError, lambda d, cfg: h.estimate_survival(d, (), TH, cfg),
-                     id="z0-empty"),
-        pytest.param(h.ConfigError, lambda d, cfg: h.estimate_survival(d, [[0.01, 0.02]], TH, cfg),
-                     id="z0-2d"),
-        pytest.param(h.ConfigError,
-                     lambda d, cfg: h.estimate_survival(d, 0.01, TH, cfg, workers=0),
-                     id="workers-0"),
-        pytest.param(h.ConfigError,
-                     lambda d, cfg: h.estimate_survival(d, 0.01, None, cfg, workers=0),
-                     id="averaged-workers-0"),
-        pytest.param(h.ConfigError,
-                     lambda d, cfg: h.estimate_survival(d, (0.01,), None, cfg, workers=0),
-                     id="profile-workers-0"),
-        *(pytest.param(h.ConfigError,
-                       lambda d, cfg, w=w: h.estimate_survival(d, 0.01, TH, cfg, workers=w),
-                       id=f"workers-{w!r}") for w in (True, 1.5, "2")),
-        # the float32 step cannot hold u0 = 1e40 or s1 = exp(-dt) c / nu = 5e44
-        pytest.param(h.ParameterError,
-                     lambda d, cfg: h.estimate_survival(d, 0.01, 1e40 * TH, cfg),
-                     id="v0-past-float32"),
-        pytest.param(h.ParameterError,
-                     lambda d, cfg: h.estimate_survival(h.Dimensionless(1e-50, 0.1), 0.01,
-                                                        1e-50, cfg),
-                     id="model-past-float32"),
-        pytest.param(h.ParameterError,
-                     lambda d, cfg: h.estimate_survival(h.Dimensionless(1e-50, 0.1), 0.01,
-                                                        None, cfg),
-                     id="averaged-model-past-float32"),
-    ])
-    def test_rejected_inputs(self, dfig, error, call):
+    TINY = h.Dimensionless(1e-50, 0.1)  # its s1 = exp(-dt) c / nu = 5e44 is past float32
+
+    @pytest.mark.parametrize("error,z0,v0,workers,d", [
+        (h.ParameterError, 0.01, math.nan, 1, None),
+        (h.ParameterError, 0.01, math.inf, 1, None),
+        (h.ParameterError, math.nan, TH, 1, None),
+        (h.ParameterError, math.inf, TH, 1, None),
+        (h.ParameterError, math.inf, None, 1, None),
+        (h.ParameterError, (0.01, 0.02), math.nan, 1, None),
+        (h.ParameterError, (0.01, math.nan, 0.02), None, 1, None),
+        (h.ParameterError, (0.01, math.inf), None, 1, None),
+        (h.ConfigError, (), TH, 1, None),
+        (h.ConfigError, [[0.01, 0.02]], TH, 1, None),
+        (h.ConfigError, 0.01, TH, 0, None),
+        (h.ConfigError, 0.01, None, 0, None),
+        (h.ConfigError, (0.01,), None, 0, None),
+        *((h.ConfigError, 0.01, TH, w, None) for w in (True, 1.5, "2")),
+        (h.ParameterError, 0.01, 1e40 * TH, 1, None),  # u0 = 1e40 is past float32
+        (h.ParameterError, 0.01, 1e-50, 1, TINY),
+        (h.ParameterError, 0.01, None, 1, TINY),
+    ], ids=["v0-nan", "v0-inf", "z0-nan", "z0-inf", "averaged-z0-inf", "profile-v0-nan",
+            "profile-z-nan", "profile-z-inf", "z0-empty", "z0-2d", "workers-0",
+            "averaged-workers-0", "profile-workers-0", "workers-True", "workers-1.5",
+            "workers-'2'", "v0-past-float32", "model-past-float32",
+            "averaged-model-past-float32"])
+    def test_rejected_inputs(self, dfig, error, z0, v0, workers, d):
         # each of these used to return a survival value (1.0 or 0.0, or NaN
         # past float32), run with one worker, or (workers="2") end in a TypeError
         with pytest.raises(error):
-            call(dfig, h.McConfig(n_paths=8, horizon=0.01))
+            h.estimate_survival(d or dfig, z0, v0, h.McConfig(n_paths=8, horizon=0.01), workers)
 
     @pytest.mark.parametrize("beta", [1e200, 1e-200])
     def test_unrepresentable_model_rejected(self, beta):
@@ -194,88 +175,42 @@ class TestDegenerateDynamics:
     def test_curve_shape_and_ci(self, dfig, monkeypatch):
         grid = (0.1, 0.2, 0.3, 0.4, 0.5)
         cfg = h.McConfig(dt=1e-3, n_paths=2 * 10**4, seed=4, record_grid=grid)
-        est, per_path = _with_per_path_values(
-            monkeypatch, lambda: h.estimate_survival(dfig, 0.01, TH, cfg))
+        est, clocks = _recorded(monkeypatch, lambda: h.estimate_survival(dfig, 0.01, TH, cfg))
         assert np.all(np.diff(est.survival) <= 0.0)
         assert np.all((est.survival >= 0.0) & (est.survival <= 1.0))
-        assert len(per_path) == len(grid)  # one block and one z: a (1, path) array a record
-        for i, values in enumerate(per_path):
-            mean, ci = _pair_interval([values])
+        assert len(clocks) == len(grid)  # one block: one clock a record
+        for i, clock in enumerate(clocks):
+            mean, ci = _pair_interval([_values(clock, [0.01])])
             assert math.isclose(est.survival[i], mean[0], rel_tol=1e-12)
             assert math.isclose(est.ci_halfwidth[i], ci[0], rel_tol=1e-9)
         assert est.grid == grid
 
-
-def _by_block(monkeypatch):
-    """A thread-local whose ``block`` is the index of the path block its
-    thread runs, set when the block makes its generator."""
-    local = threading.local()
-    make = montecarlo._block_rng
-
-    def spy(seed, block):
-        local.block = block
-        return make(seed, block)
-
-    monkeypatch.setattr(montecarlo, "_block_rng", spy)
-    return local
+    def test_zero_step_record(self, dfig):
+        # a record at step 0 comes before the first draw and reads I = 0
+        cfg = h.McConfig(n_paths=17, seed=1, record_grid=(0.0, 0.01))
+        est = h.estimate_survival(dfig, 0.01, TH, cfg)
+        assert est.survival[0] == 1.0 and est.ci_halfwidth[0] == 0.0
 
 
-def _in_block_order(seen):
-    """The values of ``(block, value)`` pairs, by block, each block's in the
-    order it gave them."""
-    return [value for _, value in sorted(seen, key=lambda pair: pair[0])]
+def _values(clock, z_grid):
+    """``erf(z / sqrt(2 I))`` of per-path clocks ``I``, shape ``(z, path)``."""
+    with np.errstate(divide="ignore"):
+        return erf(np.asarray(z_grid)[:, None] / np.sqrt(2.0 * clock))
 
 
-def _with_per_path_values(monkeypatch, call):
-    """Run ``call`` and also return every ``erf(z / sqrt(2 I))`` array the
-    kernel reduced, shape ``(z, path)`` with paths in path order, block by
-    block, each block's in the order it reduced them."""
-    seen, local = [], _by_block(monkeypatch)
-    reduce = montecarlo._erf_sums
+def _recorded(monkeypatch, call):
+    """``call()``, and the per-path clocks, in path order, that each path
+    block hands ``_erf_sums`` at each record: one array a (block, record), in
+    that order, keyed by the calling ``_block``'s ``block`` and ``rec``."""
+    seen, reduce = {}, montecarlo._erf_sums
 
-    def spy(clock, z_grid, h, s):
-        assert h == clock.size // 2
-        seen.append((local.block, erf(z_grid[:, None] / np.sqrt(2.0 * clock))))
-        return reduce(clock, z_grid, h, s)
+    def spy(clock, *args):
+        kernel = sys._getframe(1).f_locals
+        seen[kernel["block"], kernel["rec"]] = clock.copy()
+        return reduce(clock, *args)
 
     monkeypatch.setattr(montecarlo, "_erf_sums", spy)
-    return call(), _in_block_order(seen)
-
-
-class _Logged:
-    """A block's generator that appends ``(name, values)`` to ``log`` for
-    each normal or exponential draw it makes."""
-
-    def __init__(self, rng, log):
-        self._rng, self._log = rng, log
-
-    def __getattr__(self, name):
-        draw = getattr(self._rng, name)
-        if name not in ("standard_normal", "standard_exponential"):
-            return draw
-
-        def logged(*args, **kwargs):
-            out = draw(*args, **kwargs)
-            self._log.append((name, np.array(out, copy=True)))
-            return out
-        return logged
-
-
-def _log_draws(monkeypatch):
-    """The ``(name, values)`` of every normal and exponential draw of every
-    block's generator and of every take of its step normals (``"take"``),
-    in the order they are made."""
-    log, make = [], montecarlo._block_rng
-
-    class Normals(montecarlo._Normals):
-        def take(self, size):
-            out = super().take(size)
-            log.append(("take", out.copy()))
-            return out
-
-    monkeypatch.setattr(montecarlo, "_block_rng", lambda *key: _Logged(make(*key), log))
-    monkeypatch.setattr(montecarlo, "_Normals", Normals)
-    return log
+    return call(), [seen[key] for key in sorted(seen)]
 
 
 def _pair_interval(blocks):
@@ -301,8 +236,8 @@ class TestEstimator:
         # two blocks, the second odd, stationary starts: the CLT of the pair units
         z_grid = np.array([0.002, 0.01, 0.05])
         cfg = h.McConfig(dt=1e-3, n_paths=2**16 + 17, seed=31, horizon=0.05)
-        est, per_path = _with_per_path_values(
-            monkeypatch, lambda: h.estimate_survival(dfig, z_grid, None, cfg))
+        est, clocks = _recorded(monkeypatch, lambda: h.estimate_survival(dfig, z_grid, None, cfg))
+        per_path = [_values(clock, z_grid) for clock in clocks]
         assert [v.shape for v in per_path] == [(3, 2**16), (3, 17)]
         assert est.survival.shape == est.ci_halfwidth.shape == (1, 3)
         mean, ci = _pair_interval(per_path)
@@ -332,48 +267,24 @@ class TestPairs:
     @pytest.mark.parametrize("beta, v0", [(0.1, TH), (1.0, None)],
                              ids=["beta0.1", "beta1-stationary"])
     def test_step_normals(self, beta, v0, monkeypatch):
+        # the reference block takes the normals so; at beta = 0.1 the block
+        # keeps its pairs to the end, and at beta = 1 it parks before the first
+        # step (2/3 of the float32 starts underflow to 0)
         n = 2**12 + 1
-        half = n // 2
-        seen, step, log = [], montecarlo._qe_step, _log_draws(monkeypatch)
-
-        def spy(u, normal, *args):
-            seen.append((normal.copy(), log[-1]))
-            return step(u, normal, *args)
-
-        monkeypatch.setattr(montecarlo, "_qe_step", spy)
-        d = h.Dimensionless(theta=TH, beta=beta)
         cfg = h.McConfig(dt=1e-3, n_paths=n, seed=17, record_grid=(0.03,))
-        est = h.estimate_survival(d, 0.01, v0, cfg)
-        assert len(seen) == 30 and est.path_steps == sum(z.size for z, _ in seen)
-        assert all(z.dtype == np.float32 for z, _ in seen)
-        # the paired steps take the block's step normals, one per pair and one
-        # for the lone path: [Z, -Z]; at beta = 1 the block parks before the
-        # first step (2/3 of the float32 starts underflow to 0)
-        rng = montecarlo._block_rng(cfg.seed, 0)
-        if v0 is None:
-            rng.gamma(shape=d.nu, scale=1.0 / d.nu, size=n)
-        normals = montecarlo._Normals(rng)
-        paired = 30 if beta == 0.1 else 0
-        for z, _ in seen[:paired]:
-            draw = normals.take(n - half)
-            assert np.array_equal(z, np.concatenate((draw[:half], -draw)))
-            assert np.array_equal(z[:half], -z[half:2 * half])  # the members of a pair
-            assert np.count_nonzero(np.abs(draw) == abs(draw[-1])) == 1  # the lone path
-        # after that each live path takes its own normal: the step's take
-        for z, (name, draw) in seen[paired:]:
-            assert name == "take"
-            assert z.size < n and np.array_equal(z, draw)
-            assert np.unique(np.abs(draw)).size == draw.size
-        assert not any(name == "standard_normal" for name, _ in log)
+        est = _against_the_reference_block(monkeypatch, h.Dimensionless(TH, beta), cfg, v0)
+        if beta == 0.1:
+            assert (est.path_steps, est.rng_draws) == (30 * n, 30 * (n - n // 2))
+        else:
+            assert est.path_steps < 30 * n
 
     def test_pairs_narrow_the_interval(self, dfig, monkeypatch):
         # beta = 0.1 from v0 = theta: the pair interval against the per-path
         # CLT interval of the same paths
         zs = np.array([0.005, 0.01, 0.05])
         cfg = h.McConfig(dt=1e-3, n_paths=2**17, seed=25, horizon=0.5)
-        est, per_path = _with_per_path_values(
-            monkeypatch, lambda: h.estimate_survival(dfig, zs, TH, cfg))
-        values = np.concatenate(per_path, axis=1)
+        est, clocks = _recorded(monkeypatch, lambda: h.estimate_survival(dfig, zs, TH, cfg))
+        values = _values(np.concatenate(clocks), zs)
         per_path_ci = 1.96 * values.std(axis=1) / math.sqrt(cfg.n_paths)
         assert np.all(est.ci_halfwidth[0] <= 0.6 * per_path_ci)
 
@@ -516,51 +427,38 @@ class TestProfile:
         assert est != h.estimate_survival(dfig, 0.01, TH, cfg)
 
 
-def _stationary_starts(monkeypatch, d, n, seed):
-    """The starting variances that ``estimate_survival(d, z, None, ...)``
-    draws for ``n`` paths: theta times the float32 ``u`` of each block's one
-    ``_qe_step``, in block order."""
-    seen, local = [], _by_block(monkeypatch)
-    step = montecarlo._qe_step
-
-    def spy(u, *args):
-        assert u.dtype == np.float32
-        seen.append((local.block, d.theta * u.astype(np.float64)))
-        return step(u, *args)
-
-    monkeypatch.setattr(montecarlo, "_qe_step", spy)
-    cfg = h.McConfig(dt=1e-3, n_paths=n, seed=seed, horizon=1e-3)
-    h.estimate_survival(d, 0.01, None, cfg)
-    # each block's step ran on all of its paths
-    starts = _in_block_order(seen)
-    assert [v.size for v in starts] == [nb for _, nb in montecarlo._blocks(n)]
-    return np.concatenate(starts)
+def _stationary_starts(d, n, seed):
+    """The starting variances of ``n`` stationary paths: theta times the
+    float32 ``u`` of ``_starts`` on each block's stream, in block order (the
+    kernel's, by TestClock)."""
+    return d.theta * np.concatenate([_starts(montecarlo._block_rng(seed, b), d, None, nb)
+                                     for b, nb in montecarlo._blocks(n)]).astype(np.float64)
 
 
 class TestStationarySampler:
     """The stationary Gamma law of the starting variances that the kernel
     draws when ``v0 = None``."""
 
-    def test_moments(self, dfig, monkeypatch):
-        draws = _stationary_starts(monkeypatch, dfig, 10**6, seed=5)
+    def test_moments(self, dfig):
+        draws = _stationary_starts(dfig, 10**6, seed=5)
         mean_se = math.sqrt(TH * 0.1**2 / 2.0 / 10**6)
         assert abs(draws.mean() - TH) <= 3.0 * mean_se
         want_var = TH * 0.1**2 / 2.0
         var_se = want_var * math.sqrt((2.0 + 6.0 / dfig.nu) / 10**6)
         assert abs(draws.var(ddof=1) - want_var) <= 3.0 * var_se
 
-    def test_exponential_special_case(self, monkeypatch):
+    def test_exponential_special_case(self):
         # nu = 1 collapses the Gamma to an exponential with scale beta^2/2
         d = h.Dimensionless(theta=0.5 * 0.1**2, beta=0.1)
         assert math.isclose(d.nu, 1.0, rel_tol=1e-12)
-        draws = _stationary_starts(monkeypatch, d, 10**5, seed=6)
+        draws = _stationary_starts(d, 10**5, seed=6)
         ks = stats.kstest(draws, "expon", args=(0.0, 0.1**2 / 2.0)).statistic
         assert ks <= 1.63 / math.sqrt(10**5)  # 1% critical value
 
-    def test_deterministic_for_seed(self, dfig, monkeypatch):
-        a = _stationary_starts(monkeypatch, dfig, 1000, seed=9)
-        b = _stationary_starts(monkeypatch, dfig, 1000, seed=9)
-        c = _stationary_starts(monkeypatch, dfig, 1000, seed=10)
+    def test_deterministic_for_seed(self, dfig):
+        a = _stationary_starts(dfig, 1000, seed=9)
+        b = _stationary_starts(dfig, 1000, seed=9)
+        c = _stationary_starts(dfig, 1000, seed=10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -573,25 +471,6 @@ class TestStationarySampler:
 
 
 class TestWorkerDeterminism:
-    def test_estimate_survival(self, dfig):
-        cfg = h.McConfig(dt=1e-3, n_paths=2 * 10**4, seed=3,
-                         record_grid=(0.25, 0.5))
-        runs = [h.estimate_survival(dfig, 0.01, TH, cfg, workers=w)
-                for w in (1, 2, 4)]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].survival, other.survival)
-
-    def test_averaged_and_profile(self, dfig):
-        cfg = h.McConfig(dt=1e-3, n_paths=2 * 10**4, seed=11, record_grid=(0.5,))
-        a1 = h.estimate_survival(dfig, 0.01, None, cfg, workers=1)
-        a2 = h.estimate_survival(dfig, 0.01, None, cfg, workers=4)
-        assert np.array_equal(a1.survival, a2.survival)
-        z_grid = np.array([0.01, 0.05])
-        cp = h.McConfig(dt=1e-3, n_paths=2 * 10**4, seed=12, horizon=0.5)
-        p1 = h.estimate_survival(dfig, z_grid, TH, cp, workers=1)
-        p2 = h.estimate_survival(dfig, z_grid, TH, cp, workers=3)
-        assert np.array_equal(p1.survival, p2.survival)
-
     def test_parked_runs_identical(self):
         # beta = 10, stationary starts: most paths park at the first step, and
         # three blocks, the last one short, draw their waits and lifts
@@ -602,24 +481,14 @@ class TestWorkerDeterminism:
         for other in runs[1:]:
             assert other == runs[0]
 
-    @pytest.mark.parametrize("call", [
-        pytest.param(lambda d, cfg, w: h.estimate_survival(d, 0.01, TH, cfg, workers=w),
-                     id="fixed"),
-        pytest.param(lambda d, cfg, w: h.estimate_survival(d, 0.01, None, cfg, workers=w),
-                     id="averaged"),
-        pytest.param(lambda d, cfg, w: h.estimate_survival(d, (0.005, 0.05), None, cfg,
-                                                           workers=w),
-                     id="profile"),
-    ])
-    def test_every_field_identical(self, dfig, call):
+    @pytest.mark.parametrize("z0,v0", [(0.01, TH), (0.01, None), ((0.005, 0.05), None)],
+                             ids=["fixed", "averaged", "profile"])
+    def test_every_field_identical(self, dfig, z0, v0):
         # three blocks, the last one short; the pooled CI merges block sums
         cfg = h.McConfig(dt=1e-3, n_paths=140_000, seed=13, record_grid=(0.01, 0.02))
-        runs = [call(dfig, cfg, w) for w in (1, 2, 4)]
+        runs = [h.estimate_survival(dfig, z0, v0, cfg, workers=w) for w in (1, 2, 4)]
         for other in runs[1:]:
-            assert np.array_equal(runs[0].survival, other.survival)
-            assert np.array_equal(runs[0].ci_halfwidth, other.ci_halfwidth)
-            assert (runs[0].path_steps, runs[0].rng_draws) == (other.path_steps,
-                                                               other.rng_draws)
+            assert other == runs[0]
 
 
 class TestBlockMerge:
@@ -641,31 +510,9 @@ class TestBlockMerge:
             assert [x.hex() for x in got[0]] == [want[0].hex()] * 3
 
 
-class TestNormalStream:
-    """A record at step 0 comes before the first draw and reads ``I = 0``."""
-
-    def test_zero_step_record(self, dfig):
-        cfg = h.McConfig(n_paths=17, seed=1, record_grid=(0.0, 0.01))
-        est = h.estimate_survival(dfig, 0.01, TH, cfg)
-        assert est.survival[0] == 1.0 and est.ci_halfwidth[0] == 0.0
-
-
-class TestDrawerThreads:
+class TestBlockThreads:
     """Each path block runs on one thread, which draws its variates; a call
     runs up to ``2 * workers`` blocks at once."""
-
-    @pytest.mark.parametrize("beta,v0", [(0.1, TH), (1.0, None)], ids=["fixed", "parked"])
-    def test_a_call_draws_at_most_two_normals_per_path_step(self, beta, v0, monkeypatch):
-        # a path takes at most one normal a step; every normal taken and every
-        # wait and lift drawn is counted in rng_draws
-        log = _log_draws(monkeypatch)
-        cfg = h.McConfig(n_paths=8, seed=5, record_grid=(0.01,))
-        est = h.estimate_survival(h.Dimensionless(TH, beta), 0.01, v0, cfg)
-        drawn = {name: sum(v.size for n, v in log if n == name)
-                 for name in ("take", "standard_normal", "standard_exponential")}
-        assert 0 < drawn["take"] <= 8 * 10 and drawn["standard_normal"] == 0
-        assert (drawn["standard_exponential"] > 0) == (v0 is None)  # beta = 1 parks
-        assert est.rng_draws - (8 if v0 is None else 0) == sum(drawn.values())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_at_most_two_blocks_per_worker_at_once(self, dfig, workers, monkeypatch):
@@ -695,8 +542,7 @@ class TestDrawerThreads:
         h.estimate_survival(dfig, 0.01, None, cfg, workers=2)
         assert threading.active_count() == before
 
-    def test_step_error_propagates_and_stops_the_drawer(self, dfig, monkeypatch):
-        # the drawer is the block's own thread
+    def test_step_error_propagates(self, dfig, monkeypatch):
         def fail(*args):
             raise FloatingPointError("step failed")
 
@@ -718,24 +564,14 @@ class TestDrawerThreads:
 
 
 class TestPinnedKernel:
-    """Exact survival, CI, live path-step and draw counts of six small runs,
-    recorded from the kernel with SFC64 block streams drawn in-line, step
-    normals by chunked float32 Box-Muller from the block stream's raw
-    words, float32 variance steps in units of theta, the
-    exponential branch read as log(q / Phi(Z)), the float64 running-sum
-    clock, parked paths drawing their lift steps and values from Exp(1)
-    variates, and paths p and p + h of a block sharing one normal a step (Z
-    and -Z) until the block parks.  Two blocks, the second of 17 paths; 40
-    steps, so 2622120 path-steps and 40 * (2**15 + 9) = 1311080 normals
-    where nothing parks.
-    At beta = 1 more than half of the live paths sit at u = 0 before the
-    first step (stationary starts, most of which underflow float32) or the
-    seventh (v0 = theta), and at beta = 10 before the first, so those runs
-    take fewer live path-steps; at beta = 0.01, 2 nu >= _K_SWITCH, so paths
-    on the atom take the quadratic branch and nothing parks; at beta = 0.3
-    paths reach the atom, but never half of the block.  So the beta = 0.1,
-    0.01 and 0.3 runs keep their pairs to the end, and the stationary runs
-    park before their first step draws."""
+    """Exact survival, CI, live path-step and draw counts of six small runs
+    of the kernel: two blocks, the second of 17 paths, and 40 steps, so
+    2622120 path-steps and 40 * (2**15 + 9) = 1311080 normals where nothing
+    parks.  The beta = 0.1, 0.01 (2 nu >= _K_SWITCH) and 0.3 (paths reach
+    the atom, never half of the block) runs keep their pairs to the end; at
+    beta = 1 the block parks before the seventh step from v0 = theta, and the
+    stationary runs before their first step draws.  Re-record them only for a
+    deliberate change of the streams or the arithmetic."""
 
     CASES = {
         "beta0.1-v0theta": (0.1, TH, 0.01, (
@@ -929,93 +765,88 @@ class TestTrimmedStep:
         assert np.array_equal(_bits(got), _bits(_reference_qe_step(u, normal, coef)))
 
 
-def _scheduled_clocks(d, cfg, v0, records):
-    """Trapezoid clocks at the steps ``records`` of one block of
-    ``cfg.n_paths`` paths, in path order, and the block's live path-steps
-    and draws, from the kernel's schedule followed path by path.
+def _starts(rng, d, v0, n):
+    """The float32 starting ``u = v / theta`` of ``n`` paths: ``v0 / theta``,
+    or (``v0 = None``) ``Gamma(nu, 1 / nu)`` draws from ``rng``."""
+    return (rng.gamma(shape=d.nu, scale=1.0 / d.nu, size=n) if v0 is None
+            else np.full(n, v0 / d.theta)).astype(np.float32)
 
-    Every path keeps its own full-width variance and trapezoid sum.  Until
-    the block first parks, a step takes one of the block's step normals
-    (``montecarlo._Normals``) per pair: path ``p < h`` takes ``Z_p``, path
-    ``p + h`` takes ``-Z_p`` and the last path of an odd block ``-Z_h``.
-    When more than half of the live paths sit at v = 0, each of them draws
-    its lift step from one exponential and holds v = 0 until that step,
-    where it draws its lift value; from then on every live path takes its
-    own normal, in the kernel's order: the live paths, then the lifted ones
-    by lift step and path.  The live ones are stepped by
-    ``_reference_qe_step`` in float32 and in units of theta; the trapezoid
-    sum is float64, times theta."""
-    n, dt = cfg.n_paths, cfg.dt
+
+def _reference_block(d, cfg, v0, dtype=np.float32):
+    """Per-path clocks at each record step of block 0 of ``cfg.n_paths``
+    paths, shape ``(record, path)``, and the block's live path-steps and draws.
+
+    It draws what ``montecarlo._block`` draws, in its order, but keeps each
+    path's ``u`` and float64 trapezoid sum at full width: the starts; a step
+    normal of ``montecarlo._Normals`` per pair (``Z_p`` for path ``p < h``,
+    ``-Z_p`` for path ``p + h``) until the block first parks, then one per
+    live path in the kernel's order (those still live, then the lifted ones
+    by lift step and path); and a parked path's ``Exp(1)`` wait and lift.
+    The live paths step by ``_reference_qe_step`` in ``dtype``."""
+    n, steps, records = cfg.n_paths, cfg.n_steps, cfg.record_steps().tolist()
     h = n // 2
     rng = montecarlo._block_rng(cfg.seed, 0)
     normals = montecarlo._Normals(rng)
-    u = (rng.gamma(shape=d.nu, scale=1.0 / d.nu, size=n) if v0 is None
-         else np.full(n, v0 / d.theta)).astype(np.float32)
+    u = _starts(rng, d, v0, n).astype(dtype)
     draws = n if v0 is None else 0
-    coef, q0 = _coef(d, dt), _q0(d)
+    coef, q0 = _coef(d, cfg.dt), _q0(d)
     live, lift, paired = np.arange(n), np.full(n, -1), True
     trapezoid, clocks, path_steps = np.zeros(n), [], 0
-    for step in range(cfg.n_steps + 1):
-        if step in records:
-            clocks.append(trapezoid.copy())
-        if step == cfg.n_steps:
-            break
+    for step in range(steps + 1):
+        clocks += [d.theta * trapezoid] * records.count(step)
+        if step == steps:
+            return np.array(clocks), path_steps, draws
         atom = live[u[live] == 0.0]
         if 2.0 * d.nu < montecarlo._K_SWITCH and 2 * atom.size > live.size:
             wait = np.floor(rng.standard_exponential(atom.size) / -math.log1p(-q0))
-            lift[atom] = step + np.minimum(wait, cfg.n_steps)
-            live = live[u[live] != 0.0]
-            draws += atom.size
-            paired = False
-        if paired:
-            z = normals.take(n - h)
-            normal = np.concatenate((z[:h], -z))
-        else:
-            normal = normals.take(live.size)
-        draws += n - h if paired else live.size
+            lift[atom] = step + np.minimum(wait, steps)
+            live, paired, draws = live[u[live] != 0.0], False, draws + atom.size
+        z = normals.take(n - h if paired else live.size).astype(dtype)
+        draws += z.size
+        normal = np.concatenate((z[:h], -z)) if paired else z
         u_next = u.copy()  # a parked path's u is 0
         u_next[live] = _reference_qe_step(u[live], normal, coef)
         path_steps += live.size
         up = np.flatnonzero(lift == step)
         u_next[up] = coef[0] / q0 * rng.standard_exponential(up.size)
-        lift[up] = -1
-        live = np.concatenate((live, up))
-        draws += up.size
-        trapezoid += (u.astype(np.float64) + u_next) * (0.5 * dt)
+        lift[up], live, draws = -1, np.concatenate((live, up)), draws + up.size
+        trapezoid += (u.astype(np.float64) + u_next) * (0.5 * cfg.dt)
         u = u_next
-    return [d.theta * t for t in clocks], path_steps, draws
+
+
+def _against_the_reference_block(monkeypatch, d, cfg, v0):
+    """``estimate_survival`` of one block, once its counts equal those of
+    ``_reference_block`` and its per-path clocks are within ``4 n`` ulps of
+    the reference's trapezoid sums after ``n`` steps."""
+    est, got = _recorded(monkeypatch, lambda: h.estimate_survival(d, 0.01, v0, cfg))
+    want, path_steps, draws = _reference_block(d, cfg, v0)
+    assert (est.path_steps, est.rng_draws) == (path_steps, draws)
+    assert len(got) == len(want) == len(cfg.record_grid)
+    for clock, ref, n in zip(got, want, cfg.record_steps()):
+        assert np.all(clock >= 0.0)
+        assert np.all(np.abs(clock - ref) <= 4 * n * np.spacing(ref))
+    return est
 
 
 class TestClock:
     """The running-sum clock ``theta dt S - (theta dt/2) u + base`` of the
-    live paths and ``theta dt S + base`` of the parked ones (``u = v /
-    theta``), read at record steps, against the
-    trapezoid sum of the same variance paths from the kernel's schedule
-    followed path by path at full width."""
+    live paths and ``theta dt S + base`` of the parked ones, and the counts,
+    against the reference block on the same variates."""
 
-    @pytest.mark.parametrize("beta, v0", [(0.1, TH), (1.0, TH), (10.0, None), (1.0, 0.0)],
-                             ids=["beta0.1", "beta1", "beta10-stationary", "beta1-atom"])
-    def test_against_the_trapezoid_sum(self, beta, v0, monkeypatch):
+    @pytest.mark.parametrize("beta, v0, n_paths, grid", [
+        (0.1, TH, 3001, (0.0, 0.05, 0.2)),
+        (1.0, TH, 3001, (0.0, 0.05, 0.2)),
+        (10.0, None, 3001, (0.0, 0.05, 0.2)),
+        (1.0, 0.0, 3001, (0.0, 0.05, 0.2)),
+        (0.1, TH, 8, (0.01,)),
+        (1.0, None, 8, (0.01,)),
+    ], ids=["beta0.1", "beta1", "beta10-stationary", "beta1-atom", "fixed-8", "parked-8"])
+    def test_against_the_trapezoid_sum(self, beta, v0, n_paths, grid, monkeypatch):
         d = h.Dimensionless(theta=TH, beta=beta)
-        cfg = h.McConfig(dt=1e-3, n_paths=3001, seed=5, record_grid=(0.0, 0.05, 0.2))
-        clocks = []
-        sums = montecarlo._erf_sums
-
-        def spy(clock, *args):
-            clocks.append(clock.copy())
-            return sums(clock, *args)
-
-        monkeypatch.setattr(montecarlo, "_erf_sums", spy)
-        est = h.estimate_survival(d, 0.01, v0, cfg)
-        want, path_steps, draws = _scheduled_clocks(d, cfg, v0, (0, 50, 200))
-        assert (est.path_steps, est.rng_draws) == (path_steps, draws)
+        cfg = h.McConfig(dt=1e-3, n_paths=n_paths, seed=5, record_grid=grid)
+        est = _against_the_reference_block(monkeypatch, d, cfg, v0)
         # beta = 0.1 never parks; the others park, so they take fewer live path-steps
-        assert (path_steps == 3001 * 200) == (beta == 0.1)
-        assert len(clocks) == 3
-        assert np.all(clocks[0] == 0.0)  # a zero-step record reads I = 0
-        for got, exp, n in zip(clocks, want, (0, 50, 200)):
-            assert np.all(got >= 0.0)
-            assert np.all(np.abs(got - exp) <= 4 * n * np.spacing(exp))
+        assert (est.path_steps == n_paths * cfg.n_steps) == (beta == 0.1)
 
 
 def _plain_qe(d, z_grid, cfg, seed):
@@ -1053,18 +884,9 @@ class TestAtomSchedule:
         # s + 1, and I = 0 at every record before that
         d = h.Dimensionless(theta=TH, beta=beta)
         cfg = h.McConfig(dt=1e-3, n_paths=2**22, seed=2201, record_grid=(1e-3, 4e-3))
-        lifted, seen, local = [[], []], [], _by_block(monkeypatch)
-        sums = montecarlo._erf_sums
-
-        def spy(clock, *args):
-            rec = seen.count(local.block)  # each block reads both records in turn
-            seen.append(local.block)
-            lifted[rec].append(clock[clock > 0.0].copy())
-            return sums(clock, *args)
-
-        monkeypatch.setattr(montecarlo, "_erf_sums", spy)
-        h.estimate_survival(d, 0.01, 0.0, cfg)
-        assert len(seen) == 2 * len(montecarlo._blocks(cfg.n_paths))
+        _, clocks = _recorded(monkeypatch, lambda: h.estimate_survival(d, 0.01, 0.0, cfg))
+        assert len(clocks) == 2 * len(montecarlo._blocks(cfg.n_paths))
+        lifted = [[c[c > 0.0] for c in clocks[rec::2]] for rec in (0, 1)]
         m0, q0 = TH * _coef(d, cfg.dt)[0], _q0(d)  # the lift mean m0 / q0 in v
         for rec, steps in enumerate((1, 4)):
             share = sum(c.size for c in lifted[rec]) / cfg.n_paths
@@ -1134,38 +956,21 @@ class TestQeStep:
         assert np.all(out[far] == 0.0)
 
 
-def _float64_paired_run(d, z_grid, cfg):
-    """Mean of ``erf(z / sqrt(2 I))`` at the horizon over one block of paths
-    from ``v0 = theta``, on the kernel's paired normals (the block never
-    parks), stepped by ``_reference_qe_step`` in float64 on the float32
-    normals as taken, with a float64 trapezoid clock."""
-    n = cfg.n_paths
-    h = n // 2
-    assert n % 2 == 0 and len(montecarlo._blocks(n)) == 1
-    normals = montecarlo._Normals(montecarlo._block_rng(cfg.seed, 0))
-    coef = _coef(d, cfg.dt)
-    u, clock = np.ones(n), np.zeros(n)
-    for _ in range(cfg.n_steps):
-        z = normals.take(n - h).astype(np.float64)
-        u_next = _reference_qe_step(u, np.concatenate((z[:h], -z)), coef)
-        clock += (u + u_next) * (0.5 * cfg.dt)
-        u = u_next
-    return erf(np.asarray(z_grid)[:, None] / np.sqrt(2.0 * d.theta * clock)).mean(axis=1)
-
-
 class TestFloat32Step:
     """The kernel steps the variances in float32, in units of theta, with a
     float64 clock."""
 
     def test_rounding_shift_within_a_tenth_of_c01s_interval(self, dfig):
-        # beta = 0.1 from v0 = theta, tau = 0.5, on c01's grid of z, against a
-        # float64 step on the same normals: the shift is rounding alone.  c01's
-        # half-width at each z is this run's pair interval scaled to c01's 2**20
-        # paths.  Seed and path count were fixed before the first run
+        # beta = 0.1 from v0 = theta, tau = 0.5, on c01's grid of z, against the
+        # reference block stepped in float64 on the same normals: the shift is
+        # rounding alone.  c01's half-width at each z is this run's pair
+        # interval scaled to c01's 2**20 paths.  Seed and path count were fixed
+        # before the first run
         zs = np.logspace(math.log10(2e-3), math.log10(2e-1), 16)
         cfg = h.McConfig(dt=1e-3, n_paths=2**16, seed=2601, horizon=0.5)
         est = h.estimate_survival(dfig, zs, TH, cfg)
-        shift = est.survival[0] - _float64_paired_run(dfig, zs, cfg)
+        clocks, _, _ = _reference_block(dfig, cfg, TH, dtype=np.float64)
+        shift = est.survival[0] - _values(clocks[-1], zs).mean(axis=1)
         c01_halfwidth = est.ci_halfwidth[0] * math.sqrt(cfg.n_paths / 2**20)
         assert np.all(np.abs(shift) <= 0.1 * c01_halfwidth)
 
@@ -1173,25 +978,12 @@ class TestFloat32Step:
     def test_frozen_variance_is_exact(self, beta, monkeypatch):
         # from v0 = theta: the mean's fixed point is 1 and u' = m (1 + O(beta Z))
         # rounds to it, so every u stays 1.0 and the clock reads theta tau up to
-        # the rounding of its float64 products.  At beta = 1e-30, k overflows
-        # float32 and is held at 1e18 (it read NaN without that)
+        # the rounding of its float64 products (a u one float32 ulp off 1.0 at a
+        # single step would move it by over 10**6 float64 ulps).  At beta =
+        # 1e-30, k overflows float32 and is held at 1e18 (it read NaN without that)
         d = h.Dimensionless(theta=TH, beta=beta)
         cfg = h.McConfig(dt=5e-3, n_paths=2001, seed=3, record_grid=(0.0, 0.1, 0.5))
-        exact, clocks = [], []
-        step, sums = montecarlo._qe_step, montecarlo._erf_sums
-
-        def step_spy(u, normal, out, *args):
-            step(u, normal, out, *args)
-            exact.append(bool(np.all(u == 1.0) and np.all(out == 1.0)))
-
-        def sums_spy(clock, *args):
-            clocks.append(clock.copy())
-            return sums(clock, *args)
-
-        monkeypatch.setattr(montecarlo, "_qe_step", step_spy)
-        monkeypatch.setattr(montecarlo, "_erf_sums", sums_spy)
-        h.estimate_survival(d, 0.05, TH, cfg)
-        assert len(exact) == cfg.n_steps and all(exact)
+        _, clocks = _recorded(monkeypatch, lambda: h.estimate_survival(d, 0.05, TH, cfg))
         assert len(clocks) == 3
         for got, tau in zip(clocks, cfg.record_grid):
             assert np.all(np.abs(got - TH * tau) <= 4 * np.spacing(TH * tau))
@@ -1199,11 +991,12 @@ class TestFloat32Step:
 
 class TestMemory:
     def test_one_block_peak(self, dfig):
-        # one block of 2**16 paths and c01's 16 z: the block's arrays come to
-        # 4.3 MB; per-z float64 temporaries of the erf sums and a buffered take
-        # at each record once lifted the peak to 6.7 MB
+        # one block of 2**16 paths and c01's 16 z, over ten steps (the peak does
+        # not grow with them): the block's arrays come to 4.3 MB; per-z float64
+        # temporaries of the erf sums and a buffered take at each record once
+        # lifted the peak to 6.7 MB
         zs = np.logspace(math.log10(2e-3), math.log10(2e-1), 16)
-        cfg = h.McConfig(dt=1e-3, n_paths=2**16, seed=0, record_grid=(0.25, 0.5))
+        cfg = h.McConfig(dt=1e-3, n_paths=2**16, seed=0, record_grid=(0.005, 0.01))
         tracemalloc.start()
         try:
             h.estimate_survival(dfig, zs, TH, cfg)

@@ -1,4 +1,5 @@
 """The scripts under scripts/ run against the package as it is."""
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -43,3 +44,15 @@ def test_run_figures_passes_paths_and_seed_to_every_figure(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"fig{i}.csv"
                                                                 for i in range(1, 11))
+
+
+def test_mc_mutants_each_name_one_spot_of_the_kernel():
+    # checked without running pytest: a mutation whose text no longer occurs
+    # exactly once in montecarlo.py cannot be planted
+    spec = importlib.util.spec_from_file_location("mc_mutants", ROOT / "scripts" / "mc_mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    kernel = (ROOT / mutants.KERNEL).read_text(encoding="utf-8")
+    assert len(mutants.MUTATIONS) >= 8
+    for name, old, new in mutants.MUTATIONS:
+        assert kernel.count(old) == 1 and new != old, name
